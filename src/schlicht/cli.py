@@ -238,18 +238,23 @@ def cmd_weinstein_decompose(args):
     cfg = load_config(args.config)
     f = uv.from_registry(args.function, max(4 * args.n, 32))
     chain = lw.make_chain(args.function)
-    res = ws.milin_decomposition_check(f, chain, n=args.n, T=args.T)
+    res = ws.milin_decomposition_check(f, chain, n=args.n)
     payload = res.to_dict()
     scale = max(abs(res.lhs), 1.0)
-    payload["pass"] = bool(
-        res.residual_extrapolated <= 1e-2 * scale and res.min_g >= -1e-8
-    )
+    payload["pass"] = bool(res.residual <= 1e-10 * scale and res.min_g >= -1e-8)
     text = _json_dumps(payload)
     _write_text(args.out, text, cfg.out_dir)
     return 0 if payload["pass"] else 1
 
 
 # -- parser -------------------------------------------------------------------
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
 
 def build_parser():
     p = argparse.ArgumentParser(prog="schlicht", description=__doc__)
@@ -307,8 +312,7 @@ def build_parser():
     pwl.set_defaults(func=cmd_weinstein_lambda)
     pwd = subw.add_parser("decompose", help="end-to-end decomposition check")
     pwd.add_argument("--function", default="koebe")
-    pwd.add_argument("--n", type=int, default=6)
-    pwd.add_argument("--T", type=float, default=8.0)
+    pwd.add_argument("--n", type=_positive_int, default=6)
     pwd.add_argument("--out", default="-")
     pwd.add_argument("--config", default=None)
     pwd.set_defaults(func=cmd_weinstein_decompose)

@@ -77,6 +77,11 @@ class ChainUnavailable(SchlichtError):
     pass
 
 
+# weinstein
+class ImaginaryResidue(SchlichtError):
+    pass
+
+
 # cli
 class UnknownSuite(SchlichtError):
     pass

@@ -9,8 +9,10 @@ Three chain representations share one interface:
   trajectories come from fixed-step RK4 on
   df/dt = -f (1 + kappa f)/(1 - kappa f).
 
-Time-infinity statements are never extrapolated: they are evaluated at
-finite horizons with the discarded tail reported alongside.
+Time-infinity statements are never extrapolated.  Where the time
+dependence is polynomial in e^{-t}, as for the kernel coefficients on the
+closed-form chains, the t -> infinity integral is taken exactly by a change
+of variable (see weinstein); numeric chains live on a finite horizon T.
 """
 
 from __future__ import annotations

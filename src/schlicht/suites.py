@@ -297,29 +297,27 @@ def suite_weinstein(tolerance=1e-8, quick=False, r_ladder=(0.9, 0.99, 0.999)):
     pattern = ws.lambda_series(0.0, 0, 11)
     expect = np.array([1.0, 0.0] * 6)
     rep.add("lambda-alternation-t=0", float(np.max(np.abs(pattern - expect))), 1e-12)
-    # boundary integrals for the koebe chain: decreasing in r, limit below 0.05
+    # boundary integrals for the koebe chain: decreasing in r along the
+    # quadrature ladder, and 0 at r = 1 by the exact pairing
     kc = lw.KoebeChain()
+    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in r_ladder])
+    limit = ws.a_k_pairing(kc, 0.5, 6)
     for k in range(1, 7):
-        vals, extrap = ws.a_k_ladder(kc, k, 0.5, r_ladder=r_ladder, Q=2048)
-        rep.add(f"a{k}-monotone", float(np.max(np.diff(vals))), 0.0)
-        rep.add(f"a{k}-limit", extrap, 0.05)
+        rep.add(f"a{k}-monotone", float(np.max(np.diff(ladder[:, k - 1]))), 0.0)
+        rep.add(f"a{k}-limit", abs(float(limit[k - 1])), 1e-10)
     # generating identity
     sub = ws.milin_generating_identity(uv.koebe(24), 20, [0.0, 0.3, 0.5, 0.2j - 0.1])
     rep.add("generating-identity-koebe", float(len(sub.failures)), 0.0)
     sub = ws.milin_generating_identity(uv.identity_map(24), 20, [0.0, 0.3, 0.45j])
     rep.add("generating-identity-identity", float(len(sub.failures)), 0.0)
-    # end-to-end decomposition
-    n = 4 if quick else 6
-    res = ws.milin_decomposition_check(uv.koebe(32), kc, n=n, T=8.0)
+    # end-to-end decomposition, exact in r and t, so quick mode keeps n = 20
+    n = 20
+    res = ws.milin_decomposition_check(uv.koebe(32), kc, n=n)
     rep.add("decomposition-koebe-lhs", abs(res.lhs), 1e-10)
-    rep.add("decomposition-koebe-rhs-limit", abs(res.rhs_extrapolated), 1e-2)
+    rep.add("decomposition-koebe-rhs-limit", abs(res.rhs_extrapolated), 1e-10)
     rep.add("decomposition-koebe-min-g", -1e-8, res.min_g)
-    res2 = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=n, T=8.0)
-    rep.add(
-        "decomposition-identity-relative",
-        abs(res2.rhs_raw + res2.t_tail_estimate - res2.lhs) / abs(res2.lhs),
-        1e-2,
-    )
+    res2 = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=n)
+    rep.add("decomposition-identity-relative", res2.residual / abs(res2.lhs), 1e-12)
     rep.add("decomposition-identity-min-g", -1e-8, res2.min_g)
     rep.meta["decomposition_koebe"] = res.to_dict()
     rep.meta["decomposition_identity"] = res2.to_dict()

@@ -4,7 +4,10 @@ The central objects are the coefficients L[k][n](t) of z^{n+1} in
 e^t w^{k+1} / (1 - w^2), with w the Koebe transition flow.  They admit
 three independent computations that must agree:
 
-* series route    -- series arithmetic on the flow;
+* series route    -- series arithmetic on the flow: lambda_series one k at
+  a time on the fixed-point transition series, lambda_rows every k in one
+  pass from closed forms of e^t w/(1 - w^2) and w, then repeated
+  multiplication by w;
 * Fourier route   -- with cos(delta) = 1 - e^{-t} + e^{-t} cos(phi), the
   degree-n coefficient family U_n of 1/(1 - 2 x z + z^2) satisfies
   U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a cosine
@@ -13,10 +16,22 @@ three independent computations that must agree:
   equal-angle addition theorem writes each entry as a sum of squares times
   positive weights, which also certifies nonnegativity term by term.
 
-On top of these sit the boundary integrals a_k_integral (nonnegative
-because Re p > 0 multiplies a squared modulus) and the end-to-end check
-that sum_k (4/k - k |c_k(0)|^2)(n-k+1) equals the time integral of
-g_n(t) = sum_k L[k][n](t) A_k(t).
+On top of these sit the boundary integrals
+A_k(t) = lim_{r->1} (1/2pi) Int Re p |2 C0k - k c_k z^k|^2 dtheta
+(nonnegative because Re p > 0 multiplies a squared modulus) and the
+end-to-end check that sum_k (4/k - k |c_k(0)|^2)(n-k+1) equals the time
+integral of g_n(t) = sum_k L[k][n](t) A_k(t).  Both limits in that identity
+are taken exactly:
+
+* r -> 1: the weight is |X|^2 with X a polynomial of degree k, so the mean
+  of Re p |X|^2 pairs the Taylor coefficients p_0..p_k of the Herglotz
+  function with the autocorrelation of X's coefficients (a_k_pairing).
+  That finite sum is a polynomial in r, and its value at r = 1 is the limit.
+  The circle quadrature _a_k_row stays as its oracle at r < 1.
+* t -> infinity: L[k][n] is a polynomial in s = e^{-t} of degree <= n with
+  no constant term, and A_k does not depend on t for the closed-form
+  chains, so Int_0^inf g dt = Int_0^1 g(-ln s) ds/s integrates a polynomial
+  of degree <= n - 1; Gauss-Legendre with n//2 + 2 nodes in s is exact.
 """
 
 from __future__ import annotations
@@ -30,8 +45,23 @@ from . import functionals as fn
 from . import legendre as lg
 from . import loewner as lw
 from . import series as ps
+from .errors import (
+    ChainUnavailable,
+    ImaginaryResidue,
+    ParamOutOfRange,
+    QuadratureUnderresolved,
+    RadiusExceeded,
+)
 from .report import BoundReport
 from .series import PowerSeries
+
+
+def _real(vals):
+    """Real part of a quantity that is real by construction."""
+    resid = float(np.max(np.abs(vals.imag)))
+    if resid > 1e-12:
+        raise ImaginaryResidue(f"imaginary residue {resid:.2e} in a real quantity")
+    return vals.real.copy()
 
 
 def lambda_series(t, k, N):
@@ -46,11 +76,45 @@ def lambda_series(t, k, N):
     num = math.exp(t) * _power(w, k + 1)
     den = PowerSeries.one(order) - w * w
     S = ps.div(num, den)
-    vals = S.coeffs[1:]
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-12:
-        raise ArithmeticError(f"imaginary residue {resid:.2e} in a real quantity")
-    return vals.real.copy()
+    return _real(S.coeffs[1:])
+
+
+def lambda_rows(t, N, max_k=None):
+    """L[k][n](t) for k = 0..max_k (rows) and n = 0..N (columns) in one pass.
+
+    Row 0 is e^t w/(1 - w^2); each further row is the previous one times w.
+    Both factors come in closed form: with s = e^{-t}, x = 1 - 2s and
+    R = sqrt(1 - 2xz + z^2), the Koebe relation z/(1-z)^2 = e^t w/(1-w)^2
+    reads ((1+w)/(1-w))^2 = R^2/(1-z)^2, so
+
+        e^t w/(1 - w^2) = z/((1 - z) R),    w = 4 s z/(R + 1 - z)^2.
+
+    1/R = sum_j P_j(x) z^j, so row 0 holds partial sums of Legendre values.
+    No step divides by a series that nearly vanishes on |z| = 1 at small t,
+    where dividing by 1 - w^2 loses two digits.  Rows beyond N vanish.
+    """
+    if not t >= 0:
+        raise ParamOutOfRange(f"t must be >= 0, got {t}")
+    max_k = N if max_k is None else max_k
+    order = N + 1
+    s = math.exp(-t)
+    x = 1.0 - 2.0 * s
+    P = np.empty(order + 1)  # Bonnet's recurrence, stable on [-1, 1]
+    P[0], P[1] = 1.0, x
+    for j in range(1, order):
+        P[j + 1] = ((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1)
+    R = P.copy()  # (1 - 2xz + z^2) / R
+    R[1:] -= 2.0 * x * P[:-1]
+    R[2:] += P[:-2]
+    D = PowerSeries(R) + PowerSeries(np.r_[1.0, -1.0, np.zeros(order - 1)])
+    w = PowerSeries(np.r_[0.0, 4.0 * s, np.zeros(order - 1)]) / (D * D)
+    S = PowerSeries(np.r_[0.0, np.cumsum(P[:order])])
+    rows = np.zeros((max_k + 1, N + 1), dtype=complex)
+    for k in range(min(max_k, N) + 1):
+        if k:
+            S = S * w
+        rows[k] = S.coeffs[1:]
+    return _real(rows)
 
 
 def _power(w, m):
@@ -68,7 +132,7 @@ def cos_delta(t, phi):
     """1 - e^{-t} + e^{-t} cos(phi); stays in [1 - 2e^{-t}, 1] subset [-1, 1]."""
     x = 1.0 - math.exp(-t) * (1.0 - np.cos(phi))
     if np.any(x < -1 - 1e-12) or np.any(x > 1 + 1e-12):
-        raise ArithmeticError("cos(delta) left [-1, 1]")
+        raise ParamOutOfRange(f"cos(delta) left [-1, 1] at t = {t}; t must be >= 0")
     return x
 
 
@@ -80,7 +144,7 @@ def lambda_fourier(t, k, n, Q=1024):
     against cos(k phi).
     """
     if Q < 2 * (n + k) + 2:
-        raise ValueError("quadrature grid too coarse for the harmonic content")
+        raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
     phi = 2.0 * np.pi * np.arange(Q) / Q
     x = cos_delta(t, phi)
     um1 = np.ones_like(x)
@@ -154,9 +218,7 @@ class LambdaTable:
 
 
 def lambda_table(t, max_n, max_k=None):
-    max_k = max_n if max_k is None else max_k
-    rows = [lambda_series(t, k, max_n) for k in range(max_k + 1)]
-    return LambdaTable(t=float(t), values=np.vstack(rows))
+    return LambdaTable(t=float(t), values=lambda_rows(t, max_n, max_k))
 
 
 def oracle_triangle(t_values, n_max, Q=1024, legendre_n_max=None):
@@ -205,7 +267,7 @@ def milin_generating_identity(f, N, z_samples, tolerance=1e-10):
     scale = max(float(np.max(np.abs(lhs_coeffs))), 1.0)
     for z in z_samples:
         if abs(z) > 0.5:
-            raise ValueError("sample points must satisfy |z| <= 0.5")
+            raise RadiusExceeded("sample points must satisfy |z| <= 0.5")
         dv = abs(ps.evaluate(lhs, z) - ps.evaluate(rhs, z))
         rep.add(f"z={z}", dv, tolerance * scale)
     rep.meta["coeff_scale"] = scale
@@ -214,27 +276,15 @@ def milin_generating_identity(f, N, z_samples, tolerance=1e-10):
 
 # -- boundary integrals and the decomposition --------------------------------
 
-def a_k_integral(chain, k, t, r, Q=1024):
-    """(1/2pi) Int Re{p(z1,t)} |2 C0k - k c_k(t) z1^k|^2 dtheta at |z1| = r.
-
-    C0k = 1 + sum_{l<=k} l c_l(t) z1^l.  Nonnegative up to quadrature noise
-    since Re p > 0 and the weight is a squared modulus.
-    """
-    if hasattr(chain, "p_on_circle"):
-        p, z1 = chain.p_on_circle(t, r, Q)
-    else:
-        _, z1 = chain.boundary_values(t, r, Q)
-        p = chain.p_values(z1, t)
-    X = np.full(Q, 2.0, dtype=complex)
-    for l in range(1, k + 1):
-        X += 2.0 * l * chain.log_coeff(t, l) * z1**l
-    if k >= 1:
-        X -= k * chain.log_coeff(t, k) * z1**k
-    return float(np.mean(p.real * np.abs(X) ** 2))
-
-
 def _a_k_row(chain, t, r, Q, kmax):
-    """A_k for k = 1..kmax sharing one set of boundary data."""
+    """A_k(r) for k = 1..kmax by Q-point circle quadrature at |z1| = r.
+
+    A_k(r) = (1/2pi) Int Re{p(z1,t)} |2 C0k - k c_k(t) z1^k|^2 dtheta with
+    C0k = 1 + sum_{l<=k} l c_l(t) z1^l; all k share one set of boundary
+    data.  Nonnegative up to quadrature noise since Re p > 0 and the weight
+    is a squared modulus.  This is the oracle for a_k_pairing; it needs
+    r < 1 and works for numeric chains too.
+    """
     if hasattr(chain, "p_on_circle"):
         p, z1 = chain.p_on_circle(t, r, Q)
     else:
@@ -251,102 +301,126 @@ def _a_k_row(chain, t, r, Q, kmax):
     return out
 
 
-def a_k_ladder(chain, k, t, r_ladder=(0.9, 0.99, 0.999), Q=1024):
-    """Values along the r-ladder plus the linear-in-(1-r) extrapolant.
+def herglotz_coeffs(chain, t, order):
+    """Taylor coefficients p_0..p_order of p = (df/dt)/(z df/dz) at time t.
 
-    The integral is defined as an r -> 1 limit; the ladder replaces the
-    limit and the extrapolation from the two largest radii estimates it.
+    One series division; needs a chain with closed-form series in z and t.
     """
-    vals = [a_k_integral(chain, k, t, r, Q) for r in r_ladder]
-    e1, e2 = 1.0 - r_ladder[-2], 1.0 - r_ladder[-1]
-    extrap = (vals[-1] * e1 - vals[-2] * e2) / (e1 - e2)
-    return np.asarray(vals), float(extrap)
+    if not hasattr(chain, "dt_series_at"):
+        raise ChainUnavailable(
+            f"{chain.label} chain has no closed-form time derivative; "
+            "the exact boundary pairing needs one"
+        )
+    m = np.arange(order + 2)
+    zfz = chain.series_at(t, order + 1).coeffs * m
+    dft = chain.dt_series_at(t, order + 1).coeffs
+    return ps.div(PowerSeries(dft[1:]), PowerSeries(zfz[1:])).coeffs
+
+
+def a_k_pairing(chain, t, kmax, r=1.0):
+    """A_k(r) for k = 1..kmax as a finite sum; exact at every r <= 1.
+
+    X = 2 C0k - k c_k z^k has coefficients x_0..x_k, so on |z| = r the mean
+    of p |X|^2 keeps only the terms p_m r^m conj(a_m) with a_m the
+    autocorrelation sum_j conj(y_j) y_{j+m}, y_j = x_j r^j.  Hence
+    A_k(r) = Re(p_0) a_0 + sum_{m=1..k} Re(conj(p_m) a_m) r^m.
+    """
+    p = herglotz_coeffs(chain, t, kmax)
+    rm = r ** np.arange(kmax + 1)
+    pr = np.conj(p) * rm
+    pr[0] = p[0].real
+    y = np.zeros(kmax + 1, dtype=complex)
+    y[0] = 2.0
+    out = np.empty(kmax)
+    for k in range(1, kmax + 1):
+        y[k] = k * chain.log_coeff(t, k) * rm[k]  # 2 k c_k - k c_k
+        a = np.correlate(y[: k + 1], y[: k + 1], "full")[k:]
+        out[k - 1] = float(np.dot(pr[: k + 1], a).real)
+        y[k] *= 2.0  # 2 k c_k, the coefficient in 2 C0k for the next k
+    return out
 
 
 @dataclass
 class DecompositionResult:
+    """Both sides of the decomposition identity.
+
+    ``rhs_extrapolated`` is the exact r = 1, t = infinity value (the name is
+    kept for report compatibility); ``min_g`` is the least g_n over the
+    quadrature nodes.  ``times``, ``weights`` and ``g`` hold the nodes, the
+    dt weights (Gauss weight over s) and g_n there.
+    """
+
     n: int
     lhs: float
-    rhs_raw: float
     rhs_extrapolated: float
-    r_raw: float
-    rhs_by_radius: dict
-    t_tail_estimate: float
     min_g: float
+    nodes: int
     times: np.ndarray = field(repr=False, default=None)
-    g_raw: np.ndarray = field(repr=False, default=None)
+    weights: np.ndarray = field(repr=False, default=None)
+    g: np.ndarray = field(repr=False, default=None)
 
     @property
-    def residual_raw(self):
-        return abs(self.rhs_raw - self.lhs)
-
-    @property
-    def residual_extrapolated(self):
+    def residual(self):
         return abs(self.rhs_extrapolated - self.lhs)
 
     def to_dict(self):
         return {
             "n": self.n,
             "lhs": self.lhs,
-            "rhs_raw": self.rhs_raw,
             "rhs_extrapolated": self.rhs_extrapolated,
-            "r_raw": self.r_raw,
-            "rhs_by_radius": {f"{r}": v for r, v in sorted(self.rhs_by_radius.items())},
-            "t_tail_estimate": self.t_tail_estimate,
             "min_g": self.min_g,
+            "nodes": self.nodes,
         }
 
 
-def milin_decomposition_check(
-    f,
-    chain,
-    n,
-    T=8.0,
-    dt=0.02,
-    r_raw=0.99,
-    r_ladder=(0.9, 0.99, 0.999),
-    Q=2048,
-):
-    """Compare sum_k (4/k - k|c_k(0)|^2)(n-k+1) with Int_0^T g_n(t) dt.
+def gauss_legendre_s(m):
+    """Gauss-Legendre nodes and weights for Int_0^1 ds, s descending.
 
-    g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t).  A_k carries an r -> 1 limit;
-    the result reports the integral both at the raw radius and with the
-    ladder extrapolation, plus a T-truncation estimate from the e^{-kt}
-    decay of the kernel coefficients.
+    Newton's method on P_m from the asymptotic guesses, run in long double:
+    a node next to s = 0 is a root x of P_m next to 1, and an ulp of error
+    in x is a large relative error in s = (1 - x)/2 exactly where the
+    decomposition's integrand, taken over ds/s, is steepest.
     """
+    i = np.arange(m, 0, -1)
+    x = np.cos(np.pi * (i - 0.25) / (m + 0.5)).astype(np.longdouble)
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, m):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = m * (x * p1 - p0) / (x * x - 1)  # P_m'
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) < 4 * np.finfo(np.longdouble).eps:
+            break
+    s = (1 - x) / 2
+    weights = 1 / ((1 - x * x) * dp * dp)
+    return s.astype(float), weights.astype(float)
+
+
+def milin_decomposition_check(f, chain, n, nodes=None):
+    """Compare sum_k (4/k - k|c_k(0)|^2)(n-k+1) with Int_0^inf g_n(t) dt.
+
+    g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with A_k at r = 1 from
+    a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
+    ``nodes`` points (default n//2 + 2, exact for the closed-form chains).
+    """
+    if n < 1:
+        raise ParamOutOfRange(f"n must be >= 1, got {n}")
+    nodes = n // 2 + 2 if nodes is None else nodes
     lhs = fn.milin_weighted_form(f, n)
-    nt = int(round(T / dt)) + 1
-    times = np.linspace(0.0, T, nt)
-    lam = np.empty((nt, n))
-    for i, t in enumerate(times):
-        lam[i] = [lambda_series(t, k, n)[n] for k in range(1, n + 1)]
-    radii = tuple(sorted(set(r_ladder) | {r_raw}))
-    a_vals = {r: np.empty((nt, n)) for r in radii}
-    for i, t in enumerate(times):
-        for r in radii:
-            a_vals[r][i] = _a_k_row(chain, t, r, Q, n)
-    g_by_r = {r: np.sum(lam * a_vals[r], axis=1) for r in radii}
-    rhs_by_r = {r: float(np.trapezoid(g_by_r[r], times)) for r in radii}
-    e1, e2 = 1.0 - r_ladder[-2], 1.0 - r_ladder[-1]
-    v1, v2 = rhs_by_r[r_ladder[-2]], rhs_by_r[r_ladder[-1]]
-    rhs_extrap = (v2 * e1 - v1 * e2) / (e1 - e2)
-    # discarded mass beyond T: lambda decays at least like e^{-max(1,k) t}
-    tail = float(
-        sum(
-            lam[-1, j] * a_vals[radii[-1]][-1, j] / max(1, k)
-            for j, k in enumerate(range(1, n + 1))
-        )
+    s, w_s = gauss_legendre_s(nodes)
+    times = -np.log(s)  # ascending
+    weights = w_s / s  # ds/s = dt
+    g = np.array(
+        [lambda_rows(t, n)[1:, n] @ a_k_pairing(chain, t, n) for t in times]
     )
-    min_g = float(min(g_by_r[r].min() for r in radii))
     return DecompositionResult(
         n=n,
         lhs=lhs,
-        rhs_raw=rhs_by_r[r_raw],
-        rhs_extrapolated=float(rhs_extrap),
-        r_raw=r_raw,
-        rhs_by_radius=rhs_by_r,
-        t_tail_estimate=tail,
-        min_g=min_g,
+        rhs_extrapolated=float(weights @ g),
+        min_g=float(g.min()),
+        nodes=nodes,
         times=times,
-        g_raw=g_by_r[r_raw],
+        weights=weights,
+        g=g,
     )

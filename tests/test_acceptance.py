@@ -182,20 +182,25 @@ def test_criterion_08_oracle_triangle():
 def test_criterion_09_decomposition():
     kc = lw.KoebeChain()
     ok = True
+    radii = (0.9, 0.99, 0.999)
+    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in radii])
+    pairing = np.array([ws.a_k_pairing(kc, 0.5, 6, r) for r in radii])
+    limit = ws.a_k_pairing(kc, 0.5, 6)
     for k in range(1, 7):
-        vals, extrap = ws.a_k_ladder(kc, k, 0.5, Q=2048)
+        vals = ladder[:, k - 1]
         ok &= bool(np.all(np.diff(vals) < 0))  # decreasing along the r-ladder
-        ok &= extrap < 0.05  # the r -> 1 limit the ladder stands in for
+        ok &= abs(limit[k - 1]) <= 1e-10  # the exact r -> 1 limit
         # the raw r = 0.99 value is the exact limit artifact 4(1 - r^{2k}),
-        # pinned here so the extrapolation is seen to remove it
+        # pinned here so the r = 1 pairing is seen to remove it
         ok &= abs(vals[1] - 4.0 * (1.0 - 0.99 ** (2 * k))) <= 1e-8
-    res = ws.milin_decomposition_check(uv.koebe(32), kc, n=6, T=8.0)
+        ok &= float(np.max(np.abs(pairing[:, k - 1] - vals))) <= 1e-10
+    res = ws.milin_decomposition_check(uv.koebe(32), kc, n=6)
     ok &= abs(res.lhs) <= 1e-10
-    ok &= abs(res.rhs_extrapolated) <= 1e-2
+    ok &= abs(res.rhs_extrapolated) <= 1e-10
     ok &= res.min_g >= -1e-8
-    ok &= res.g_raw.min() >= -1e-8
-    res2 = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=6, T=8.0)
-    ok &= abs(res2.rhs_raw + res2.t_tail_estimate - res2.lhs) <= 1e-2 * res2.lhs
+    ok &= res.g.min() >= -1e-8
+    res2 = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=6)
+    ok &= res2.residual <= 1e-12 * res2.lhs
     ok &= res2.min_g >= -1e-8
     _line(9, "boundary integrals vanish in the limit; decomposition closes end to end", ok)
 

@@ -23,14 +23,50 @@ def test_verify_pass_exit_zero(tmp_path):
 
 
 def test_verify_report_written_even_on_failure(tmp_path):
-    out = tmp_path / "dec.json"
+    out = tmp_path / "milin.json"
     proc = run_cli(
-        "weinstein", "decompose", "--function", "identity", "--n", "6",
-        "--T", "2", "--out", str(out),
+        "verify", "--suite", "milin", "--n", "2", "--function", "coeffs:[0,1,3]",
+        "--out", str(out),
     )
-    assert proc.returncode == 1  # horizon too short: check honestly fails
+    assert proc.returncode == 1  # a_2 = 3 is not univalent: the check honestly fails
     data = json.loads(out.read_text())
     assert data["pass"] is False
+
+
+def test_decompose_exact_at_n_20(tmp_path):
+    for function, exact in (("koebe", 0.0), ("identity", None)):
+        out = tmp_path / f"{function}.json"
+        proc = run_cli("weinstein", "decompose", "--function", function, "--n", "20",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(out.read_text())
+        assert set(data) == {"n", "lhs", "rhs_extrapolated", "min_g", "nodes", "pass"}
+        exact = data["lhs"] if exact is None else exact
+        assert abs(data["rhs_extrapolated"] - exact) <= 1e-10 * max(abs(exact), 1.0)
+        assert data["pass"] is True
+
+
+def test_decompose_n_zero_is_usage_error():
+    proc = run_cli("weinstein", "decompose", "--n", "0")
+    assert proc.returncode == 2
+    assert "must be >= 1" in proc.stderr
+
+
+def test_decompose_negative_n_is_usage_error():
+    proc = run_cli("weinstein", "decompose", "--n", "-2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_decompose_horizon_flag_is_gone():
+    # the time integral is exact, so there is no horizon to set
+    proc = run_cli("weinstein", "decompose", "--T", "8")
+    assert proc.returncode == 2
+
+
+def test_decompose_numeric_chain_is_numeric_error():
+    proc = run_cli("weinstein", "decompose", "--function", "const:-1", "--n", "3")
+    assert proc.returncode == 3
 
 
 def test_unknown_suite_is_usage_error():

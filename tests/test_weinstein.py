@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from schlicht import loewner as lw
+from schlicht.errors import (
+    ChainUnavailable,
+    ImaginaryResidue,
+    ParamOutOfRange,
+    QuadratureUnderresolved,
+    RadiusExceeded,
+)
 from schlicht import univalent as uv
 from schlicht import weinstein as ws
 
@@ -73,33 +80,86 @@ def test_generating_identity_identity_function():
 
 
 def test_generating_identity_radius_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(RadiusExceeded):
         ws.milin_generating_identity(uv.koebe(24), 10, [0.8])
+
+
+def test_guards_raise_taxonomy_errors():
+    with pytest.raises(QuadratureUnderresolved):
+        ws.lambda_fourier(0.5, 3, 4, Q=8)
+    with pytest.raises(ParamOutOfRange):
+        ws.cos_delta(-1.0, np.array([np.pi]))
+    with pytest.raises(ImaginaryResidue):
+        ws._real(np.array([1.0 + 1e-9j]))
+    with pytest.raises(ParamOutOfRange):
+        ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=0)
+    for t in (-0.5, math.nan):
+        with pytest.raises(ParamOutOfRange):
+            ws.lambda_rows(t, 4)
+
+
+def test_lambda_rows_match_lambda_series():
+    for t in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0):
+        rows = ws.lambda_rows(t, 12)
+        for k in range(13):
+            ref = ws.lambda_series(t, k, 12)
+            assert np.all(np.abs(rows[k] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # rows past N vanish, as lambda_series returns them
+    assert np.all(ws.lambda_rows(0.5, 4, 7)[5:] == 0.0)
+
+
+def test_lambda_rows_at_t_zero_exact():
+    # x = -1: row 0 is the partial sums of P_j(-1) = (-1)^j and w = z
+    rows = ws.lambda_rows(0.0, 11)
+    assert np.all(rows[0] == np.array([1.0, 0.0] * 6))
+    assert all(rows[k, k] == 1.0 for k in range(12))
+
+
+def test_herglotz_coeffs_koebe():
+    # p = (1 - z)/(1 + z) = 1 - 2z + 2z^2 - ...
+    p = ws.herglotz_coeffs(lw.KoebeChain(), 0.8, 8)
+    want = np.r_[1.0, -2.0 * (-1.0) ** np.arange(8)]
+    assert np.max(np.abs(p - want)) < 1e-13
+
+
+def test_pairing_matches_quadrature_oracle():
+    for chain in (lw.KoebeChain(), lw.TrivialChain()):
+        for t in (0.5, 1.7):
+            for r in (0.9, 0.99, 0.999):
+                quad = ws._a_k_row(chain, t, r, 2048, 12)
+                pair = ws.a_k_pairing(chain, t, 12, r)
+                assert np.max(np.abs(quad - pair)) <= 1e-12
+
+
+def test_pairing_limits_at_r_one():
+    kc, tc = lw.KoebeChain(), lw.TrivialChain()
+    for t in (0.0, 0.5, 1.7, 4.0):
+        assert np.max(np.abs(ws.a_k_pairing(kc, t, 12))) <= 1e-12
+        assert np.max(np.abs(ws.a_k_pairing(tc, t, 12) - 4.0)) <= 1e-12
 
 
 def test_a_k_trivial_chain_is_four():
     tc = lw.TrivialChain()
-    for k in (1, 2, 5):
-        for r in (0.9, 0.99):
-            assert abs(ws.a_k_integral(tc, k, 0.7, r, 512) - 4.0) < 1e-12
+    for r in (0.9, 0.99):
+        assert np.max(np.abs(ws._a_k_row(tc, 0.7, r, 512, 5) - 4.0)) < 1e-12
 
 
 def test_a_k_koebe_closed_form():
     # derived in closed form: the weight polynomial factors through (1+z),
     # cancelling the Poisson spike, and the mean collapses to 4(1 - r^{2k})
     kc = lw.KoebeChain()
-    for k in (1, 3, 6):
-        for r in (0.9, 0.99, 0.999):
-            got = ws.a_k_integral(kc, k, 0.5, r, 2048)
-            assert abs(got - 4.0 * (1.0 - r ** (2 * k))) < 1e-10
+    k = np.arange(1, 7)
+    for r in (0.9, 0.99, 0.999):
+        want = 4.0 * (1.0 - r ** (2 * k))
+        assert np.max(np.abs(ws._a_k_row(kc, 0.5, r, 2048, 6) - want)) < 1e-10
+        assert np.max(np.abs(ws.a_k_pairing(kc, 0.5, 6, r) - want)) < 1e-12
 
 
 def test_a_k_ladder_monotone_and_limit():
     kc = lw.KoebeChain()
-    for k in range(1, 7):
-        vals, extrap = ws.a_k_ladder(kc, k, 0.5, Q=2048)
-        assert np.all(np.diff(vals) < 0)
-        assert extrap < 0.05
+    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in (0.9, 0.99, 0.999)])
+    assert np.all(np.diff(ladder, axis=0) < 0)
+    assert np.max(np.abs(ws.a_k_pairing(kc, 0.5, 6))) < 1e-12
 
 
 def test_a_k_nonnegative_pointwise():
@@ -110,27 +170,68 @@ def test_a_k_nonnegative_pointwise():
 
 
 def test_decomposition_koebe():
-    res = ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=6, T=8.0)
+    n = 6
+    res = ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=n)
     assert abs(res.lhs) < 1e-10
-    assert abs(res.rhs_extrapolated) < 1e-2
+    assert abs(res.rhs_extrapolated) <= 1e-10
     assert res.min_g >= -1e-8
-    # the raw-radius value is the documented limit artifact, not noise:
-    # sum_k (n-k+1)/k * 4(1 - r^{2k}) integrated against the kernel decay
-    assert res.rhs_raw > 1.0
+    # the r -> 1 limit is what makes the right side vanish: the same time
+    # integral with the quadrature at r = 0.99, where A_k = 4(1 - r^{2k}),
+    # is above 1
+    at_099 = sum(
+        w * ws.lambda_rows(t, n)[1:, n] @ ws._a_k_row(lw.KoebeChain(), t, 0.99, 2048, n)
+        for t, w in zip(res.times, res.weights)
+    )
+    assert at_099 > 1.0
 
 
 def test_decomposition_identity_chain():
     n = 6
-    res = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=n, T=8.0)
+    res = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=n)
     kk = np.arange(1, n + 1)
     assert abs(res.lhs - float(np.sum(4.0 / kk * (n - kk + 1)))) < 1e-12
-    assert abs(res.rhs_raw + res.t_tail_estimate - res.lhs) / res.lhs < 1e-2
+    assert res.residual / res.lhs <= 1e-12
     assert res.min_g >= -1e-8
 
 
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_decomposition_exact_at_large_n(n):
+    order = max(4 * n, 32)
+    res = ws.milin_decomposition_check(uv.koebe(order), lw.KoebeChain(), n=n)
+    assert abs(res.rhs_extrapolated) <= 1e-10
+    res = ws.milin_decomposition_check(uv.identity_map(order), lw.TrivialChain(), n=n)
+    assert res.residual / res.lhs <= 1e-12
+    assert res.nodes == n // 2 + 2
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_decomposition_node_doubling(n):
+    # the s-integrand is a polynomial the default rule already integrates
+    # exactly, so doubling the nodes only moves the roundoff; measured
+    # against the size sum_k (4/k)(n-k+1) of the terms on either side
+    order = max(4 * n, 32)
+    kk = np.arange(1, n + 1)
+    scale = float(np.sum(4.0 / kk * (n - kk + 1)))
+    for f, chain in ((uv.koebe(order), lw.KoebeChain()), (uv.identity_map(order), lw.TrivialChain())):
+        a = ws.milin_decomposition_check(f, chain, n=n)
+        b = ws.milin_decomposition_check(f, chain, n=n, nodes=2 * a.nodes)
+        assert abs(a.rhs_extrapolated - b.rhs_extrapolated) <= 1e-13 * scale
+
+
+def test_gauss_legendre_s_integrates_monomials():
+    s, w = ws.gauss_legendre_s(6)
+    assert np.all(np.diff(s) < 0) and s.min() > 0 and s.max() < 1
+    for j in range(12):
+        assert abs(w @ s**j - 1.0 / (j + 1)) < 1e-15
+
+
 def test_decomposition_g_nonnegative_everywhere():
-    res = ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=4, T=6.0)
-    assert res.g_raw.min() >= -1e-8
+    kc, n = lw.KoebeChain(), 4
+    tc = lw.TrivialChain()
+    for t in np.linspace(0.0, 8.0, 41):
+        lam = ws.lambda_rows(t, n)[1:, n]
+        assert lam @ ws.a_k_pairing(kc, t, n) >= -1e-8
+        assert lam @ ws.a_k_pairing(tc, t, n) >= -1e-8
 
 
 def test_decomposition_numeric_chain_smoke():
@@ -138,8 +239,9 @@ def test_decomposition_numeric_chain_smoke():
     # moderate radius where the numeric boundary data is well resolved
     drv = lw.DrivingFunction.constant(-1.0)
     ch = lw.NumericChain(drv, T=10.0, h=2e-3)
-    kc = lw.KoebeChain()
-    for k in (1, 2):
-        got = ws.a_k_integral(ch, k, 0.5, 0.9, 64)
-        want = ws.a_k_integral(kc, k, 0.5, 0.9, 64)
-        assert abs(got - want) < 5e-3
+    got = ws._a_k_row(ch, 0.5, 0.9, 64, 2)
+    want = ws._a_k_row(lw.KoebeChain(), 0.5, 0.9, 64, 2)
+    assert np.max(np.abs(got - want)) < 5e-3
+    # the exact route needs closed-form series in t, which numeric chains lack
+    with pytest.raises(ChainUnavailable):
+        ws.milin_decomposition_check(uv.koebe(32), ch, n=2)
