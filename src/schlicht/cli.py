@@ -89,17 +89,13 @@ def _focus_report(args, cfg):
 def cmd_verify(args):
     cfg = load_config(
         args.config, seed=args.seed, quad=args.quad, tolerance=args.tol,
-        r_ladder=args.radius,
     )
     if args.n is not None and args.suite in (
         "milin", "robertson", "area", "lebedev-milin", "weinstein",
     ):
         reports = [_focus_report(args, cfg)]
     else:
-        reports = suites.run_suite(
-            args.suite, seed=cfg.seed, quick=args.quick,
-            r_ladder=args.radius,
-        )
+        reports = suites.run_suite(args.suite, seed=cfg.seed, quick=args.quick)
     payload = {
         "seed": cfg.seed,
         "suites": [r.to_dict() for r in reports],
@@ -207,7 +203,7 @@ def cmd_loewner_trace(args):
 
 def cmd_weinstein_lambda(args):
     cfg = load_config(args.config)
-    vals = ws.lambda_series(args.t, args.k, args.N)
+    vals = ws.lambda_rows(args.t, args.N, max_k=args.k)[args.k]
     payload = {
         "t": args.t,
         "k": args.k,
@@ -256,6 +252,13 @@ def _positive_int(text):
     return value
 
 
+def _nonneg_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="schlicht", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -266,7 +269,6 @@ def build_parser():
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--order", type=int, default=None)
     pv.add_argument("--tol", type=float, default=None)
-    pv.add_argument("--radius", type=float, action="append", default=None)
     pv.add_argument("--quad", type=int, default=None)
     pv.add_argument("--t", type=float, default=0.5)
     pv.add_argument("--seed", type=int, default=0)
@@ -304,8 +306,8 @@ def build_parser():
     subw = pw.add_subparsers(dest="subcommand", required=True)
     pwl = subw.add_parser("lambda", help="kernel coefficient row with oracles")
     pwl.add_argument("--t", type=float, required=True)
-    pwl.add_argument("--k", type=int, required=True)
-    pwl.add_argument("--N", type=int, default=20)
+    pwl.add_argument("--k", type=_nonneg_int, required=True)
+    pwl.add_argument("--N", type=_nonneg_int, default=20)
     pwl.add_argument("--oracle", choices=["none", "fourier", "all"], default="all")
     pwl.add_argument("--out", default="-")
     pwl.add_argument("--config", default=None)

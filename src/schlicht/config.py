@@ -17,7 +17,6 @@ class Defaults:
     order: int = 64            # truncation order for series work
     tolerance: float = 1e-9    # generic inequality tolerance
     quad: int = 1024           # quadrature nodes on the circle
-    r_ladder: tuple = (0.9, 0.99, 0.999)  # stand-in for r -> 1 limits
     eval_radius: float = 0.99  # disk-evaluation guard radius
     eps_unit: float = 1e-12    # near-singular threshold for div/revert
     seed: int = 0
@@ -34,12 +33,8 @@ def load_config(path=None, **overrides) -> Defaults:
         with open(path) as fh:
             data = json.load(fh)
         known = {k: v for k, v in data.items() if hasattr(cfg, k)}
-        if "r_ladder" in known:
-            known["r_ladder"] = tuple(known["r_ladder"])
         cfg = replace(cfg, **known)
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if "r_ladder" in overrides:
-        overrides["r_ladder"] = tuple(overrides["r_ladder"])
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg

@@ -280,7 +280,7 @@ def suite_loewner(tolerance=1e-9, h=1e-3, quick=False):
     return rep
 
 
-def suite_weinstein(tolerance=1e-8, quick=False, r_ladder=(0.9, 0.99, 0.999)):
+def suite_weinstein(tolerance=1e-8, quick=False):
     rep = BoundReport("weinstein", tolerance)
     worst, min_summand = ws.oracle_triangle([0.0, 0.5, 1.0, 2.0], 8 if quick else 12)
     rep.add("oracle-triangle", worst, 1e-8)
@@ -290,17 +290,16 @@ def suite_weinstein(tolerance=1e-8, quick=False, r_ladder=(0.9, 0.99, 0.999)):
         nonneg, tri = tab.check_invariants(tol=1e-12)
         rep.add(f"lambda-nonneg-t={t}", 0.0 if nonneg else 1.0, 0.0)
         rep.add(f"lambda-triangular-t={t}", 0.0 if tri else 1.0, 0.0)
-        worst = max(
-            abs(ws.lambda_series(t, k, 10)[k] - math.exp(-k * t)) for k in range(1, 11)
-        )
+        kk = np.arange(1, 11)
+        worst = float(np.max(np.abs(tab.values[kk, kk] - np.exp(-kk * t))))
         rep.add(f"lambda-decay-law-t={t}", worst, 1e-10)
-    pattern = ws.lambda_series(0.0, 0, 11)
+    pattern = ws.lambda_rows(0.0, 11, max_k=0)[0]
     expect = np.array([1.0, 0.0] * 6)
     rep.add("lambda-alternation-t=0", float(np.max(np.abs(pattern - expect))), 1e-12)
     # boundary integrals for the koebe chain: decreasing in r along the
     # quadrature ladder, and 0 at r = 1 by the exact pairing
     kc = lw.KoebeChain()
-    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in r_ladder])
+    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in (0.9, 0.99, 0.999)])
     limit = ws.a_k_pairing(kc, 0.5, 6)
     for k in range(1, 7):
         rep.add(f"a{k}-monotone", float(np.max(np.diff(ladder[:, k - 1]))), 0.0)
@@ -337,10 +336,10 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, quick=False, r_ladder=None):
+def run_suite(name, seed=0, quick=False):
     """Run one named suite (or 'all'); returns a list of reports."""
     if name == "all":
-        return [run_suite(s, seed=seed, quick=quick, r_ladder=r_ladder)[0] for s in SUITES]
+        return [run_suite(s, seed=seed, quick=quick)[0] for s in SUITES]
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     fnc = SUITES[name]
@@ -350,6 +349,4 @@ def run_suite(name, seed=0, quick=False, r_ladder=None):
         kwargs["seed"] = seed
     if "quick" in argnames:
         kwargs["quick"] = quick
-    if r_ladder is not None and "r_ladder" in argnames:
-        kwargs["r_ladder"] = tuple(r_ladder)
     return [fnc(**kwargs)]

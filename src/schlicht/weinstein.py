@@ -4,10 +4,10 @@ The central objects are the coefficients L[k][n](t) of z^{n+1} in
 e^t w^{k+1} / (1 - w^2), with w the Koebe transition flow.  They admit
 three independent computations that must agree:
 
-* series route    -- series arithmetic on the flow: lambda_series one k at
-  a time on the fixed-point transition series, lambda_rows every k in one
-  pass from closed forms of e^t w/(1 - w^2) and w, then repeated
-  multiplication by w;
+* series route    -- lambda_rows, every k in one pass from closed forms of
+  e^t w/(1 - w^2) and w, then repeated multiplication by w (lambda_series,
+  one k at a time on the fixed-point transition series, is kept as its
+  independent reference);
 * Fourier route   -- with cos(delta) = 1 - e^{-t} + e^{-t} cos(phi), the
   degree-n coefficient family U_n of 1/(1 - 2 x z + z^2) satisfies
   U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a cosine
@@ -68,6 +68,9 @@ def lambda_series(t, k, N):
     """Coefficients of z^1..z^{N+1} in e^t w^{k+1}/(1 - w^2), reindexed 0..N.
 
     Real by construction; the imaginary residue is checked below 1e-12.
+    The independent reference for lambda_rows; it divides by 1 - w^2, which
+    loses about two digits near t = 0, so the suites and the CLI use
+    lambda_rows.
     """
     if k > N:
         return np.zeros(N + 1)
@@ -96,13 +99,12 @@ def lambda_rows(t, N, max_k=None):
     if not t >= 0:
         raise ParamOutOfRange(f"t must be >= 0, got {t}")
     max_k = N if max_k is None else max_k
+    if N < 0 or max_k < 0:
+        raise ParamOutOfRange(f"N and max_k must be >= 0, got {N} and {max_k}")
     order = N + 1
     s = math.exp(-t)
     x = 1.0 - 2.0 * s
-    P = np.empty(order + 1)  # Bonnet's recurrence, stable on [-1, 1]
-    P[0], P[1] = 1.0, x
-    for j in range(1, order):
-        P[j + 1] = ((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1)
+    P = np.polynomial.legendre.legvander(x, order)[0]  # P_0(x)..P_order(x)
     R = P.copy()  # (1 - 2xz + z^2) / R
     R[1:] -= 2.0 * x * P[:-1]
     R[2:] += P[:-2]
@@ -227,10 +229,10 @@ def oracle_triangle(t_values, n_max, Q=1024, legendre_n_max=None):
     worst = 0.0
     min_summand = math.inf
     for t in t_values:
-        series_vals = [lambda_series(t, kk, n_max) for kk in range(n_max + 1)]
+        series_vals = lambda_rows(t, n_max)
         for n in range(n_max + 1):
             for k in range(n + 1):
-                sv = series_vals[k][n]
+                sv = series_vals[k, n]
                 fv = lambda_fourier(t, k, n, Q)
                 worst = max(worst, abs(sv - fv))
                 if n <= legendre_n_max:
@@ -374,39 +376,21 @@ class DecompositionResult:
 
 
 def gauss_legendre_s(m):
-    """Gauss-Legendre nodes and weights for Int_0^1 ds, s descending.
-
-    Newton's method on P_m from the asymptotic guesses, run in long double:
-    a node next to s = 0 is a root x of P_m next to 1, and an ulp of error
-    in x is a large relative error in s = (1 - x)/2 exactly where the
-    decomposition's integrand, taken over ds/s, is steepest.
-    """
-    i = np.arange(m, 0, -1)
-    x = np.cos(np.pi * (i - 0.25) / (m + 0.5)).astype(np.longdouble)
-    for _ in range(100):
-        p0, p1 = np.ones_like(x), x
-        for j in range(1, m):
-            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-        dp = m * (x * p1 - p0) / (x * x - 1)  # P_m'
-        step = p1 / dp
-        x = x - step
-        if np.max(np.abs(step)) < 4 * np.finfo(np.longdouble).eps:
-            break
-    s = (1 - x) / 2
-    weights = 1 / ((1 - x * x) * dp * dp)
-    return s.astype(float), weights.astype(float)
+    """Gauss-Legendre nodes and weights for Int_0^1 ds, s descending."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return (1.0 - x) / 2.0, w / 2.0
 
 
-def milin_decomposition_check(f, chain, n, nodes=None):
+def milin_decomposition_check(f, chain, n):
     """Compare sum_k (4/k - k|c_k(0)|^2)(n-k+1) with Int_0^inf g_n(t) dt.
 
     g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with A_k at r = 1 from
     a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
-    ``nodes`` points (default n//2 + 2, exact for the closed-form chains).
+    n//2 + 2 nodes, exact for the closed-form chains.
     """
     if n < 1:
         raise ParamOutOfRange(f"n must be >= 1, got {n}")
-    nodes = n // 2 + 2 if nodes is None else nodes
+    nodes = n // 2 + 2
     lhs = fn.milin_weighted_form(f, n)
     s, w_s = gauss_legendre_s(nodes)
     times = -np.log(s)  # ascending

@@ -1,10 +1,9 @@
 """Acceptance gate: ten criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Where a
-stated threshold is only reachable in an r -> 1 or T -> infinity limit,
-the check is applied to the ladder-extrapolated value and the finite-radius
-or finite-horizon artifact is pinned by its own assertion next to it (the
-artifacts are exact, documented quantities, not noise).
+stated threshold is only reachable in an r -> 1 limit, the check is applied
+to the exact r = 1 value and the finite-radius quadrature is pinned by its
+own assertion next to it (it is an exact, documented quantity, not noise).
 """
 
 import json

@@ -69,6 +69,20 @@ def test_decompose_numeric_chain_is_numeric_error():
     assert proc.returncode == 3
 
 
+def test_radius_flag_is_gone():
+    # the weinstein suite's quadrature ladder is fixed; its limit is exact
+    proc = run_cli("verify", "--suite", "weinstein", "--radius", "0.9")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_weinstein_lambda_negative_index_is_usage_error():
+    for flag in ("--N", "--k"):
+        proc = run_cli("weinstein", "lambda", "--t", "0.5", "--k", "1", flag, "-3")
+        assert proc.returncode == 2
+        assert "must be >= 0" in proc.stderr
+
+
 def test_unknown_suite_is_usage_error():
     proc = run_cli("verify", "--suite", "nope")
     assert proc.returncode == 2
