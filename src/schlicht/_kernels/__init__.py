@@ -1,36 +1,9 @@
-"""Kernel backend selection.
+"""The hot kernels: series products, division, composition and RK4.
 
-The compiled extension is preferred; the NumPy implementation is the
-fallback.  Set SCHLICHT_PURE_PYTHON=1 to force the fallback (used by the
-benchmark and by tests that compare the two backends).
+There is one backend, written in NumPy (``_corepy``).  Callers reach the
+kernels through this module's attributes, so a profiler can wrap them here.
 """
 
-import os
+from ._corepy import BACKEND, cauchy_div, cauchy_mul, compose, rk4_loewner
 
-from . import _corepy
-
-if os.environ.get("SCHLICHT_PURE_PYTHON"):
-    _impl = _corepy
-else:
-    try:
-        from . import _core as _impl
-    except ImportError:
-        _impl = _corepy
-
-BACKEND = _impl.BACKEND
-cauchy_mul = _impl.cauchy_mul
-cauchy_div = _impl.cauchy_div
-compose = _impl.compose
-rk4_loewner = _impl.rk4_loewner
-
-
-def backends():
-    """All importable backends, for cross-checks and benchmarks."""
-    found = [_corepy]
-    try:
-        from . import _core
-
-        found.append(_core)
-    except ImportError:
-        pass
-    return found
+__all__ = ["BACKEND", "cauchy_div", "cauchy_mul", "compose", "rk4_loewner"]

@@ -280,8 +280,8 @@ def build_parser():
 
     pt = sub.add_parser("table", help="emit a data table")
     pt.add_argument("--kind", choices=["legendre", "lambda", "coefficients"], required=True)
-    pt.add_argument("--n", type=int, default=8)
-    pt.add_argument("--k", type=int, default=None)
+    pt.add_argument("--n", type=_nonneg_int, default=8)
+    pt.add_argument("--k", type=_nonneg_int, default=None)
     pt.add_argument("--t", type=float, default=0.0)
     pt.add_argument("--function", default="koebe")
     pt.add_argument("--seed", type=int, default=0)

@@ -82,14 +82,16 @@ def pointwise_bounds_check(f, grid, tolerance=1e-9):
     in the report, never raised.
     """
     rep = BoundReport("pointwise-bounds", tolerance)
+    grid = list(grid)
     fp = f.series.derivative()
-    fpp = fp.derivative()
+    # one Horner pass per series over the whole grid
+    vals, dvals, ddvals = (
+        ps.evaluate_many(s, grid).tolist() for s in (f.series, fp, fp.derivative())
+    )
     for i, z in enumerate(grid):
         r = abs(z)
         cid = f"z{i:03d}(r={r:.4f})"
-        val = ps.evaluate(f.series, z)
-        dval = ps.evaluate(fp, z)
-        ddval = ps.evaluate(fpp, z)
+        val, dval, ddval = vals[i], dvals[i], ddvals[i]
         rep.add(f"{cid}:growth-lo", r / (1 + r) ** 2, abs(val))
         rep.add(f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2)
         rep.add(f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3, abs(dval))

@@ -121,13 +121,14 @@ class DrivingFunction:
         elif self.kind == "sampled":
             if len(self.times) != len(self.values) or not self.times:
                 raise ParamOutOfRange("sampled driving needs matching times/values")
-            if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            # negated comparisons, so that NaN fails them
+            if not all(b > a for a, b in zip(self.times, self.times[1:])):
                 raise ParamOutOfRange("sample times must increase strictly")
             vals = list(self.values)
         else:
             raise ParamOutOfRange(f"unknown driving kind {self.kind!r}")
         for v in vals:
-            if abs(abs(v) - 1.0) > 1e-12:
+            if not abs(abs(v) - 1.0) <= 1e-12:
                 raise ParamOutOfRange(f"driving value {v} is off the unit circle")
 
     @classmethod
@@ -184,10 +185,6 @@ class Evolution:
         """e^t f_t along the trajectories (tends to the hull map)."""
         return np.exp(self.times)[:, None] * self.states
 
-    def state_at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.times[i], self.states[i]
-
 
 def loewner_solve(kappa, z_grid, T, h, store_stride=1, with_deriv=False, t0=0.0):
     """Integrate the radial Loewner equation for each grid point.
@@ -197,12 +194,12 @@ def loewner_solve(kappa, z_grid, T, h, store_stride=1, with_deriv=False, t0=0.0)
     must stay inside the unit disk and away from the kappa f = 1
     singularity, else TrajectoryEscaped / StepRejected is raised.
     """
-    if h > 1e-2 + 1e-15:
-        raise ParamOutOfRange("step size must be <= 1e-2")
+    if not 0 < h <= 1e-2 + 1e-15:
+        raise ParamOutOfRange("step size must satisfy 0 < h <= 1e-2")
     if not 0 <= T - t0 <= 20:
         raise ParamOutOfRange("horizon must satisfy 0 <= T - t0 <= 20")
     z0 = np.asarray(z_grid, dtype=complex).ravel()
-    if np.any(np.abs(z0) >= 1):
+    if not np.all(np.abs(z0) < 1):  # NaN fails this too
         raise ParamOutOfRange("grid points must satisfy |z| < 1")
     span = T - t0
     nsteps = max(int(round(span / h)), 0)
@@ -328,20 +325,60 @@ class NumericChain:
         return round(t / self.h) * self.h
 
     def _flow_from(self, z0, t0):
-        """e^T w(T; z0, t0) for an array of start states."""
-        t0 = self._snap(t0)
-        if not 0 <= t0 <= self.T:
-            raise ChainUnavailable(f"t = {t0} outside the chain horizon [0, {self.T}]")
-        ev = loewner_solve(self.kappa, z0, self.T, self.h, store_stride=max(
-            int(round((self.T - t0) / self.h)), 1), t0=t0)
-        return math.exp(self.T) * ev.states[-1]
+        """e^T w(T; z0, t0) for an array of start states.
+
+        t0 is one start time or one per state.  All states share one
+        integration: those with the earliest start are advanced alone to the
+        next start time, where the states starting there join, and so on up
+        to T.  RK4 acts on each state by itself, so every trajectory is the
+        one a solve from its own start would give, bit for bit, while the
+        step count is that of the earliest start alone.
+        """
+        z0 = np.asarray(z0, dtype=complex).ravel()
+        t0 = np.array([self._snap(t) for t in np.broadcast_to(t0, z0.shape)])
+        starts, counts = np.unique(t0, return_counts=True)
+        for t in starts:
+            if not 0 <= t <= self.T:
+                raise ChainUnavailable(f"t = {t} outside the chain horizon [0, {self.T}]")
+        order = np.argsort(t0, kind="stable")
+        joining = np.split(order, np.cumsum(counts)[:-1])
+        y = z0[:0]
+        for begin, end, idx in zip(starts, [*starts[1:], self.T], joining):
+            y = np.concatenate([y, z0[idx]])
+            ev = loewner_solve(self.kappa, y, end, self.h, store_stride=max(
+                int(round((end - begin) / self.h)), 1), t0=begin)
+            y = ev.states[-1]
+        out = np.empty_like(z0)
+        out[order] = math.exp(self.T) * y
+        return out
+
+    def _circles(self, specs):
+        """Flow values and points on each (t, r, Q) circle of specs.
+
+        Circles not yet cached come from one integration (see _flow_from).
+        """
+        keys = [(self._snap(t), float(r), int(Q)) for t, r, Q in specs]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._circle_cache]
+        if missing:
+            grids = [r * np.exp(2j * np.pi * np.arange(Q) / Q) for _, r, Q in missing]
+            sizes = [Q for _, _, Q in missing]
+            flows = self._flow_from(
+                np.concatenate(grids), np.repeat([t for t, _, _ in missing], sizes)
+            )
+            for key, z1, vals in zip(missing, grids, np.split(flows, np.cumsum(sizes)[:-1])):
+                self._circle_cache[key] = (vals, z1)
+        return [self._circle_cache[key] for key in keys]
 
     def _circle(self, t, r, Q):
-        key = (self._snap(t), float(r), int(Q))
-        if key not in self._circle_cache:
-            z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
-            self._circle_cache[key] = (self._flow_from(z1, key[0]), z1)
-        return self._circle_cache[key]
+        return self._circles([(t, r, Q)])[0]
+
+    def _fit_circle(self, t, order, fit_radius=0.4, fit_points=None):
+        """The (t, r, Q) circle that series_at fits a series of this order on."""
+        if order > 16:
+            raise ChainUnavailable(
+                f"numeric-chain series fits are only trusted to order 16, got {order}"
+            )
+        return t, fit_radius, fit_points or max(4 * (order + 1), 64)
 
     def boundary_values(self, t, r, Q):
         return self._circle(t, r, Q)
@@ -352,11 +389,7 @@ class NumericChain:
         The 1/fit_radius^k amplification makes high modes meaningless, so
         the fitted order is capped; use eval_at for pointwise values.
         """
-        if order > 16:
-            raise ChainUnavailable(
-                f"numeric-chain series fits are only trusted to order 16, got {order}"
-            )
-        Q = fit_points or max(4 * (order + 1), 64)
+        t, fit_radius, Q = self._fit_circle(t, order, fit_radius, fit_points)
         vals, _ = self._circle(t, fit_radius, Q)
         modes = np.fft.fft(vals) / Q
         k = np.arange(order + 1)
@@ -374,28 +407,42 @@ class NumericChain:
         raise ChainUnavailable("use p_on_circle for numeric chains")
 
     def p_on_circle(self, t, r, Q):
-        t = self._snap(t)
+        """p on Q equally spaced points of |z| = r at time t, and the points.
+
+        t and r broadcast against each other; both results then carry that
+        shape in front of the Q axis.  All the circles the finite-difference
+        stencils need come from one integration.
+        """
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
         dt = self.dt_fd
-        # shift the stencil, not the scheme, near the horizon edges
-        t = min(max(t, dt), self.T - dt)
-        # oversample until the aliased Fourier tail (modes beyond Qe at
-        # radius r) is negligible, else the spectral derivative is polluted
-        # exactly where z df/dz is smallest
-        Qe = Q
-        need = 30.0 / max(1.0 - r, 1e-3)
-        while Qe < need:
-            Qe *= 2
-        f_mid, z1 = self._circle(t, r, Qe)
-        f_plus, _ = self._circle(t + dt, r, Qe)
-        f_minus, _ = self._circle(t - dt, r, Qe)
-        dft = (f_plus - f_minus) / (2.0 * dt)
-        modes = np.fft.fft(f_mid)
-        # one-sided spectrum: f is analytic, every bin is a true mode m >= 0
-        zdfz = np.fft.ifft(modes * np.arange(Qe))
-        if np.any(np.abs(zdfz) < 1e-14):
-            raise DerivativeUnderflow("z df/dz vanished on the circle")
-        step = Qe // Q
-        return (dft / zdfz)[::step], z1[::step]
+        plan = []
+        for ti, ri in zip(t.ravel().tolist(), r.ravel().tolist()):
+            # shift the stencil, not the scheme, near the horizon edges
+            ti = min(max(self._snap(ti), dt), self.T - dt)
+            # oversample until the aliased Fourier tail (modes beyond Qe at
+            # radius r) is negligible, else the spectral derivative is
+            # polluted exactly where z df/dz is smallest
+            Qe = Q
+            need = 30.0 / max(1.0 - ri, 1e-3)
+            while Qe < need:
+                Qe *= 2
+            plan.append((ti, ri, Qe))
+        circles = self._circles(
+            [(ti + shift, ri, Qe) for ti, ri, Qe in plan for shift in (0.0, dt, -dt)]
+        )
+        p = np.empty((len(plan), Q), dtype=complex)
+        z = np.empty((len(plan), Q), dtype=complex)
+        for i, (_, _, Qe) in enumerate(plan):
+            (f_mid, z1), (f_plus, _), (f_minus, _) = circles[3 * i : 3 * i + 3]
+            dft = (f_plus - f_minus) / (2.0 * dt)
+            modes = np.fft.fft(f_mid)
+            # one-sided spectrum: f is analytic, every bin is a true mode m >= 0
+            zdfz = np.fft.ifft(modes * np.arange(Qe))
+            if np.any(np.abs(zdfz) < 1e-14):
+                raise DerivativeUnderflow("z df/dz vanished on the circle")
+            step = Qe // Q
+            p[i], z[i] = (dft / zdfz)[::step], z1[::step]
+        return p.reshape(t.shape + (Q,)), z.reshape(t.shape + (Q,))
 
     def log_coeff(self, t, k, order=None):
         order = max(k + 2, 12) if order is None else order
@@ -429,6 +476,9 @@ def chain_log_coeffs(chain, t, N, cross_check=True, quad_radius=0.5, Q=256, tol=
     Cross-check route: circle quadrature of log(f_t(z)/(e^t z)) z^{-k-1}
     with branch continuity enforced along the contour.
     """
+    if cross_check and isinstance(chain, NumericChain):
+        # the fit circle and the quadrature circle in one integration
+        chain._circles([chain._fit_circle(t, N + 1), (t, quad_radius, Q)])
     s = chain.series_at(t, N + 1)
     F = PowerSeries(s.coeffs[1:] * math.exp(-t))
     F0 = F[0]

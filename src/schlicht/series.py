@@ -156,18 +156,6 @@ class PowerSeries:
 
 # -- module-level operations ---------------------------------------------
 
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def mul(a, b):
-    return a * b
-
-
 def div(a, b, eps=None):
     """Quotient d with mul(d, b) == a up to the shared order."""
     a._check(b)
@@ -224,14 +212,6 @@ def sqrt(a):
             acc -= np.dot(b[1:m], b[1:m][::-1])
         b[m] = acc / 2.0
     return PowerSeries(b)
-
-
-def transcendental(a, fn):
-    """Dispatch form used by callers that carry the operation name."""
-    try:
-        return {"exp": exp, "log": log, "sqrt": sqrt}[fn](a)
-    except KeyError:
-        raise ValueError(f"unknown function {fn!r}") from None
 
 
 def compose(outer, inner):

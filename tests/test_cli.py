@@ -102,6 +102,36 @@ def test_numeric_error_exit_three():
     assert proc.returncode == 3
 
 
+def test_trace_nan_grid_point_is_numeric_error(tmp_path):
+    out = tmp_path / "nan.csv"
+    proc = run_cli(
+        "loewner", "trace", "--kappa", "const:-1", "--T", "0.1", "--step", "1e-2",
+        "--grid", "points:[[NaN,0],[0.5,0]]", "--samples", "1", "--out", str(out),
+    )
+    assert proc.returncode == 3
+    assert "|z| < 1" in proc.stderr
+    assert not out.exists()
+
+
+def test_table_legendre_negative_n_is_usage_error():
+    proc = run_cli("table", "--kind", "legendre", "--n", "-1")
+    assert proc.returncode == 2
+    assert "must be >= 0" in proc.stderr
+
+
+def test_table_lambda_negative_index_is_usage_error():
+    for flag in ("--n", "--k"):
+        proc = run_cli("table", "--kind", "lambda", flag, "-2")
+        assert proc.returncode == 2, flag
+        assert "must be >= 0" in proc.stderr
+
+
+def test_table_coefficients_negative_n_is_usage_error():
+    proc = run_cli("table", "--kind", "coefficients", "--n", "-1")
+    assert proc.returncode == 2
+    assert "must be >= 0" in proc.stderr
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

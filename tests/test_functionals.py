@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schlicht import functionals as fn
+from schlicht import series as ps
 from schlicht import univalent as uv
 
 
@@ -85,6 +86,36 @@ def test_pointwise_bounds_sharp_koebe():
 def test_pointwise_bounds_identity_inside():
     rep = fn.pointwise_bounds_check(uv.identity_map(16), [0.2, 0.5j, -0.7])
     assert rep.all_pass
+
+
+def test_pointwise_bounds_match_per_point_horner():
+    # the grid-wide Horner pass gives the same cases as one evaluate per point
+    f = uv.koebe(1024)
+    rr = np.linspace(0.05, 0.95, 6)
+    grid = [r * np.exp(1j * a) for r in rr for a in 2 * np.pi * np.arange(7) / 7]
+    rep = fn.pointwise_bounds_check(f, grid)
+    fp = f.series.derivative()
+    fpp = fp.derivative()
+    want = []
+    for i, z in enumerate(grid):
+        r = abs(z)
+        cid = f"z{i:03d}(r={r:.4f})"
+        val, dval = ps.evaluate(f.series, z), ps.evaluate(fp, z)
+        ddval = ps.evaluate(fpp, z)
+        want += [
+            (f"{cid}:growth-lo", r / (1 + r) ** 2, abs(val)),
+            (f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2),
+            (f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3, abs(dval)),
+            (f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3),
+            (f"{cid}:zf'/f-lo", (1 - r) / (1 + r), abs(z * dval / val)),
+            (f"{cid}:zf'/f-hi", abs(z * dval / val), (1 + r) / (1 - r)),
+            (
+                f"{cid}:pre-schwarzian",
+                abs(z * ddval / dval - 2 * r**2 / (1 - r**2)),
+                4 * r / (1 - r**2),
+            ),
+        ]
+    assert [(c.id, c.lhs, c.rhs) for c in rep.cases] == want
 
 
 def test_robertson_sums_koebe():

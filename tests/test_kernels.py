@@ -1,5 +1,4 @@
-"""The compiled and NumPy kernel backends must agree bit-for-bit in spirit
-(same algorithm, same order of operations where it matters)."""
+"""The NumPy kernels: guards and the RK4 stepper's order of operations."""
 
 import numpy as np
 import pytest
@@ -7,45 +6,73 @@ import pytest
 from schlicht import _kernels
 
 
-def _pairs():
-    b = _kernels.backends()
-    if len(b) < 2:
-        pytest.skip("compiled backend not built; nothing to compare")
-    return b
+def _rhs(y, kap):
+    return -y * (1.0 + kap * y) / (1.0 - kap * y)
 
 
-def test_backend_mul_div_compose_agree():
-    impls = _pairs()
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=24) + 1j * rng.normal(size=24)
-    b = rng.normal(size=24) + 1j * rng.normal(size=24)
-    b[0] = 1.5
-    inner = a.copy()
-    inner[0] = 0.0
-    results = []
-    for impl in impls:
-        results.append(
-            (impl.cauchy_mul(a, b), impl.cauchy_div(a, b), impl.compose(b, inner))
-        )
-    for got in results[1:]:
-        for x, y in zip(results[0], got):
-            scale = max(float(np.max(np.abs(x))), 1.0)
-            assert np.max(np.abs(x - y)) < 1e-13 * scale
+def _drhs(y, kap):
+    return (kap * kap * y * y - 2.0 * kap * y - 1.0) / (1.0 - kap * y) ** 2
 
 
-def test_backend_rk4_agree():
-    impls = _pairs()
-    z0 = np.array([0.3, 0.5, 0.2 + 0.4j])
-    kappa = np.full(200, -1.0 + 0j)
-    outs = [impl.rk4_loewner(z0, kappa, 1e-2, 100, True) for impl in impls]
-    for traj, dtraj in outs[1:]:
-        assert np.max(np.abs(traj - outs[0][0])) < 1e-13
-        assert np.max(np.abs(dtraj - outs[0][1])) < 1e-13
+def _rk4_reference(z0, kappa, h, with_deriv):
+    """Textbook RK4, one right-hand-side call per stage, every state stored."""
+    y = np.array(z0, dtype=complex)
+    v = np.ones_like(y)
+    ys, vs = [y], [v]
+    for kap in kappa:
+        k1 = _rhs(y, kap)
+        y2 = y + 0.5 * h * k1
+        k2 = _rhs(y2, kap)
+        y3 = y + 0.5 * h * k2
+        k3 = _rhs(y3, kap)
+        y4 = y + h * k3
+        k4 = _rhs(y4, kap)
+        d1 = _drhs(y, kap) * v
+        d2 = _drhs(y2, kap) * (v + 0.5 * h * d1)
+        d3 = _drhs(y3, kap) * (v + 0.5 * h * d2)
+        d4 = _drhs(y4, kap) * (v + h * d3)
+        v = v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+        vs.append(v)
+    return np.array(ys), (np.array(vs) if with_deriv else None)
 
 
 def test_backend_guards():
-    for impl in _kernels.backends():
-        with pytest.raises(ValueError, match="escaped|singular"):
-            impl.rk4_loewner(
-                np.array([0.999999 + 0j]), np.full(50, 1.0 + 0j), 1e-2, 50, False
-            )
+    assert _kernels.BACKEND == "numpy"
+    with pytest.raises(ValueError, match="escaped|singular"):
+        _kernels.rk4_loewner(np.array([0.999999 + 0j]), np.full(50, 1.0 + 0j), 1e-2, 50, False)
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_rk4_matches_textbook_stages_bitwise(with_deriv):
+    rng = np.random.default_rng(11)
+    z0 = rng.uniform(0.0, 0.9, 5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 5))
+    kappa = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 120))
+    traj, dtraj = _kernels.rk4_loewner(z0, kappa, 1e-2, 1, with_deriv)
+    ref, dref = _rk4_reference(z0, kappa, 1e-2, with_deriv)
+    assert np.array_equal(traj, ref)
+    if with_deriv:
+        assert np.array_equal(dtraj, dref)
+    else:
+        assert dtraj is None
+
+
+def test_rk4_stride_keeps_every_stored_state():
+    z0 = np.array([0.3, 0.5j, -0.2 + 0.4j])
+    kappa = np.full(200, -1.0 + 0j)
+    every, _ = _kernels.rk4_loewner(z0, kappa, 1e-2, 1, False)
+    strided, _ = _kernels.rk4_loewner(z0, kappa, 1e-2, 50, False)
+    assert np.array_equal(strided, every[::50])
+
+
+def test_nan_state_trips_a_guard():
+    z0 = np.array([complex("nan"), 0.5 + 0j])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="escaped|singular"):
+        _kernels.rk4_loewner(z0, np.full(10, -1.0 + 0j), 1e-2, 10, False)
+
+
+def test_empty_grid_passes_the_guards():
+    z0 = np.zeros(0, dtype=complex)
+    traj, _ = _kernels.rk4_loewner(z0, np.full(4, -1.0 + 0j), 1e-2, 2, False)
+    assert traj.shape == (3, 0)

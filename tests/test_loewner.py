@@ -221,3 +221,103 @@ def test_chain_normalization_drift_guard():
 
     with pytest.raises(BranchTrackingFailure):
         lw.chain_log_coeffs(Bad(), 0.5, 4, cross_check=False)
+
+
+def test_nan_driving_value_rejected():
+    with pytest.raises(ParamOutOfRange):
+        lw.DrivingFunction.constant(complex("nan"))
+    with pytest.raises(ParamOutOfRange):
+        lw.DrivingFunction.sampled([0.0, float("nan")], [1.0, -1.0])
+
+
+def test_nan_start_is_out_of_range():
+    drv = lw.DrivingFunction.constant(-1.0)
+    with pytest.raises(ParamOutOfRange):
+        lw.loewner_solve(drv, [complex("nan"), 0.5], 0.1, 1e-2)
+    for h in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ParamOutOfRange):
+            lw.loewner_solve(drv, [0.5], 0.1, h)
+
+
+class _NanAfter:
+    """Driving stub whose samples turn NaN from a given step on."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def per_step(self, t0, h, nsteps):
+        kap = np.full(nsteps, -1.0 + 0j)
+        kap[self.step :] = complex("nan")
+        return kap
+
+    def describe(self):
+        return "nan-after"
+
+
+def test_nan_state_is_rejected():
+    # a NaN state fails the guards: the solver raises instead of storing it
+    with np.errstate(invalid="ignore"), pytest.raises((StepRejected, TrajectoryEscaped)):
+        lw.loewner_solve(_NanAfter(5), [0.3, 0.5j], 0.1, 1e-2, store_stride=10)
+
+
+def _separate_circle(chain, t, r, Q):
+    # one solve per circle, from its own snapped start time to the horizon
+    t0 = chain._snap(t)
+    z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
+    nsteps = int(round((chain.T - t0) / chain.h))
+    ev = lw.loewner_solve(chain.kappa, z1, chain.T, chain.h, store_stride=nsteps, t0=t0)
+    return math.exp(chain.T) * ev.states[-1], z1
+
+
+@pytest.mark.parametrize(
+    "drv",
+    [
+        lw.DrivingFunction.constant(complex(math.cos(0.7), math.sin(0.7))),
+        # jumps between step edges, so both routes sample the same values
+        lw.DrivingFunction.sampled(
+            [0.0, 0.3001, 0.7003, 1.1005], [1j, -1.0, complex(math.cos(2), math.sin(2)), 1.0]
+        ),
+    ],
+)
+def test_batched_circles_match_separate_solves_bitwise(drv):
+    ch = lw.NumericChain(drv, T=2.0, h=2e-3)
+    specs = [(0.9, 0.5, 16), (0.1, 0.3, 8), (0.5, 0.7, 32), (0.1, 0.6, 8), (0.9, 0.5, 16)]
+    got = ch._circles(specs)
+    for (t, r, Q), (vals, z1) in zip(specs, got):
+        want_vals, want_z1 = _separate_circle(ch, t, r, Q)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(z1, want_z1)
+
+
+def test_batched_p_on_circle_matches_scalar_calls_bitwise():
+    drv = lw.DrivingFunction.constant(-1.0)
+    ts, rs = np.meshgrid((0.5, 1.5), (0.35, 0.7), indexing="ij")
+    p, z = lw.NumericChain(drv, T=3.0, h=2e-3).p_on_circle(ts, rs, 32)
+    assert p.shape == z.shape == (2, 2, 32)
+    for i in range(2):
+        for j in range(2):
+            ch = lw.NumericChain(drv, T=3.0, h=2e-3)
+            pij, zij = ch.p_on_circle(ts[i, j], rs[i, j], 32)
+            assert pij.shape == (32,)
+            assert np.array_equal(p[i, j], pij)
+            assert np.array_equal(z[i, j], zij)
+
+
+def test_strided_solve_row_equals_shorter_solve():
+    # one T = 10 solve stored every 2 time units carries the T = 8 state exactly
+    drv = lw.DrivingFunction.constant(-1.0)
+    pts = [0.3, 0.5, 0.5j]
+    long = lw.loewner_solve(drv, pts, 10.0, 1e-3, store_stride=2000)
+    short = lw.loewner_solve(drv, pts, 8.0, 1e-3, store_stride=8000)
+    assert abs(long.times[4] - 8.0) < 1e-12
+    assert np.array_equal(long.states[4], short.states[-1])
+
+
+def test_numeric_log_coeffs_fetch_both_circles_in_one_solve(monkeypatch):
+    drv = lw.DrivingFunction.constant(-1.0)
+    ch = lw.NumericChain(drv, T=4.0, h=2e-3)
+    calls = []
+    flow = ch._flow_from
+    monkeypatch.setattr(ch, "_flow_from", lambda z0, t0: calls.append(len(z0)) or flow(z0, t0))
+    lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True, tol=1e-4)
+    assert calls == [64 + 256]
