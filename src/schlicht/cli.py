@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -28,17 +29,20 @@ from . import loewner as lw
 from . import suites
 from . import univalent as uv
 from . import weinstein as ws
-from .config import load_config
-from .errors import IoFailure, SchlichtError, UnknownSuite
+from .errors import IoFailure, SchlichtError, UsageError
 from .report import BoundReport
 
+# suites with a single-case report for one function and index (verify --n)
+FOCUS_SUITES = ("milin", "robertson", "area", "lebedev-milin", "weinstein")
 
-def _write_text(path, text, out_dir="."):
+
+def _write_text(path, text):
+    """Write to stdout for "-", else to path; relative paths land in $SCHLICHT_OUT."""
     if path in (None, "-"):
         sys.stdout.write(text)
         return
     try:
-        full = path if os.path.isabs(path) else os.path.join(out_dir, path)
+        full = os.path.join(os.environ.get("SCHLICHT_OUT", "."), path)
         with open(full, "w") as fh:
             fh.write(text)
     except OSError as exc:
@@ -60,44 +64,48 @@ def _csv_text(rows, header=None):
 
 # -- verify -----------------------------------------------------------------
 
-def _focus_report(args, cfg):
-    """Single-case report for a specific function/index, when requested."""
-    order = args.order or cfg.order
-    n = args.n
-    rep = BoundReport(f"{args.suite}:{args.function}", cfg.tolerance)
-    f = uv.from_registry(args.function, order)
-    if args.suite == "milin":
-        rep.add(f"M_{n}({args.function})", fn.milin_functional(f, n), 0.0)
-    elif args.suite == "robertson":
-        rep.add(f"S_{n}({args.function})", float(fn.robertson_sums(f, n)[n - 1]), float(n))
-    elif args.suite == "area":
-        rep.add(f"area({args.function})", fn.area_sum(uv.to_sigma(f), order - 2), 1.0)
-    elif args.suite == "lebedev-milin":
+def _focus_report(suite, name, n, t):
+    """Single-case report for one function and index (verify --n)."""
+    # the smallest order the check needs: log coefficients up to n, or odd
+    # coefficients up to 2n - 1; never below 64
+    order = max(64, 2 * n - 1 if suite == "robertson" else n + 1)
+    rep = BoundReport(f"{suite}:{name}", 1e-9)
+    f = uv.from_registry(name, order)
+    if suite == "milin":
+        rep.add(f"M_{n}({name})", fn.milin_functional(f, n), 0.0)
+    elif suite == "robertson":
+        rep.add(f"S_{n}({name})", float(fn.robertson_sums(f, n)[n - 1]), float(n))
+    elif suite == "area":
+        rep.add(f"area({name})", fn.area_sum(uv.to_sigma(f), order - 2), 1.0)
+    elif suite == "lebedev-milin":
         logc = fn.log_coefficients(f, n)
         lhs, rhs = fn.lebedev_milin_check(list(logc.gamma), n)
-        rep.add(f"lebedev-milin_{n}({args.function})", lhs, rhs)
-    elif args.suite == "weinstein":
-        worst, min_summand = ws.oracle_triangle([args.t], n)
+        rep.add(f"lebedev-milin_{n}({name})", lhs, rhs)
+    else:  # weinstein
+        worst, min_summand = ws.oracle_triangle([t], n)
         rep.add("oracle-discrepancy", worst, 1e-8)
-        rep.add("min-lambda", -1e-12, float(ws.lambda_table(args.t, n).values.min()))
+        rep.add("min-lambda", -1e-12, float(ws.lambda_table(t, n).values.min()))
         rep.add("min-summand", 0.0, min_summand)
-    else:
-        return None
     return rep
 
 
 def cmd_verify(args):
-    cfg = load_config(
-        args.config, seed=args.seed, quad=args.quad, tolerance=args.tol,
-    )
-    if args.n is not None and args.suite in (
-        "milin", "robertson", "area", "lebedev-milin", "weinstein",
-    ):
-        reports = [_focus_report(args, cfg)]
+    if args.n is None:
+        if args.function is not None or args.t is not None:
+            raise UsageError("--function and --t need --n (single-case mode)")
+        reports = suites.run_suite(args.suite, seed=args.seed, quick=args.quick)
+    elif args.suite not in FOCUS_SUITES:
+        raise UsageError(
+            f"--n needs a suite with a single-case report: {', '.join(FOCUS_SUITES)}"
+        )
+    elif args.t is not None and args.suite != "weinstein":
+        raise UsageError("--t needs --suite weinstein")
     else:
-        reports = suites.run_suite(args.suite, seed=cfg.seed, quick=args.quick)
+        name = "koebe" if args.function is None else args.function
+        t = 0.5 if args.t is None else args.t
+        reports = [_focus_report(args.suite, name, args.n, t)]
     payload = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "suites": [r.to_dict() for r in reports],
         "pass": all(r.all_pass for r in reports),
     }
@@ -110,7 +118,7 @@ def cmd_verify(args):
         text = _csv_text(rows, header=["suite", "id", "lhs", "rhs", "pass"])
     else:
         text = _json_dumps(payload)
-    _write_text(args.out, text, cfg.out_dir)
+    _write_text(args.out, text)
     for r in reports:
         n_bad = len(r.failures)
         sys.stderr.write(
@@ -123,7 +131,6 @@ def cmd_verify(args):
 # -- table ------------------------------------------------------------------
 
 def cmd_table(args):
-    cfg = load_config(args.config, seed=args.seed)
     if args.kind == "legendre":
         rows = [[n] + row for n, row in enumerate(lg.coefficient_table(args.n))]
         header = ["degree"] + [f"x^{j}" for j in range(args.n + 1)]
@@ -134,17 +141,17 @@ def cmd_table(args):
         header = ["k"] + [f"n={n}" for n in range(tab.max_n + 1)]
         rows = [[k] + [repr(float(v)) for v in tab.values[k]] for k in range(tab.max_k + 1)]
         data = {"kind": "lambda", "t": args.t, "rows": rows}
-    elif args.kind == "coefficients":
+    else:  # coefficients
+        if args.n < 1:
+            raise UsageError("--kind coefficients needs --n >= 1")
         f = uv.from_registry(args.function, args.n)
         header = ["n", "re", "im"]
         rows = [[n, repr(float(c.real)), repr(float(c.imag))] for n, c in enumerate(f.coeffs)]
         data = {"kind": "coefficients", "function": args.function, "rows": rows}
-    else:
-        raise UnknownSuite(f"unknown table kind {args.kind!r}")
     if args.format == "csv":
-        _write_text(args.out, _csv_text(data["rows"], header), cfg.out_dir)
+        _write_text(args.out, _csv_text(data["rows"], header))
     else:
-        _write_text(args.out, _json_dumps(data), cfg.out_dir)
+        _write_text(args.out, _json_dumps(data))
     return 0
 
 
@@ -160,7 +167,7 @@ def _parse_grid(desc):
     if desc.startswith("points:"):
         pts = json.loads(desc.split(":", 1)[1])
         return np.array([complex(p[0], p[1]) for p in pts])
-    raise UnknownSuite(f"unknown grid format {desc!r}")
+    raise UsageError(f"unknown grid format {desc!r}")
 
 
 def _parse_kappa(desc):
@@ -171,15 +178,14 @@ def _parse_kappa(desc):
         times = [d[0] for d in data]
         values = [complex(d[1][0], d[1][1]) for d in data]
         return lw.DrivingFunction.sampled(times, values)
-    raise UnknownSuite(f"unknown driving format {desc!r}")
+    raise UsageError(f"unknown driving format {desc!r}")
 
 
 def cmd_loewner_trace(args):
-    cfg = load_config(args.config)
     kappa = _parse_kappa(args.kappa)
     grid = _parse_grid(args.grid)
     nsteps = int(round(args.T / args.step))
-    stride = max(nsteps // max(args.samples, 1), 1)
+    stride = max(nsteps // args.samples, 1)
     while nsteps % stride:
         stride -= 1
     ev = lw.loewner_solve(kappa, grid, args.T, args.step, store_stride=stride)
@@ -195,14 +201,13 @@ def cmd_loewner_trace(args):
                  repr(f.imag), repr(ef.real), repr(ef.imag)]
             )
     text = _csv_text(rows, header=["t", "z_re", "z_im", "f_re", "f_im", "etf_re", "etf_im"])
-    _write_text(args.out, text, cfg.out_dir)
+    _write_text(args.out, text)
     return 0
 
 
 # -- weinstein ----------------------------------------------------------------
 
 def cmd_weinstein_lambda(args):
-    cfg = load_config(args.config)
     vals = ws.lambda_rows(args.t, args.N, max_k=args.k)[args.k]
     payload = {
         "t": args.t,
@@ -224,22 +229,19 @@ def cmd_weinstein_lambda(args):
         payload["legendre_max_gap"] = float(
             max(abs(a - b) for a, b in zip(vals, leg))
         )
-    text = _json_dumps(payload)
-    _write_text(args.out, text, cfg.out_dir)
+    _write_text(args.out, _json_dumps(payload))
     gaps = [payload.get("fourier_max_gap", 0.0), payload.get("legendre_max_gap", 0.0)]
     return 0 if max(gaps) < 1e-8 else 1
 
 
 def cmd_weinstein_decompose(args):
-    cfg = load_config(args.config)
     f = uv.from_registry(args.function, max(4 * args.n, 32))
     chain = lw.make_chain(args.function)
     res = ws.milin_decomposition_check(f, chain, n=args.n)
     payload = res.to_dict()
     scale = max(abs(res.lhs), 1.0)
     payload["pass"] = bool(res.residual <= 1e-10 * scale and res.min_g >= -1e-8)
-    text = _json_dumps(payload)
-    _write_text(args.out, text, cfg.out_dir)
+    _write_text(args.out, _json_dumps(payload))
     return 0 if payload["pass"] else 1
 
 
@@ -259,22 +261,28 @@ def _nonneg_int(text):
     return value
 
 
+def _nonneg_float(text):
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="schlicht", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True)
-    pv.add_argument("--function", default="koebe")
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--order", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=None)
-    pv.add_argument("--quad", type=int, default=None)
-    pv.add_argument("--t", type=float, default=0.5)
+    pv.add_argument("--n", type=_positive_int, default=None,
+                    help="single-case report for one index (needs a suite in "
+                         f"{', '.join(FOCUS_SUITES)})")
+    pv.add_argument("--function", default=None, help="with --n: subject (default koebe)")
+    pv.add_argument("--t", type=_nonneg_float, default=None,
+                    help="with --n and --suite weinstein: time (default 0.5)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default="-")
     pv.add_argument("--format", choices=["json", "csv"], default="json")
-    pv.add_argument("--config", default=None)
     pv.add_argument("--quick", action="store_true", help="smaller grids, same checks")
     pv.set_defaults(func=cmd_verify)
 
@@ -282,12 +290,10 @@ def build_parser():
     pt.add_argument("--kind", choices=["legendre", "lambda", "coefficients"], required=True)
     pt.add_argument("--n", type=_nonneg_int, default=8)
     pt.add_argument("--k", type=_nonneg_int, default=None)
-    pt.add_argument("--t", type=float, default=0.0)
+    pt.add_argument("--t", type=_nonneg_float, default=0.0)
     pt.add_argument("--function", default="koebe")
-    pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", default="-")
     pt.add_argument("--format", choices=["json", "csv"], default="csv")
-    pt.add_argument("--config", default=None)
     pt.set_defaults(func=cmd_table)
 
     pl = sub.add_parser("loewner", help="loewner evolution tools")
@@ -297,26 +303,23 @@ def build_parser():
     plt.add_argument("--T", type=float, default=8.0)
     plt.add_argument("--step", type=float, default=1e-3)
     plt.add_argument("--grid", default="polar:8x8")
-    plt.add_argument("--samples", type=int, default=16, help="stored time samples")
+    plt.add_argument("--samples", type=_positive_int, default=16, help="stored time samples")
     plt.add_argument("--out", default="trace.csv")
-    plt.add_argument("--config", default=None)
     plt.set_defaults(func=cmd_loewner_trace)
 
     pw = sub.add_parser("weinstein", help="kernel coefficients and decomposition")
     subw = pw.add_subparsers(dest="subcommand", required=True)
     pwl = subw.add_parser("lambda", help="kernel coefficient row with oracles")
-    pwl.add_argument("--t", type=float, required=True)
+    pwl.add_argument("--t", type=_nonneg_float, required=True)
     pwl.add_argument("--k", type=_nonneg_int, required=True)
     pwl.add_argument("--N", type=_nonneg_int, default=20)
     pwl.add_argument("--oracle", choices=["none", "fourier", "all"], default="all")
     pwl.add_argument("--out", default="-")
-    pwl.add_argument("--config", default=None)
     pwl.set_defaults(func=cmd_weinstein_lambda)
     pwd = subw.add_parser("decompose", help="end-to-end decomposition check")
     pwd.add_argument("--function", default="koebe")
     pwd.add_argument("--n", type=_positive_int, default=6)
     pwd.add_argument("--out", default="-")
-    pwd.add_argument("--config", default=None)
     pwd.set_defaults(func=cmd_weinstein_decompose)
 
     return p
@@ -327,7 +330,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownSuite as exc:
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SchlichtError as exc:

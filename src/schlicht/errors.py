@@ -83,7 +83,11 @@ class ImaginaryResidue(SchlichtError):
 
 
 # cli
-class UnknownSuite(SchlichtError):
+class UsageError(SchlichtError):
+    """A bad argument: the CLI exits 2."""
+
+
+class UnknownSuite(UsageError):
     pass
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import series as ps
 from . import univalent as uv
-from .errors import RadiusExceeded
 from .report import BoundReport
 from .series import PowerSeries
 
@@ -54,12 +53,10 @@ def coefficient_report(f, N, tolerance=1e-9):
     return rep
 
 
-def integral_mean(f, p, r, Q=1024, r_max=None):
+def integral_mean(f, p, r, Q=1024):
     """M_p(r, f) by trapezoid quadrature over the circle |z| = r."""
     if p <= 0:
         raise ValueError("p must be positive")
-    if r_max is not None and r > r_max:
-        raise RadiusExceeded(f"r = {r} beyond allowed {r_max}")
     theta = 2.0 * np.pi * np.arange(Q) / Q
     vals = ps.evaluate_many(f.series, r * np.exp(1j * theta))
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))

@@ -308,17 +308,19 @@ class NumericChain:
     Loewner equation from state z at time t and T is the chain horizon.
     Boundary data comes from circle grids of trajectories; z-derivatives
     are spectral (differentiate the circle Fourier series), t-derivatives
-    are central differences with spacing dt_fd.
+    are central differences with spacing dt_fd.  Series fits use a circle
+    of radius fit_radius.
     """
 
+    label = "numeric"
     kind = "numeric"
+    dt_fd = 0.01
+    fit_radius = 0.4
 
-    def __init__(self, kappa, T=8.0, h=1e-3, dt_fd=0.01, label="numeric"):
+    def __init__(self, kappa, T=8.0, h=1e-3):
         self.kappa = kappa
         self.T = float(T)
         self.h = float(h)
-        self.dt_fd = float(dt_fd)
-        self.label = label
         self._circle_cache = {}
 
     def _snap(self, t):
@@ -372,39 +374,31 @@ class NumericChain:
     def _circle(self, t, r, Q):
         return self._circles([(t, r, Q)])[0]
 
-    def _fit_circle(self, t, order, fit_radius=0.4, fit_points=None):
+    def _fit_circle(self, t, order):
         """The (t, r, Q) circle that series_at fits a series of this order on."""
         if order > 16:
             raise ChainUnavailable(
                 f"numeric-chain series fits are only trusted to order 16, got {order}"
             )
-        return t, fit_radius, fit_points or max(4 * (order + 1), 64)
+        return t, self.fit_radius, max(4 * (order + 1), 64)
 
     def boundary_values(self, t, r, Q):
         return self._circle(t, r, Q)
 
-    def series_at(self, t, order, fit_radius=0.4, fit_points=None):
+    def series_at(self, t, order):
         """Circle-sampled Fourier fit of f_t (least squares on the circle).
 
         The 1/fit_radius^k amplification makes high modes meaningless, so
         the fitted order is capped; use eval_at for pointwise values.
         """
-        t, fit_radius, Q = self._fit_circle(t, order, fit_radius, fit_points)
-        vals, _ = self._circle(t, fit_radius, Q)
+        t, r, Q = self._fit_circle(t, order)
+        vals, _ = self._circle(t, r, Q)
         modes = np.fft.fft(vals) / Q
         k = np.arange(order + 1)
-        return PowerSeries(modes[: order + 1] / fit_radius**k)
+        return PowerSeries(modes[: order + 1] / r**k)
 
     def eval_at(self, z, t):
         return complex(self._flow_from(np.array([z], dtype=complex), t)[0])
-
-    def p_values(self, z, t, r=None, Q=None):
-        """p = (df/dt)/(z df/dz) on a circle grid containing the points.
-
-        z must be a full uniform circle (the spectral derivative needs it);
-        use p_on_circle for convenience.
-        """
-        raise ChainUnavailable("use p_on_circle for numeric chains")
 
     def p_on_circle(self, t, r, Q):
         """p on Q equally spaced points of |z| = r at time t, and the points.
@@ -444,41 +438,43 @@ class NumericChain:
             p[i], z[i] = (dft / zdfz)[::step], z1[::step]
         return p.reshape(t.shape + (Q,)), z.reshape(t.shape + (Q,))
 
-    def log_coeff(self, t, k, order=None):
-        order = max(k + 2, 12) if order is None else order
-        c = chain_log_coeffs(self, t, order, cross_check=False)
+    def log_coeff(self, t, k):
+        c = chain_log_coeffs(self, t, max(k + 2, 12), cross_check=False)
         return c[k - 1]
 
 
-def make_chain(name, **kwargs):
+def make_chain(name):
     if name == "koebe":
         return KoebeChain()
     if name == "identity":
         return TrivialChain()
     if name.startswith("const:"):
-        return NumericChain(DrivingFunction.constant(complex(name.split(":", 1)[1])), **kwargs)
+        return NumericChain(DrivingFunction.constant(complex(name.split(":", 1)[1])))
     raise ChainUnavailable(f"no chain construction for {name!r}")
 
 
 # -- chain functionals -------------------------------------------------------
 
+_QUAD_CIRCLE = (0.5, 256)  # radius and nodes of the log-coefficient quadrature
+
+
 def herglotz_p(chain, z, t):
     """p(z, t) = (df_t/dt) / (z df_t/dz) for closed-form chains."""
-    if hasattr(chain, "p_values") and chain.kind != "numeric":
+    if hasattr(chain, "p_values"):
         return complex(chain.p_values(np.asarray([z]), t)[0])
     raise ChainUnavailable("pointwise p needs a closed-form chain; use p_on_circle")
 
 
-def chain_log_coeffs(chain, t, N, cross_check=True, quad_radius=0.5, Q=256, tol=1e-8):
+def chain_log_coeffs(chain, t, N, cross_check=True, tol=1e-8):
     """c_k(t) of log(f_t(z)/(e^t z)), k = 1..N.
 
     Series route: log of the chain series with the e^t z factor removed.
-    Cross-check route: circle quadrature of log(f_t(z)/(e^t z)) z^{-k-1}
-    with branch continuity enforced along the contour.
+    Cross-check route: 256-point circle quadrature of log(f_t(z)/(e^t z))
+    z^{-k-1} on |z| = 0.5, with branch continuity enforced along the contour.
     """
     if cross_check and isinstance(chain, NumericChain):
         # the fit circle and the quadrature circle in one integration
-        chain._circles([chain._fit_circle(t, N + 1), (t, quad_radius, Q)])
+        chain._circles([chain._fit_circle(t, N + 1), (t, *_QUAD_CIRCLE)])
     s = chain.series_at(t, N + 1)
     F = PowerSeries(s.coeffs[1:] * math.exp(-t))
     F0 = F[0]
@@ -487,7 +483,7 @@ def chain_log_coeffs(chain, t, N, cross_check=True, quad_radius=0.5, Q=256, tol=
     L = ps.log(PowerSeries(F.coeffs / F0))
     ck = L.coeffs[1 : N + 1].copy()
     if cross_check:
-        cq = _log_coeffs_quadrature(chain, t, N, quad_radius, Q)
+        cq = _log_coeffs_quadrature(chain, t, N, *_QUAD_CIRCLE)
         err = float(np.max(np.abs(ck - cq)))
         if err > tol:
             raise BranchTrackingFailure(

@@ -33,10 +33,6 @@ class BoundReport:
         self.cases.append(Case(str(case_id), float(lhs), float(rhs), ok))
         return ok
 
-    def add_abs(self, case_id, value, bound):
-        """Record |value| <= bound."""
-        return self.add(case_id, abs(value), bound)
-
     @property
     def all_pass(self):
         return all(c.passed for c in self.cases)

@@ -2,11 +2,13 @@
 
 A ``PowerSeries`` holds coefficients c0..cN of a polynomial truncation of
 an analytic germ at 0.  The truncation order is explicit and binary
-operations insist on equal orders (pad first); silent order mixing is the
-classic bug source in series code, so it is simply not allowed.
+operations insist on equal orders (build both operands at the same order);
+silent order mixing is the classic bug source in series code, so it is
+simply not allowed.
 
-Coefficients are double-precision complex.  Near-singular thresholds
-(division, reversion) default to ``config.DEFAULTS.eps_unit``.
+Coefficients are double-precision complex.  One near-singular threshold,
+1e-12, guards division, reversion, composition and the anchored constant
+terms of exp, log and sqrt.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numbers
 import numpy as np
 
 from . import _kernels
-from .config import DEFAULTS
 from .errors import (
     BranchPointAtOrigin,
     DivisionByNonUnit,
@@ -25,6 +26,8 @@ from .errors import (
     OrderMismatch,
     RadiusExceeded,
 )
+
+_EPS_UNIT = 1e-12  # near-singular threshold for constant and leading terms
 
 
 class PowerSeries:
@@ -73,19 +76,6 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries(order={self.order}, coeffs={np.array2string(self._c, precision=6)})"
-
-    def pad(self, order):
-        """Same series viewed at a higher truncation order."""
-        if order < self.order:
-            raise OrderMismatch(f"cannot pad order {self.order} down to {order}")
-        c = np.zeros(order + 1, dtype=complex)
-        c[: self._c.size] = self._c
-        return PowerSeries(c)
-
-    def truncate(self, order):
-        if order > self.order:
-            return self.pad(order)
-        return PowerSeries(self._c[: order + 1])
 
     def derivative(self):
         if self.order == 0:
@@ -156,12 +146,11 @@ class PowerSeries:
 
 # -- module-level operations ---------------------------------------------
 
-def div(a, b, eps=None):
+def div(a, b):
     """Quotient d with mul(d, b) == a up to the shared order."""
     a._check(b)
-    eps = DEFAULTS.eps_unit if eps is None else eps
-    if abs(b[0]) < eps:
-        raise DivisionByNonUnit(f"|b0| = {abs(b[0]):.3e} below threshold {eps:.1e}")
+    if abs(b[0]) < _EPS_UNIT:
+        raise DivisionByNonUnit(f"|b0| = {abs(b[0]):.3e} below threshold {_EPS_UNIT:.1e}")
     return PowerSeries(_kernels.cauchy_div(a.coeffs, b.coeffs))
 
 
@@ -171,7 +160,7 @@ def exp(a):
     Uses the first-order recurrence n b_n = sum_{k<n} (n-k) a_{n-k} b_k,
     which is the differential identity (e^a)' = a' e^a in coefficients.
     """
-    if abs(a[0]) > DEFAULTS.eps_unit:
+    if abs(a[0]) > _EPS_UNIT:
         raise BranchPointAtOrigin("exp needs vanishing constant term")
     n = a.order
     c = a.coeffs
@@ -185,7 +174,7 @@ def exp(a):
 
 def log(a):
     """Principal log of a series with a.c0 = 1."""
-    if abs(a[0] - 1) > DEFAULTS.eps_unit:
+    if abs(a[0] - 1) > _EPS_UNIT:
         raise BranchPointAtOrigin("log is anchored at constant term 1")
     n = a.order
     c = a.coeffs
@@ -200,7 +189,7 @@ def log(a):
 
 def sqrt(a):
     """Principal square root of a series with a.c0 = 1."""
-    if abs(a[0] - 1) > DEFAULTS.eps_unit:
+    if abs(a[0] - 1) > _EPS_UNIT:
         raise BranchPointAtOrigin("sqrt is anchored at constant term 1")
     n = a.order
     c = a.coeffs
@@ -217,7 +206,7 @@ def sqrt(a):
 def compose(outer, inner):
     """outer(inner(z)) truncated at the shared order; inner.c0 must be 0."""
     outer._check(inner)
-    if abs(inner[0]) > DEFAULTS.eps_unit:
+    if abs(inner[0]) > _EPS_UNIT:
         raise InnerNotVanishing(f"inner constant term {inner[0]} != 0")
     ic = inner.coeffs
     if ic[0] != 0:
@@ -226,14 +215,13 @@ def compose(outer, inner):
     return PowerSeries(_kernels.compose(outer.coeffs, ic))
 
 
-def revert(a, eps=None):
+def revert(a):
     """Compositional inverse b with compose(a, b) == z.
 
     Triangular solve: with b known below degree n, the degree-n defect of
     compose(a, b) is linear in b_n with factor a_1.
     """
-    eps = DEFAULTS.eps_unit if eps is None else eps
-    if abs(a[0]) > eps or abs(a[1]) < eps:
+    if abs(a[0]) > _EPS_UNIT or abs(a[1]) < _EPS_UNIT:
         raise NotInvertibleAtOrigin("need c0 = 0 and c1 != 0")
     n = a.order
     b = np.zeros(n + 1, dtype=complex)

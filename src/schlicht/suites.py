@@ -25,11 +25,6 @@ from .report import BoundReport
 E = math.e
 
 
-def koebe_tail(N, r):
-    """Upper bound on the |f| truncation tail for class-S coefficients."""
-    return r ** (N + 1) * ((N + 1) - N * r) / (1.0 - r) ** 2
-
-
 def suite_area(order=64, trials=50, seed=0, tolerance=1e-9):
     rep = BoundReport("area", tolerance)
     g = uv.to_sigma(uv.koebe(order))

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series as ps
-from .config import DEFAULTS
 from .errors import ParamOutOfRange
 from .series import PowerSeries
 
 _NORM_TOL = 1e-10
+_EVAL_RADIUS = 0.99  # disk-evaluation guard radius
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,8 @@ class ClassSFunction:
     def coeffs(self):
         return self.series.coeffs
 
-    def eval(self, z, r_max=None):
-        r_max = DEFAULTS.eval_radius if r_max is None else r_max
-        return ps.evaluate(self.series, z, r_max=r_max)
-
-    def derivative_series(self):
-        return self.series.derivative()
+    def eval(self, z):
+        return ps.evaluate(self.series, z, r_max=_EVAL_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -230,15 +226,15 @@ def from_registry(name, order):
     raise ParamOutOfRange(f"unknown function name {name!r}")
 
 
-def random_class_s(rng, order, depth=2):
-    """A random composition of elementary transforms applied to the Koebe map.
+def random_class_s(rng, order):
+    """A random composition of two elementary transforms of the Koebe map.
 
     Used by the randomized suites; every output is a truncation of a
     genuinely univalent function.  Automorphism centers stay small so the
     truncated Taylor shift keeps the leading coefficients accurate.
     """
     f = koebe(order)
-    for _ in range(depth):
+    for _ in range(2):
         kind = rng.integers(0, 4)
         if kind == 0:
             f = rotation(f, float(rng.uniform(0, 2 * math.pi)))

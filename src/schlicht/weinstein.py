@@ -223,9 +223,8 @@ def lambda_table(t, max_n, max_k=None):
     return LambdaTable(t=float(t), values=lambda_rows(t, max_n, max_k))
 
 
-def oracle_triangle(t_values, n_max, Q=1024, legendre_n_max=None):
+def oracle_triangle(t_values, n_max):
     """Max pairwise discrepancy of the three routes over a (t, n, k) grid."""
-    legendre_n_max = n_max if legendre_n_max is None else legendre_n_max
     worst = 0.0
     min_summand = math.inf
     for t in t_values:
@@ -233,12 +232,10 @@ def oracle_triangle(t_values, n_max, Q=1024, legendre_n_max=None):
         for n in range(n_max + 1):
             for k in range(n + 1):
                 sv = series_vals[k, n]
-                fv = lambda_fourier(t, k, n, Q)
-                worst = max(worst, abs(sv - fv))
-                if n <= legendre_n_max:
-                    lv, ms = lambda_legendre_route(t, n, k)
-                    worst = max(worst, abs(sv - lv), abs(fv - lv))
-                    min_summand = min(min_summand, ms)
+                fv = lambda_fourier(t, k, n)
+                lv, ms = lambda_legendre_route(t, n, k)
+                worst = max(worst, abs(sv - fv), abs(sv - lv), abs(fv - lv))
+                min_summand = min(min_summand, ms)
     return worst, min_summand
 
 

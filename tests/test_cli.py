@@ -1,6 +1,10 @@
+import argparse
+import inspect
 import json
 import subprocess
 import sys
+
+from schlicht import cli
 
 
 def run_cli(*args):
@@ -70,10 +74,91 @@ def test_decompose_numeric_chain_is_numeric_error():
 
 
 def test_radius_flag_is_gone():
-    # the weinstein suite's quadrature ladder is fixed; its limit is exact
-    proc = run_cli("verify", "--suite", "weinstein", "--radius", "0.9")
+    # flags that never reached a check are deleted: --radius (the weinstein
+    # ladder is fixed, its limit exact), the single-case --tol/--quad/--order,
+    # --config on every subcommand and the ignored table --seed
+    for argv in (
+        ("verify", "--suite", "weinstein", "--radius", "0.9"),
+        ("verify", "--suite", "milin", "--n", "3", "--tol", "0.5"),
+        ("verify", "--suite", "milin", "--n", "3", "--quad", "64"),
+        ("verify", "--suite", "milin", "--n", "3", "--order", "80"),
+        ("verify", "--suite", "area", "--config", "cfg.json"),
+        ("table", "--kind", "legendre", "--config", "cfg.json"),
+        ("table", "--kind", "legendre", "--seed", "1"),
+        ("loewner", "trace", "--config", "cfg.json"),
+        ("weinstein", "lambda", "--t", "0.5", "--k", "1", "--config", "cfg.json"),
+        ("weinstein", "decompose", "--config", "cfg.json"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert "unrecognized arguments" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
+def _subcommand_parsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield sub
+                yield from _subcommand_parsers(sub)
+
+
+def test_every_flag_is_read():
+    # a flag its subcommand's handler never reads is a knob that reaches no check
+    unread = []
+    for sub in _subcommand_parsers(cli.build_parser()):
+        handler = sub.get_default("func")
+        source = inspect.getsource(handler) if handler else ""
+        unread += [
+            (sub.prog, action.option_strings[0])
+            for action in sub._actions
+            if action.option_strings
+            and not isinstance(action, argparse._HelpAction)
+            and f"args.{action.dest}" not in source
+        ]
+    assert unread == []
+
+
+def test_verify_n_zero_is_usage_error():
+    proc = run_cli("verify", "--suite", "robertson", "--n", "0")
     assert proc.returncode == 2
+    assert "must be >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_nan_t_is_usage_error():
+    proc = run_cli("verify", "--suite", "weinstein", "--n", "3", "--t", "nan")
+    assert proc.returncode == 2
+    assert "must be finite and >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_n_needs_single_case_suite():
+    proc = run_cli("verify", "--suite", "bounds", "--n", "3")
+    assert proc.returncode == 2
+    assert "--n needs a suite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_single_case_flags_need_n():
+    for flag, value in (("--function", "identity"), ("--t", "0.5")):
+        proc = run_cli("verify", "--suite", "milin", flag, value)
+        assert proc.returncode == 2, flag
+        assert "need --n" in proc.stderr, flag
+        assert "Traceback" not in proc.stderr, flag
+
+
+def test_verify_t_needs_weinstein_suite():
+    proc = run_cli("verify", "--suite", "milin", "--n", "3", "--t", "0.5")
+    assert proc.returncode == 2
+    assert "--t needs --suite weinstein" in proc.stderr
+
+
+def test_verify_milin_n_500_passes():
+    # the single-case order grows with --n instead of stopping at 64
+    proc = run_cli("verify", "--suite", "milin", "--n", "500")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_weinstein_lambda_negative_index_is_usage_error():
@@ -130,6 +215,28 @@ def test_table_coefficients_negative_n_is_usage_error():
     proc = run_cli("table", "--kind", "coefficients", "--n", "-1")
     assert proc.returncode == 2
     assert "must be >= 0" in proc.stderr
+
+
+def test_table_coefficients_n_zero_is_usage_error():
+    proc = run_cli("table", "--kind", "coefficients", "--n", "0")
+    assert proc.returncode == 2
+    assert "needs --n >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_table_lambda_negative_t_is_usage_error():
+    proc = run_cli("table", "--kind", "lambda", "--t", "-1")
+    assert proc.returncode == 2
+    assert "must be finite and >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trace_zero_samples_is_usage_error():
+    proc = run_cli("loewner", "trace", "--T", "0.1", "--step", "1e-2", "--samples", "0",
+                   "--grid", "polar:1x1", "--out", "-")
+    assert proc.returncode == 2
+    assert "must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_determinism(tmp_path):

@@ -7,6 +7,7 @@ from schlicht import loewner as lw
 from schlicht import series as ps
 from schlicht.errors import (
     BranchTrackingFailure,
+    ChainUnavailable,
     ParamOutOfRange,
     PoleAtMinusOne,
     StepRejected,
@@ -179,6 +180,12 @@ def test_numeric_chain_matches_koebe():
     pv, z1 = ch.p_on_circle(1.0, 0.6, 64)
     assert np.max(np.abs(pv - (1 - z1) / (1 + z1))) < 1e-3
     assert pv.real.min() > 0
+
+
+def test_herglotz_p_pointwise_needs_closed_form_chain():
+    ch = lw.NumericChain(lw.DrivingFunction.constant(-1.0), T=1.0, h=1e-2)
+    with pytest.raises(ChainUnavailable):
+        lw.herglotz_p(ch, 0.3, 0.5)
 
 
 def test_herglotz_positivity_rotated_driving():
