@@ -84,7 +84,7 @@ def _focus_report(suite, name, n, t):
     else:  # weinstein
         worst, min_summand = ws.oracle_triangle([t], n)
         rep.add("oracle-discrepancy", worst, 1e-8)
-        rep.add("min-lambda", -1e-12, float(ws.lambda_table(t, n).values.min()))
+        rep.add("min-lambda", -1e-12, float(ws.lambda_rows(t, n).min()))
         rep.add("min-summand", 0.0, min_summand)
     return rep
 
@@ -137,9 +137,9 @@ def cmd_table(args):
         rows = [r + [""] * (len(header) - len(r)) for r in rows]
         data = {"kind": "legendre", "rows": rows}
     elif args.kind == "lambda":
-        tab = ws.lambda_table(args.t, args.n, args.k)
-        header = ["k"] + [f"n={n}" for n in range(tab.max_n + 1)]
-        rows = [[k] + [repr(float(v)) for v in tab.values[k]] for k in range(tab.max_k + 1)]
+        tab = ws.lambda_rows(args.t, args.n, args.k)
+        header = ["k"] + [f"n={n}" for n in range(args.n + 1)]
+        rows = [[k] + [repr(float(v)) for v in row] for k, row in enumerate(tab)]
         data = {"kind": "lambda", "t": args.t, "rows": rows}
     else:  # coefficients
         if args.n < 1:
@@ -215,16 +215,13 @@ def cmd_weinstein_lambda(args):
         "values": [float(v) for v in vals],
     }
     if args.oracle in ("fourier", "all"):
-        four = [ws.lambda_fourier(args.t, args.k, n) for n in range(min(args.N, 20) + 1)]
+        four = ws.lambda_fourier(args.t, min(args.N, 20), max_k=args.k)[args.k]
         payload["fourier"] = [float(v) for v in four]
         payload["fourier_max_gap"] = float(
             max(abs(a - b) for a, b in zip(vals, four))
         )
     if args.oracle == "all":
-        leg = [
-            ws.lambda_legendre_route(args.t, n, args.k)[0]
-            for n in range(min(args.N, 12) + 1)
-        ]
+        leg = ws.lambda_legendre_route(args.t, min(args.N, 12), max_k=args.k)[0][args.k]
         payload["legendre"] = [float(v) for v in leg]
         payload["legendre_max_gap"] = float(
             max(abs(a - b) for a, b in zip(vals, leg))

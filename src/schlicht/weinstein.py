@@ -82,6 +82,13 @@ def lambda_series(t, k, N):
     return _real(S.coeffs[1:])
 
 
+def _table_shape(N, max_k):
+    max_k = N if max_k is None else max_k
+    if N < 0 or max_k < 0:
+        raise ParamOutOfRange(f"N and max_k must be >= 0, got {N} and {max_k}")
+    return max_k
+
+
 def lambda_rows(t, N, max_k=None):
     """L[k][n](t) for k = 0..max_k (rows) and n = 0..N (columns) in one pass.
 
@@ -98,9 +105,7 @@ def lambda_rows(t, N, max_k=None):
     """
     if not t >= 0:
         raise ParamOutOfRange(f"t must be >= 0, got {t}")
-    max_k = N if max_k is None else max_k
-    if N < 0 or max_k < 0:
-        raise ParamOutOfRange(f"N and max_k must be >= 0, got {N} and {max_k}")
+    max_k = _table_shape(N, max_k)
     order = N + 1
     s = math.exp(-t)
     x = 1.0 - 2.0 * s
@@ -138,104 +143,81 @@ def cos_delta(t, phi):
     return x
 
 
-def lambda_fourier(t, k, n, Q=1024):
-    """Fourier-in-phi extraction of the degree-(n+1) coefficient.
+_FOURIER_Q = 1024  # phi points of the Fourier route
 
-    Evaluates U_n (the 1/(1-2xz+z^2) coefficient family) by its three-term
-    recurrence U_{m+1} = 2x U_m - U_{m-1} on the phi grid and averages
-    against cos(k phi).
+
+def lambda_fourier(t, N, max_k=None):
+    """The (k, n) table of lambda_rows by a cosine transform in phi.
+
+    U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come from one pass of
+    the three-term recurrence U_{m+1} = 2x U_m - U_{m-1} on the phi grid;
+    entry (k, n) is the mean of U_n cos(k phi).
     """
-    if Q < 2 * (n + k) + 2:
+    max_k = _table_shape(N, max_k)
+    if _FOURIER_Q < 2 * (N + max_k) + 2:
         raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
-    phi = 2.0 * np.pi * np.arange(Q) / Q
+    phi = 2.0 * np.pi * np.arange(_FOURIER_Q) / _FOURIER_Q
     x = cos_delta(t, phi)
-    um1 = np.ones_like(x)
-    if n == 0:
-        u = um1
-    else:
-        u = 2.0 * x
-        for _ in range(n - 1):
-            um1, u = u, 2.0 * x * u - um1
-    return float(np.mean(u * np.cos(k * phi)))
+    U = np.empty((N + 1, _FOURIER_Q))
+    U[0] = 1.0
+    if N:
+        U[1] = 2.0 * x
+    for m in range(2, N + 1):
+        U[m] = 2.0 * x * U[m - 1] - U[m - 2]
+    out = np.empty((max_k + 1, N + 1))
+    for k in range(max_k + 1):
+        out[k] = np.mean(U * np.cos(k * phi), axis=1)
+    return out
 
 
-def lambda_legendre_route(t, n, k):
-    """Assembles the coefficient from squared Legendre data.
+def lambda_legendre_route(t, N, max_k=None):
+    """The (k, n) table of lambda_rows assembled from squared Legendre data.
 
     U_n(cos delta) = sum_{i+j=n} P_i(cos delta) P_j(cos delta) with each
     factor expanded at the equal angle cos theta = sqrt(1 - e^{-t}); the
-    product-to-sum rule turns squared-weight cosine series into the cos(k
-    phi) coefficient.  Returns (value, min_summand); every summand is a
-    product of squares and positive weights, so min_summand >= 0 certifies
-    nonnegativity structurally.
+    product-to-sum rule turns the two squared-weight cosine series into
+    every cos(k phi) coefficient of column n in one pass.  Returns
+    (table, min_summand); every summand is a product of squares and positive
+    weights, so min_summand >= 0 certifies nonnegativity structurally.
     """
-    if k > n:
-        return 0.0, 0.0
+    max_k = _table_shape(N, max_k)
     ct = math.sqrt(1.0 - math.exp(-t))
-    expansions = [lg.equal_angle_expansion(i, ct) for i in range(n + 1)]
-    target = np.zeros(n + 1)
+    expansions = [lg.equal_angle_expansion(i, ct).tolist() for i in range(N + 1)]
+    out = np.zeros((max(max_k, N) + 1, N + 1))
     min_summand = math.inf
-    for i in range(n + 1):
-        ai = expansions[i]
-        aj = expansions[n - i]
-        for ka in range(i + 1):
-            if ai[ka] == 0.0:
-                continue
-            for lb in range(n - i + 1):
-                s = 0.5 * ai[ka] * aj[lb]
-                for m in (ka + lb, abs(ka - lb)):
-                    if m <= n:
-                        target[m] += s
-                        if m == k:
-                            min_summand = min(min_summand, s)
-    value = target[k] if k == 0 else 0.5 * target[k]
-    if min_summand is math.inf:
-        min_summand = 0.0
-    return value, min_summand
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """Matrix of the kernel coefficients at one time, rows k, columns n."""
-
-    t: float
-    values: np.ndarray  # shape (maxK+1, maxN+1)
-
-    @property
-    def max_k(self):
-        return self.values.shape[0] - 1
-
-    @property
-    def max_n(self):
-        return self.values.shape[1] - 1
-
-    def check_invariants(self, tol=1e-12):
-        ok_nonneg = bool(self.values.min() >= -tol)
-        tri = all(
-            abs(self.values[k, n]) <= tol
-            for k in range(self.max_k + 1)
-            for n in range(min(k, self.max_n + 1))
-        )
-        return ok_nonneg, tri
-
-
-def lambda_table(t, max_n, max_k=None):
-    return LambdaTable(t=float(t), values=lambda_rows(t, max_n, max_k))
+    for n in range(N + 1):
+        target = [0.0] * (n + 1)
+        for i in range(n + 1):
+            ai = expansions[i]
+            aj = expansions[n - i]
+            for ka in range(i + 1):
+                if ai[ka] == 0.0:
+                    continue
+                for lb in range(n - i + 1):
+                    s = 0.5 * ai[ka] * aj[lb]
+                    min_summand = min(min_summand, s)
+                    if ka + lb <= n:
+                        target[ka + lb] += s
+                    target[abs(ka - lb)] += s
+        out[: n + 1, n] = target
+        out[1 : n + 1, n] *= 0.5
+    return out[: max_k + 1], min_summand
 
 
 def oracle_triangle(t_values, n_max):
-    """Max pairwise discrepancy of the three routes over a (t, n, k) grid."""
+    """Max pairwise discrepancy of the three routes over k <= n <= n_max.
+
+    Also returns the least summand of the squared-Legendre route.
+    """
     worst = 0.0
     min_summand = math.inf
     for t in t_values:
-        series_vals = lambda_rows(t, n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                sv = series_vals[k, n]
-                fv = lambda_fourier(t, k, n)
-                lv, ms = lambda_legendre_route(t, n, k)
-                worst = max(worst, abs(sv - fv), abs(sv - lv), abs(fv - lv))
-                min_summand = min(min_summand, ms)
+        sv = lambda_rows(t, n_max)
+        fv = lambda_fourier(t, n_max)
+        lv, ms = lambda_legendre_route(t, n_max)
+        gaps = np.maximum.reduce([np.abs(sv - fv), np.abs(sv - lv), np.abs(fv - lv)])
+        worst = max(worst, float(np.triu(gaps).max()))
+        min_summand = min(min_summand, ms)
     return worst, min_summand
 
 

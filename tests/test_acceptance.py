@@ -167,8 +167,7 @@ def test_criterion_08_oracle_triangle():
     ok = worst <= 1e-8 and min_summand >= 0.0
     min_lambda = math.inf
     for t in (0.0, 0.5, 1.0, 2.0):
-        tab = ws.lambda_table(t, 12)
-        min_lambda = min(min_lambda, float(tab.values.min()))
+        min_lambda = min(min_lambda, float(ws.lambda_rows(t, 12).min()))
         ok &= max(
             abs(ws.lambda_series(t, k, 10)[k] - math.exp(-k * t)) for k in range(1, 11)
         ) <= 1e-10

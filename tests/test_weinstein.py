@@ -33,9 +33,11 @@ def test_lambda_triangular_zeros():
 
 
 def test_fourier_oracle_values():
-    assert abs(ws.lambda_fourier(0.0, 0, 2) - 1.0) < 1e-12
-    assert abs(ws.lambda_fourier(0.5, 3, 3) - math.exp(-1.5)) < 1e-8
-    assert abs(ws.lambda_fourier(0.5, 5, 3)) < 1e-10
+    assert abs(ws.lambda_fourier(0.0, 2)[0, 2] - 1.0) < 1e-12
+    tab = ws.lambda_fourier(0.5, 3, max_k=5)
+    assert tab.shape == (6, 4)
+    assert abs(tab[3, 3] - math.exp(-1.5)) < 1e-8
+    assert abs(tab[5, 3]) < 1e-10
 
 
 def test_cos_delta_range():
@@ -47,11 +49,12 @@ def test_cos_delta_range():
 
 
 def test_legendre_route_values():
-    v, ms = ws.lambda_legendre_route(0.5, 3, 3)
-    assert abs(v - math.exp(-1.5)) < 1e-12
+    tab, ms = ws.lambda_legendre_route(0.5, 3)
+    assert tab.shape == (4, 4)
+    assert abs(tab[3, 3] - math.exp(-1.5)) < 1e-12
     assert ms >= 0.0
-    v, _ = ws.lambda_legendre_route(0.3, 0, 0)
-    assert abs(v - 1.0) < 1e-14
+    tab, _ = ws.lambda_legendre_route(0.3, 0)
+    assert abs(tab[0, 0] - 1.0) < 1e-14
 
 
 def test_oracle_triangle_grid():
@@ -62,9 +65,9 @@ def test_oracle_triangle_grid():
 
 def test_lambda_table_invariants():
     for t in (0.0, 1.0):
-        tab = ws.lambda_table(t, 12)
-        nonneg, tri = tab.check_invariants(tol=1e-12)
-        assert nonneg and tri
+        tab = ws.lambda_rows(t, 12)
+        assert tab.min() >= -1e-12
+        assert np.all(np.abs(np.tril(tab, -1)) <= 1e-12)
 
 
 def test_generating_identity_koebe_vanishes():
@@ -86,7 +89,7 @@ def test_generating_identity_radius_guard():
 
 def test_guards_raise_taxonomy_errors():
     with pytest.raises(QuadratureUnderresolved):
-        ws.lambda_fourier(0.5, 3, 4, Q=8)
+        ws.lambda_fourier(0.5, 4, max_k=600)
     with pytest.raises(ParamOutOfRange):
         ws.cos_delta(-1.0, np.array([np.pi]))
     with pytest.raises(ImaginaryResidue):
