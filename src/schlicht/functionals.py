@@ -120,15 +120,19 @@ def log_coefficients(f, N=None):
     return LogCoefficients(tuple(0.5 * L.coeffs[1:]), source=f.label)
 
 
+def _milin_double_sum(g):
+    """sum_{m<=n} sum_{k<=m} (k |g_k|^2 - 1/k) for g = g_1..g_n."""
+    k = np.arange(1, len(g) + 1)
+    terms = k * np.abs(g) ** 2 - 1.0 / k
+    return float(np.sum(np.cumsum(terms)))
+
+
 def milin_functional(f, n, logc=None):
     """The double sum M_n = sum_{m<=n} sum_{k<=m} (k |gamma_k|^2 - 1/k)."""
     logc = log_coefficients(f) if logc is None else logc
     if n > len(logc):
         raise ValueError(f"only {len(logc)} logarithmic coefficients available")
-    g = np.asarray(logc.gamma[:n])
-    k = np.arange(1, n + 1)
-    terms = k * np.abs(g) ** 2 - 1.0 / k
-    return float(np.sum(np.cumsum(terms)))
+    return _milin_double_sum(np.asarray(logc.gamma[:n]))
 
 
 def milin_weighted_form(f, n, logc=None):
@@ -157,8 +161,6 @@ def lebedev_milin_check(alpha, n):
     a = PowerSeries([0.0] + alpha[:n])
     beta = ps.exp(a)
     lhs = float(np.sum(np.abs(beta.coeffs) ** 2))
-    k = np.arange(1, n + 1)
-    terms = k * np.abs(np.asarray(alpha[:n])) ** 2 - 1.0 / k
-    expo = float(np.sum(np.cumsum(terms))) / (n + 1)
+    expo = _milin_double_sum(np.asarray(alpha[:n])) / (n + 1)
     rhs = (n + 1) * math.exp(expo)
     return lhs, rhs

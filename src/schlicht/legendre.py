@@ -35,8 +35,7 @@ class LegendrePoly:
     coeffs: tuple  # exact Fractions, degree 0..n
 
     def __call__(self, x):
-        c = np.array([float(q) for q in self.coeffs])
-        return np.polynomial.polynomial.polyval(x, c)
+        return np.polynomial.polynomial.polyval(x, _float_coeffs(self.degree, 0))
 
 
 @lru_cache(maxsize=None)
@@ -56,16 +55,21 @@ def _recurrence_coeffs(n):
     return tuple(out)
 
 
-def rodrigues_coeffs(n):
-    """Exact coefficients via (1/(2^n n!)) d^n/dx^n (x^2-1)^n."""
+def _rodrigues_derivative(n, m):
+    """Exact coefficients of d^m/dx^m (x^2-1)^n, for 0 <= m <= 2n."""
     # (x^2-1)^n expanded by the binomial theorem
     p = [Fraction(0)] * (2 * n + 1)
     for j in range(n + 1):
         p[2 * j] = Fraction((-1) ** (n - j) * math.comb(n, j))
-    for _ in range(n):
+    for _ in range(m):
         p = [Fraction(i) * p[i] for i in range(1, len(p))]
+    return p
+
+
+def rodrigues_coeffs(n):
+    """Exact coefficients via (1/(2^n n!)) d^n/dx^n (x^2-1)^n."""
     scale = Fraction(1, 2**n * math.factorial(n))
-    return tuple(c * scale for c in p)
+    return tuple(c * scale for c in _rodrigues_derivative(n, n))
 
 
 def explicit_sum_coeffs(n):
@@ -99,6 +103,17 @@ def _deriv_poly(n, m):
     return c
 
 
+@lru_cache(maxsize=None)
+def _float_coeffs(n, m, dtype=float):
+    """Coefficients of d^m/dx^m P_n rounded once to dtype (read-only)."""
+    if dtype is float:
+        c = np.array([float(q) for q in _deriv_poly(n, m)])
+    else:
+        c = np.array([dtype(q.numerator) / dtype(q.denominator) for q in _deriv_poly(n, m)])
+    c.flags.writeable = False
+    return c
+
+
 def assoc_legendre(n, m, x):
     """Associated function P_n^m(x) for |x| <= 1, any |m| <= n."""
     if abs(m) > n:
@@ -108,8 +123,7 @@ def assoc_legendre(n, m, x):
     if m < 0:
         scale = (-1) ** (-m) * math.factorial(n + m) / math.factorial(n - m)
         return scale * assoc_legendre(n, -m, x)
-    c = np.array([float(q) for q in _deriv_poly(n, m)])
-    base = np.polynomial.polynomial.polyval(x, c)
+    base = np.polynomial.polynomial.polyval(x, _float_coeffs(n, m))
     if m == 0:
         return float(base) if np.isscalar(x) else base
     out = (-1.0) ** m * (1.0 - np.asarray(x, dtype=float) ** 2) ** (m / 2.0) * base
@@ -125,15 +139,8 @@ def assoc_legendre_direct(n, m, x):
     """
     if abs(m) > n:
         raise OrderOutOfRange(f"|m| = {abs(m)} exceeds degree {n}")
-    p = [Fraction(0)] * (2 * n + 1)
-    for j in range(n + 1):
-        p[2 * j] = Fraction((-1) ** (n - j) * math.comb(n, j))
-    for _ in range(n + m):
-        p = [Fraction(i) * p[i] for i in range(1, len(p))]
-        if not p:
-            p = [Fraction(0)]
     scale = Fraction(1, 2**n * math.factorial(n))
-    c = np.array([float(scale * q) for q in p])
+    c = np.array([float(scale * q) for q in _rodrigues_derivative(n, n + m)])
     base = np.polynomial.polynomial.polyval(x, c)
     xx = np.asarray(x, dtype=float)
     out = (-1.0) ** m * (1.0 - xx**2) ** (m / 2.0) * base
@@ -142,20 +149,11 @@ def assoc_legendre_direct(n, m, x):
 
 def generating_partial_sum(x, t, N):
     """sum_{n<=N} P_n(x) t^n; tends to (1 - 2xt + t^2)^{-1/2}."""
-    acc = 0.0
-    pm1, pm2 = 1.0, 0.0
-    tn = 1.0
+    acc, tn = 0.0, 1.0
+    p, pm1 = 1.0, 0.0  # P_0 and P_{-1}; Bonnet's step from them gives P_1 = x
     for n in range(N + 1):
-        if n == 0:
-            p = 1.0
-        elif n == 1:
-            p = x
-        else:
-            p = ((2 * n - 1) * x * pm1 - (n - 1) * pm2) / n
-        if n >= 1:
-            pm2, pm1 = pm1, p
-        else:
-            pm1 = p
+        if n:
+            p, pm1 = ((2 * n - 1) * x * p - (n - 1) * pm1) / n, p
         acc += p * tn
         tn *= t
     return acc
@@ -199,9 +197,10 @@ def ode_residual(n, x):
     terms stays far below the verification tolerances.
     """
     xl = np.longdouble(x)
-    p = np.polynomial.polynomial.polyval(xl, np.array([np.longdouble(q.numerator) / np.longdouble(q.denominator) for q in _recurrence_coeffs(n)]))
-    d1 = np.polynomial.polynomial.polyval(xl, np.array([np.longdouble(q.numerator) / np.longdouble(q.denominator) for q in _deriv_poly(n, 1)]))
-    d2 = np.polynomial.polynomial.polyval(xl, np.array([np.longdouble(q.numerator) / np.longdouble(q.denominator) for q in _deriv_poly(n, 2)]))
+    p, d1, d2 = (
+        np.polynomial.polynomial.polyval(xl, _float_coeffs(n, m, np.longdouble))
+        for m in (0, 1, 2)
+    )
     return float((1.0 - xl * xl) * d2 - 2.0 * xl * d1 + n * (n + 1) * p)
 
 
@@ -222,21 +221,30 @@ def addition_theorem_residual(theta1, theta2, phi, n):
     return abs(lhs - rhs)
 
 
-def equal_angle_expansion(n, cos_theta):
-    """Cosine-series weights of P_n at the equal-angle specialization.
+def equal_angle_expansion(N, cos_theta):
+    """Cosine-series weights of P_0..P_N at the equal-angle specialization.
 
-    Returns w[0..n] with
+    Row n of the returned (N+1, N+1) array holds w[0..n] (zeros beyond) with
     P_n(cos^2 t + sin^2 t cos phi) = w[0] + sum_{k>=1} w[k] cos(k phi),
     where w[0] = P_n(cos t)^2 and w[k] = 2 (n-k)!/(n+k)! P_n^k(cos t)^2.
-    Every weight is nonnegative; this is what makes the kernel
-    decomposition work.
+    Every weight is a square; this is what makes the kernel decomposition
+    work.  The square roots S_n^k (semi-normalized, c = cos t, s = sin t)
+    follow the three-term recurrence in n, accurate to roundoff at any n:
+
+        sqrt(n^2 - k^2) S_n^k = (2n-1) c S_{n-1}^k - sqrt((n-1)^2 - k^2) S_{n-2}^k
+
+    from S_0^0 = 1, S_1^1 = s and S_n^n = S_{n-1}^{n-1} s sqrt((2n-1)/2n).
     """
-    w = np.empty(n + 1)
-    w[0] = legendre_value(n, cos_theta) ** 2
-    for k in range(1, n + 1):
-        ratio = math.factorial(n - k) / math.factorial(n + k)
-        w[k] = 2.0 * ratio * assoc_legendre(n, k, cos_theta) ** 2
-    return w
+    c = float(cos_theta)
+    s = math.sqrt(1.0 - c * c)
+    S = np.zeros((N + 2, N + 1))  # the last row stays 0 and serves as S_{-1}
+    S[0, 0] = 1.0
+    for n in range(1, N + 1):
+        k = np.arange(n)
+        S[n, n] = s if n == 1 else S[n - 1, n - 1] * s * math.sqrt((2 * n - 1) / (2 * n))
+        S[n, :n] = (2 * n - 1) * c * S[n - 1, :n] - np.sqrt((n - 1) ** 2 - k**2) * S[n - 2, :n]
+        S[n, :n] /= np.sqrt(n * n - k**2)
+    return S[: N + 1] ** 2
 
 
 def coefficient_table(max_degree):

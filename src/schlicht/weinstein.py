@@ -1,20 +1,25 @@
 """The nonnegative-kernel decomposition behind the Milin inequality chain.
 
 The central objects are the coefficients L[k][n](t) of z^{n+1} in
-e^t w^{k+1} / (1 - w^2), with w the Koebe transition flow.  They admit
-three independent computations that must agree:
+e^t w^{k+1} / (1 - w^2), with w the Koebe transition flow.  Three
+independent routes must agree; each takes (t, N, max_k=None) and returns
+the real (max_k + 1, N + 1) table, rows k and columns n, in one pass:
 
-* series route    -- lambda_rows, every k in one pass from closed forms of
-  e^t w/(1 - w^2) and w, then repeated multiplication by w (lambda_series,
-  one k at a time on the fixed-point transition series, is kept as its
-  independent reference);
-* Fourier route   -- with cos(delta) = 1 - e^{-t} + e^{-t} cos(phi), the
-  degree-n coefficient family U_n of 1/(1 - 2 x z + z^2) satisfies
+* series route    -- lambda_rows, every k from closed forms of
+  e^t w/(1 - w^2) and w, then repeated multiplication by w; the production
+  path (lambda_series, one k at a time on the fixed-point transition
+  series, is kept as its independent reference);
+* Fourier route   -- lambda_fourier: with
+  cos(delta) = 1 - e^{-t} + e^{-t} cos(phi), the degree-n coefficient
+  family U_n of 1/(1 - 2 x z + z^2) satisfies
   U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a cosine
-  transform in phi extracts each entry;
-* Legendre route  -- expanding U_n = sum_{i+j=n} P_i P_j through the
-  equal-angle addition theorem writes each entry as a sum of squares times
-  positive weights, which also certifies nonnegativity term by term.
+  transform in phi of one U_0..U_N recurrence extracts every entry;
+* Legendre route  -- lambda_legendre_route: expanding
+  U_n = sum_{i+j=n} P_i P_j through the equal-angle addition theorem writes
+  every entry as a sum of squares times positive weights, which also
+  certifies nonnegativity term by term.
+
+The last two are oracles: oracle_triangle compares the three tables.
 
 On top of these sit the boundary integrals
 A_k(t) = lim_{r->1} (1/2pi) Int Re p |2 C0k - k c_k z^k|^2 dtheta
@@ -158,15 +163,13 @@ def lambda_fourier(t, N, max_k=None):
         raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
     phi = 2.0 * np.pi * np.arange(_FOURIER_Q) / _FOURIER_Q
     x = cos_delta(t, phi)
-    U = np.empty((N + 1, _FOURIER_Q))
+    U = np.zeros((N + 2, _FOURIER_Q))  # the last row stays 0 and serves as U_{-1}
     U[0] = 1.0
-    if N:
-        U[1] = 2.0 * x
-    for m in range(2, N + 1):
+    for m in range(1, N + 1):
         U[m] = 2.0 * x * U[m - 1] - U[m - 2]
     out = np.empty((max_k + 1, N + 1))
     for k in range(max_k + 1):
-        out[k] = np.mean(U * np.cos(k * phi), axis=1)
+        out[k] = np.mean(U[: N + 1] * np.cos(k * phi), axis=1)
     return out
 
 
@@ -182,7 +185,7 @@ def lambda_legendre_route(t, N, max_k=None):
     """
     max_k = _table_shape(N, max_k)
     ct = math.sqrt(1.0 - math.exp(-t))
-    expansions = [lg.equal_angle_expansion(i, ct).tolist() for i in range(N + 1)]
+    expansions = lg.equal_angle_expansion(N, ct).tolist()  # row i: degree i
     out = np.zeros((max(max_k, N) + 1, N + 1))
     min_summand = math.inf
     for n in range(N + 1):

@@ -154,6 +154,19 @@ def test_verify_t_needs_weinstein_suite():
     assert "--t needs --suite weinstein" in proc.stderr
 
 
+def test_verify_quick_with_n_is_usage_error():
+    proc = run_cli("verify", "--suite", "milin", "--n", "3", "--quick")
+    assert proc.returncode == 2
+    assert "--quick" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_focus_weinstein_n_40_passes():
+    proc = run_cli("verify", "--suite", "weinstein", "--n", "40")
+    assert proc.returncode == 0, proc.stdout
+    cases = {c["id"]: c for c in json.loads(proc.stdout)["suites"][0]["cases"]}
+    assert cases["oracle-discrepancy"]["lhs"] <= 1e-12
+
+
 def test_verify_milin_n_500_passes():
     # the single-case order grows with --n instead of stopping at 64
     proc = run_cli("verify", "--suite", "milin", "--n", "500")

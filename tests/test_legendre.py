@@ -135,10 +135,35 @@ def test_orthogonality():
 
 def test_equal_angle_expansion_matches_direct():
     ct = math.sqrt(1 - math.exp(-0.8))
+    W = lg.equal_angle_expansion(10, ct)
+    assert W.shape == (11, 11)
+    assert W.min() >= 0.0
     for n in (2, 6, 10):
-        w = lg.equal_angle_expansion(n, ct)
-        assert w.min() >= 0.0
+        w = W[n]
+        assert np.all(w[n + 1 :] == 0.0)
+        for k in range(1, n + 1):
+            ratio = math.factorial(n - k) / math.factorial(n + k)
+            assert abs(w[k] - 2.0 * ratio * lg.assoc_legendre(n, k, ct) ** 2) < 1e-13
         for phi in (0.0, 0.9, 2.2):
             direct = lg.legendre_value(n, ct * ct + (1 - ct * ct) * math.cos(phi))
             via = w[0] + sum(w[k] * math.cos(k * phi) for k in range(1, n + 1))
             assert abs(direct - via) < 1e-12
+
+
+def test_equal_angle_expansion_exact_at_rational_angle():
+    # cos t = 3/5 makes sin t = 4/5 rational, so every weight
+    # 2 (n-k)!/(n+k)! (sin^k t P_n^(k)(cos t))^2 is an exact fraction
+    x, sx = Fraction(3, 5), Fraction(4, 5)
+    W = lg.equal_angle_expansion(40, 0.6)
+    worst = 0.0
+    for n in range(41):
+        d = list(lg.legendre_poly(n).coeffs)
+        for k in range(n + 1):
+            v = sum(q * x**i for i, q in enumerate(d)) * sx**k
+            ref = v * v * (1 if k == 0 else Fraction(2 * math.factorial(n - k), math.factorial(n + k)))
+            if ref:
+                worst = max(worst, abs(W[n, k] - float(ref)) / float(ref))
+            else:
+                assert W[n, k] == 0.0
+            d = [i * q for i, q in enumerate(d)][1:]  # next derivative
+    assert worst < 1e-12

@@ -247,3 +247,23 @@ def test_decomposition_numeric_chain_smoke():
     # the exact route needs closed-form series in t, which numeric chains lack
     with pytest.raises(ChainUnavailable):
         ws.milin_decomposition_check(uv.koebe(32), ch, n=2)
+
+
+def test_routes_return_the_lambda_rows_table():
+    for t in (0.0, 0.7):
+        sv = ws.lambda_rows(t, 10, max_k=13)
+        fv = ws.lambda_fourier(t, 10, max_k=13)
+        lv, ms = ws.lambda_legendre_route(t, 10, max_k=13)
+        assert sv.shape == fv.shape == lv.shape == (14, 11)
+        assert np.max(np.abs(sv - fv)) < 1e-12
+        assert np.max(np.abs(sv - lv)) < 1e-12
+        assert np.all(lv[11:] == 0.0) and ms >= 0.0
+    assert ws.lambda_fourier(0.7, 6, max_k=2).shape == (3, 7)
+    assert ws.lambda_legendre_route(0.7, 6, max_k=2)[0].shape == (3, 7)
+
+
+def test_oracle_triangle_accurate_at_n_40():
+    # the squared-Legendre route keeps roundoff accuracy at large n
+    worst, min_summand = ws.oracle_triangle([0.5], 40)
+    assert worst <= 1e-12
+    assert min_summand >= 0.0
