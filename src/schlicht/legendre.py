@@ -149,11 +149,20 @@ def assoc_legendre_direct(n, m, x):
 
 def generating_partial_sum(x, t, N):
     """sum_{n<=N} P_n(x) t^n; tends to (1 - 2xt + t^2)^{-1/2}."""
-    acc, tn = 0.0, 1.0
-    p, pm1 = 1.0, 0.0  # P_0 and P_{-1}; Bonnet's step from them gives P_1 = x
+    acc = 0.0
+    pm1, pm2 = 1.0, 0.0
+    tn = 1.0
     for n in range(N + 1):
-        if n:
-            p, pm1 = ((2 * n - 1) * x * p - (n - 1) * pm1) / n, p
+        if n == 0:
+            p = 1.0
+        elif n == 1:
+            p = x
+        else:
+            p = ((2 * n - 1) * x * pm1 - (n - 1) * pm2) / n
+        if n >= 1:
+            pm2, pm1 = pm1, p
+        else:
+            pm1 = p
         acc += p * tn
         tn *= t
     return acc

@@ -2,24 +2,21 @@
 
 The central objects are the coefficients L[k][n](t) of z^{n+1} in
 e^t w^{k+1} / (1 - w^2), with w the Koebe transition flow.  Three
-independent routes must agree; each takes (t, N, max_k=None) and returns
-the real (max_k + 1, N + 1) table, rows k and columns n, in one pass:
+independent routes compute them, each as the whole real table (rows
+k = 0..max_k, columns n = 0..N) in one pass from (t, N, max_k=None); the
+last two are oracles for the first, compared by oracle_triangle:
 
-* series route    -- lambda_rows, every k from closed forms of
-  e^t w/(1 - w^2) and w, then repeated multiplication by w; the production
-  path (lambda_series, one k at a time on the fixed-point transition
-  series, is kept as its independent reference);
-* Fourier route   -- lambda_fourier: with
-  cos(delta) = 1 - e^{-t} + e^{-t} cos(phi), the degree-n coefficient
-  family U_n of 1/(1 - 2 x z + z^2) satisfies
-  U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a cosine
-  transform in phi of one U_0..U_N recurrence extracts every entry;
-* Legendre route  -- lambda_legendre_route: expanding
-  U_n = sum_{i+j=n} P_i P_j through the equal-angle addition theorem writes
-  every entry as a sum of squares times positive weights, which also
-  certifies nonnegativity term by term.
-
-The last two are oracles: oracle_triangle compares the three tables.
+* series route    -- lambda_rows, from closed forms of e^t w/(1 - w^2) and
+  w, then repeated multiplication by w (lambda_series, one k at a time on
+  the fixed-point transition series, is kept as its independent reference);
+* Fourier route   -- lambda_fourier: with cos(delta) = 1 - e^{-t} + e^{-t}
+  cos(phi), the degree-n coefficient family U_n of 1/(1 - 2 x z + z^2)
+  satisfies U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a
+  cosine transform in phi of one U_0..U_N recurrence extracts every entry;
+* Legendre route  -- lambda_legendre_route: expanding U_n = sum_{i+j=n}
+  P_i P_j through the equal-angle addition theorem writes every entry as a
+  sum of squares times positive weights, which also certifies
+  nonnegativity term by term.
 
 On top of these sit the boundary integrals
 A_k(t) = lim_{r->1} (1/2pi) Int Re p |2 C0k - k c_k z^k|^2 dtheta
@@ -148,9 +145,6 @@ def cos_delta(t, phi):
     return x
 
 
-_FOURIER_Q = 1024  # phi points of the Fourier route
-
-
 def lambda_fourier(t, N, max_k=None):
     """The (k, n) table of lambda_rows by a cosine transform in phi.
 
@@ -159,11 +153,12 @@ def lambda_fourier(t, N, max_k=None):
     entry (k, n) is the mean of U_n cos(k phi).
     """
     max_k = _table_shape(N, max_k)
-    if _FOURIER_Q < 2 * (N + max_k) + 2:
+    Q = 1024
+    if Q < 2 * (N + max_k) + 2:
         raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
-    phi = 2.0 * np.pi * np.arange(_FOURIER_Q) / _FOURIER_Q
+    phi = 2.0 * np.pi * np.arange(Q) / Q
     x = cos_delta(t, phi)
-    U = np.zeros((N + 2, _FOURIER_Q))  # the last row stays 0 and serves as U_{-1}
+    U = np.zeros((N + 2, Q))  # the last row stays 0 and serves as U_{-1}
     U[0] = 1.0
     for m in range(1, N + 1):
         U[m] = 2.0 * x * U[m - 1] - U[m - 2]
@@ -208,7 +203,7 @@ def lambda_legendre_route(t, N, max_k=None):
 
 
 def oracle_triangle(t_values, n_max):
-    """Max pairwise discrepancy of the three routes over k <= n <= n_max.
+    """Max pairwise gap of the three routes over k <= n <= n_max.
 
     Also returns the least summand of the squared-Legendre route.
     """
