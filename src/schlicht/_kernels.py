@@ -1,4 +1,7 @@
-"""The hot kernels, written in NumPy.
+"""The hot kernels: series products, division, composition and RK4.
+
+There is one backend, written in NumPy.  Callers reach the kernels through
+this module's attributes, so a profiler can wrap them here.
 
 Series products, division and composition work on coefficient arrays; the
 RK4 stepper advances every trajectory of a solve in one array per stage, so

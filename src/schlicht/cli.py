@@ -53,11 +53,10 @@ def _json_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(rows, header=None):
+def _csv_text(rows, header):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    if header:
-        w.writerow(header)
+    w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
 
@@ -78,8 +77,7 @@ def _focus_report(suite, name, n, t):
     elif suite == "area":
         rep.add(f"area({name})", fn.area_sum(uv.to_sigma(f), order - 2), 1.0)
     elif suite == "lebedev-milin":
-        logc = fn.log_coefficients(f, n)
-        lhs, rhs = fn.lebedev_milin_check(list(logc.gamma), n)
+        lhs, rhs = fn.lebedev_milin_check(list(fn.log_coefficients(f, n)), n)
         rep.add(f"lebedev-milin_{n}({name})", lhs, rhs)
     else:  # weinstein
         worst, min_summand = ws.oracle_triangle([t], n)
@@ -160,27 +158,34 @@ def cmd_table(args):
 # -- loewner trace ------------------------------------------------------------
 
 def _parse_grid(desc):
-    if desc.startswith("polar:"):
-        nr, na = desc.split(":", 1)[1].split("x")
-        nr, na = int(nr), int(na)
-        radii = np.linspace(0.1, 0.8, nr)
-        angles = 2 * np.pi * np.arange(na) / na
-        return np.array([r * np.exp(1j * a) for r in radii for a in angles])
-    if desc.startswith("points:"):
-        pts = json.loads(desc.split(":", 1)[1])
-        return np.array([complex(p[0], p[1]) for p in pts])
+    try:
+        if desc.startswith("polar:"):
+            nr, na = desc.split(":", 1)[1].split("x")
+            nr, na = int(nr), int(na)
+            radii = np.linspace(0.1, 0.8, nr)
+            angles = 2 * np.pi * np.arange(na) / na
+            return np.array([r * np.exp(1j * a) for r in radii for a in angles])
+        if desc.startswith("points:"):
+            pts = json.loads(desc.split(":", 1)[1])
+            return np.array([complex(p[0], p[1]) for p in pts])
+    except (ValueError, TypeError, IndexError) as exc:
+        raise UsageError(f"malformed grid {desc!r}: {exc}") from None
     raise UsageError(f"unknown grid format {desc!r}")
 
 
 def _parse_kappa(desc):
-    if desc.startswith("const:"):
-        return lw.DrivingFunction.constant(complex(desc.split(":", 1)[1]))
-    if desc.startswith("steps:"):
-        data = json.loads(desc.split(":", 1)[1])
-        times = [d[0] for d in data]
-        values = [complex(d[1][0], d[1][1]) for d in data]
-        return lw.DrivingFunction.sampled(times, values)
-    raise UsageError(f"unknown driving format {desc!r}")
+    try:
+        if desc.startswith("const:"):
+            times, values = [0.0], [complex(desc.split(":", 1)[1])]
+        elif desc.startswith("steps:"):
+            data = json.loads(desc.split(":", 1)[1])
+            times = [float(d[0]) for d in data]
+            values = [complex(d[1][0], d[1][1]) for d in data]
+        else:
+            raise UsageError(f"unknown driving format {desc!r}")
+    except (ValueError, TypeError, IndexError) as exc:
+        raise UsageError(f"malformed driving {desc!r}: {exc}") from None
+    return lw.DrivingFunction.sampled(times, values)
 
 
 def cmd_loewner_trace(args):
@@ -263,6 +268,13 @@ def _nonneg_float(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="schlicht", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -295,8 +307,8 @@ def build_parser():
     subl = pl.add_subparsers(dest="subcommand", required=True)
     plt = subl.add_parser("trace", help="trace trajectories to CSV")
     plt.add_argument("--kappa", default="const:-1")
-    plt.add_argument("--T", type=float, default=8.0)
-    plt.add_argument("--step", type=float, default=1e-3)
+    plt.add_argument("--T", type=_nonneg_float, default=8.0)
+    plt.add_argument("--step", type=_positive_float, default=1e-3)
     plt.add_argument("--grid", default="polar:8x8")
     plt.add_argument("--samples", type=_positive_int, default=16, help="stored time samples")
     plt.add_argument("--out", default="trace.csv")

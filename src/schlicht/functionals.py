@@ -10,7 +10,6 @@ exponentiation inequality bounding |beta_k|^2 sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,21 +17,6 @@ from . import series as ps
 from . import univalent as uv
 from .report import BoundReport
 from .series import PowerSeries
-
-
-@dataclass(frozen=True)
-class LogCoefficients:
-    """gamma_1..gamma_N with log(f(z)/z) = 2 sum gamma_k z^k."""
-
-    gamma: tuple
-    source: str = ""
-
-    def __len__(self):
-        return len(self.gamma)
-
-    def c(self, k):
-        """Chain-normalized coefficient c_k = 2 gamma_k."""
-        return 2.0 * self.gamma[k - 1]
 
 
 def area_sum(g, N):
@@ -43,9 +27,9 @@ def area_sum(g, N):
     return float(np.sum(np.arange(1, N + 1) * np.abs(b) ** 2))
 
 
-def coefficient_report(f, N, tolerance=1e-9):
+def coefficient_report(f, N):
     """|a_n| against the sharp bound n and Littlewood's e*n, for 2 <= n <= N."""
-    rep = BoundReport("coefficients", tolerance)
+    rep = BoundReport("coefficients", 1e-9)
     a = np.abs(f.coeffs)
     for n in range(2, N + 1):
         rep.add(f"n={n:02d}:sharp", a[n], n)
@@ -53,11 +37,11 @@ def coefficient_report(f, N, tolerance=1e-9):
     return rep
 
 
-def integral_mean(f, p, r, Q=1024):
-    """M_p(r, f) by trapezoid quadrature over the circle |z| = r."""
+def integral_mean(f, p, r):
+    """M_p(r, f) by 2048-point trapezoid quadrature over the circle |z| = r."""
     if p <= 0:
         raise ValueError("p must be positive")
-    theta = 2.0 * np.pi * np.arange(Q) / Q
+    theta = 2.0 * np.pi * np.arange(2048) / 2048
     vals = ps.evaluate_many(f.series, r * np.exp(1j * theta))
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
 
@@ -72,13 +56,13 @@ def littlewood_factor(n):
     return n * (1.0 + 1.0 / (n - 1.0)) ** (n - 1.0)
 
 
-def pointwise_bounds_check(f, grid, tolerance=1e-9):
+def pointwise_bounds_check(f, grid):
     """Growth, distortion, |z f'/f| and the pre-Schwarzian envelope.
 
     grid: iterable of complex points with |z| < 1.  Failures are recorded
     in the report, never raised.
     """
-    rep = BoundReport("pointwise-bounds", tolerance)
+    rep = BoundReport("pointwise-bounds", 1e-9)
     grid = list(grid)
     fp = f.series.derivative()
     # one Horner pass per series over the whole grid
@@ -113,11 +97,10 @@ def robertson_sums(f, n):
 
 
 def log_coefficients(f, N=None):
-    """Logarithmic coefficients from log(f(z)/z) = 2 sum gamma_k z^k."""
+    """gamma_1..gamma_N, an array, from log(f(z)/z) = 2 sum gamma_k z^k."""
     N = f.order - 1 if N is None else N
     F = PowerSeries(f.coeffs[1 : N + 2])  # f(z)/z up to degree N
-    L = ps.log(F)
-    return LogCoefficients(tuple(0.5 * L.coeffs[1:]), source=f.label)
+    return 0.5 * ps.log(F).coeffs[1:]
 
 
 def _milin_double_sum(g):
@@ -127,24 +110,23 @@ def _milin_double_sum(g):
     return float(np.sum(np.cumsum(terms)))
 
 
-def milin_functional(f, n, logc=None):
+def milin_functional(f, n, gamma=None):
     """The double sum M_n = sum_{m<=n} sum_{k<=m} (k |gamma_k|^2 - 1/k)."""
-    logc = log_coefficients(f) if logc is None else logc
-    if n > len(logc):
-        raise ValueError(f"only {len(logc)} logarithmic coefficients available")
-    return _milin_double_sum(np.asarray(logc.gamma[:n]))
+    gamma = log_coefficients(f) if gamma is None else gamma
+    if n > len(gamma):
+        raise ValueError(f"only {len(gamma)} logarithmic coefficients available")
+    return _milin_double_sum(gamma[:n])
 
 
-def milin_weighted_form(f, n, logc=None):
+def milin_weighted_form(f, n, gamma=None):
     """sum_k (4/k - k |c_k|^2)(n - k + 1) with c_k = 2 gamma_k.
 
     Equals -4 times the double-sum form; nonnegative exactly when the
     Milin functional is nonpositive.
     """
-    logc = log_coefficients(f) if logc is None else logc
-    g = np.asarray(logc.gamma[:n])
+    gamma = log_coefficients(f) if gamma is None else gamma
     k = np.arange(1, n + 1)
-    c = 2.0 * g
+    c = 2.0 * gamma[:n]
     return float(np.sum((4.0 / k - k * np.abs(c) ** 2) * (n - k + 1)))
 
 

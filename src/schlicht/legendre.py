@@ -172,10 +172,10 @@ def generating_closed_form(x, t):
     return 1.0 / math.sqrt(1.0 - 2.0 * x * t + t * t)
 
 
-def schlafli_coeff(n, z, Q=512, rho=1.0):
+def schlafli_coeff(n, z, Q=512):
     """P_n(z) from the contour integral of (xi^2-1)^n / (2^n (xi-z)^{n+1}).
 
-    Trapezoid on the circle |xi - z| = rho; exact for Q > 2n up to
+    Trapezoid on the unit circle |xi - z| = 1; exact for Q > 2n up to
     roundoff, computed in extended precision to keep the 2^-n cancellation
     harmless.  Raises QuadratureUnderresolved when the result strays from
     the exact-coefficient evaluation by more than 1e-6.
@@ -185,9 +185,9 @@ def schlafli_coeff(n, z, Q=512, rho=1.0):
     z = complex(z)
     phi = (2.0 * np.pi * np.arange(Q) / Q).astype(np.longdouble)
     ring = np.cos(phi) + 1j * np.sin(phi)
-    xi = np.clongdouble(z) + np.clongdouble(rho) * ring
+    xi = np.clongdouble(z) + ring
     ring_n = np.cos(n * phi) + 1j * np.sin(n * phi)
-    integrand = (xi * xi - 1.0) ** n / (np.longdouble(2.0 * rho) ** n * ring_n)
+    integrand = (xi * xi - 1.0) ** n / (np.longdouble(2.0) ** n * ring_n)
     val = complex(np.mean(integrand))
     if z.imag == 0 and abs(z) <= 1:
         ref = legendre_value(n, z.real)

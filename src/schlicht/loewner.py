@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,52 +108,36 @@ def transition_velocity(w):
 
 @dataclass(frozen=True)
 class DrivingFunction:
-    """Unit-circle-valued control, constant or piecewise constant."""
+    """Unit-circle-valued piecewise-constant control.
 
-    kind: str
-    value: complex = -1.0
-    times: tuple = ()
-    values: tuple = ()
+    values[i] holds on [times[i], times[i+1]); the first value also holds
+    before times[0] and the last one after times[-1].
+    """
+
+    times: tuple
+    values: tuple
 
     def __post_init__(self):
-        if self.kind == "constant":
-            vals = [self.value]
-        elif self.kind == "sampled":
-            if len(self.times) != len(self.values) or not self.times:
-                raise ParamOutOfRange("sampled driving needs matching times/values")
-            # negated comparisons, so that NaN fails them
-            if not all(b > a for a, b in zip(self.times, self.times[1:])):
-                raise ParamOutOfRange("sample times must increase strictly")
-            vals = list(self.values)
-        else:
-            raise ParamOutOfRange(f"unknown driving kind {self.kind!r}")
-        for v in vals:
+        if len(self.times) != len(self.values) or not self.times:
+            raise ParamOutOfRange("sampled driving needs matching times/values")
+        # negated comparisons, so that NaN fails them
+        if not all(b > a for a, b in zip(self.times, self.times[1:])):
+            raise ParamOutOfRange("sample times must increase strictly")
+        for v in self.values:
             if not abs(abs(v) - 1.0) <= 1e-12:
                 raise ParamOutOfRange(f"driving value {v} is off the unit circle")
 
     @classmethod
     def constant(cls, value):
-        return cls(kind="constant", value=complex(value))
+        """One piece from t = 0."""
+        return cls.sampled([0.0], [value])
 
     @classmethod
     def sampled(cls, times, values):
-        return cls(
-            kind="sampled",
-            times=tuple(float(t) for t in times),
-            values=tuple(complex(v) for v in values),
-        )
-
-    def __call__(self, t):
-        if self.kind == "constant":
-            return self.value
-        idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
-        idx = int(np.clip(idx, 0, len(self.values) - 1))
-        return self.values[idx]
+        return cls(tuple(float(t) for t in times), tuple(complex(v) for v in values))
 
     def per_step(self, t0, h, nsteps):
         """Left-endpoint sample per step (discontinuities sit on step edges)."""
-        if self.kind == "constant":
-            return np.full(nsteps, self.value, dtype=complex)
         ts = t0 + h * np.arange(nsteps)
         idx = np.clip(
             np.searchsorted(np.asarray(self.times), ts, side="right") - 1,
@@ -162,11 +146,6 @@ class DrivingFunction:
         )
         return np.asarray(self.values, dtype=complex)[idx]
 
-    def describe(self):
-        if self.kind == "constant":
-            return f"const:{self.value}"
-        return f"sampled[{len(self.values)}]"
-
 
 # -- the solver -------------------------------------------------------------
 
@@ -174,11 +153,9 @@ class DrivingFunction:
 class Evolution:
     """Sampled trajectories of the radial Loewner equation."""
 
-    times: np.ndarray           # (nstored,)
-    z_grid: np.ndarray          # (nz,)
-    states: np.ndarray          # (nstored, nz)
-    dstates: np.ndarray | None  # d(state)/dz0, same shape, optional
-    meta: dict = field(default_factory=dict)
+    times: np.ndarray   # (nstored,)
+    z_grid: np.ndarray  # (nz,)
+    states: np.ndarray  # (nstored, nz)
 
     @property
     def scaled(self):
@@ -186,7 +163,7 @@ class Evolution:
         return np.exp(self.times)[:, None] * self.states
 
 
-def loewner_solve(kappa, z_grid, T, h, store_stride=1, with_deriv=False, t0=0.0):
+def loewner_solve(kappa, z_grid, T, h, store_stride=1, t0=0.0):
     """Integrate the radial Loewner equation for each grid point.
 
     Classical fixed-step RK4; kappa is sampled once per step (piecewise-
@@ -205,32 +182,17 @@ def loewner_solve(kappa, z_grid, T, h, store_stride=1, with_deriv=False, t0=0.0)
     nsteps = max(int(round(span / h)), 0)
     if abs(nsteps * h - span) > 1e-9:
         raise ParamOutOfRange(f"span {span} is not a multiple of h = {h}")
-    if nsteps == 0:
-        states = z0[None, :].copy()
-        return Evolution(
-            times=np.array([t0]),
-            z_grid=z0,
-            states=states,
-            dstates=np.ones_like(states) if with_deriv else None,
-            meta={"h": h, "T": T, "kappa": kappa.describe()},
-        )
     if nsteps % store_stride:
         raise ParamOutOfRange("step count must be a multiple of store_stride")
     kap = kappa.per_step(t0, h, nsteps)
     try:
-        traj, dtraj = _kernels.rk4_loewner(z0, kap, h, store_stride, with_deriv)
+        traj, _ = _kernels.rk4_loewner(z0, kap, h, store_stride, False)
     except ValueError as exc:
         if "singular" in str(exc):
             raise StepRejected("trajectory approached the kappa f = 1 singularity") from exc
         raise TrajectoryEscaped("trajectory left the unit disk") from exc
     times = t0 + h * store_stride * np.arange(traj.shape[0])
-    return Evolution(
-        times=times,
-        z_grid=z0,
-        states=traj,
-        dstates=dtraj,
-        meta={"h": h, "T": T, "kappa": kappa.describe()},
-    )
+    return Evolution(times=times, z_grid=z0, states=traj)
 
 
 # -- chain representations --------------------------------------------------
@@ -239,7 +201,6 @@ class KoebeChain:
     """f_t(z) = e^t z/(1-z)^2; the chain generated by constant driving -1."""
 
     label = "koebe"
-    kind = "koebe_closed_form"
 
     def series_at(self, t, order):
         return PowerSeries(math.exp(t) * np.arange(order + 1, dtype=complex))
@@ -274,7 +235,6 @@ class TrivialChain:
     """f_t(z) = e^t z, the chain of the identity map."""
 
     label = "identity"
-    kind = "trivial_closed_form"
 
     def series_at(self, t, order):
         c = np.zeros(order + 1, dtype=complex)
@@ -308,16 +268,13 @@ class NumericChain:
     Loewner equation from state z at time t and T is the chain horizon.
     Boundary data comes from circle grids of trajectories; z-derivatives
     are spectral (differentiate the circle Fourier series), t-derivatives
-    are central differences with spacing dt_fd.  Series fits use a circle
-    of radius fit_radius.
+    are central differences with spacing 0.01.  Series fits use the circle
+    of radius 0.4.
     """
 
     label = "numeric"
-    kind = "numeric"
-    dt_fd = 0.01
-    fit_radius = 0.4
 
-    def __init__(self, kappa, T=8.0, h=1e-3):
+    def __init__(self, kappa, T, h):
         self.kappa = kappa
         self.T = float(T)
         self.h = float(h)
@@ -380,7 +337,7 @@ class NumericChain:
             raise ChainUnavailable(
                 f"numeric-chain series fits are only trusted to order 16, got {order}"
             )
-        return t, self.fit_radius, max(4 * (order + 1), 64)
+        return t, 0.4, max(4 * (order + 1), 64)
 
     def boundary_values(self, t, r, Q):
         return self._circle(t, r, Q)
@@ -388,7 +345,7 @@ class NumericChain:
     def series_at(self, t, order):
         """Circle-sampled Fourier fit of f_t (least squares on the circle).
 
-        The 1/fit_radius^k amplification makes high modes meaningless, so
+        The 1/0.4^k amplification makes high modes meaningless, so
         the fitted order is capped; use eval_at for pointwise values.
         """
         t, r, Q = self._fit_circle(t, order)
@@ -408,7 +365,7 @@ class NumericChain:
         stencils need come from one integration.
         """
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-        dt = self.dt_fd
+        dt = 0.01
         plan = []
         for ti, ri in zip(t.ravel().tolist(), r.ravel().tolist()):
             # shift the stencil, not the scheme, near the horizon edges
@@ -448,8 +405,6 @@ def make_chain(name):
         return KoebeChain()
     if name == "identity":
         return TrivialChain()
-    if name.startswith("const:"):
-        return NumericChain(DrivingFunction.constant(complex(name.split(":", 1)[1])))
     raise ChainUnavailable(f"no chain construction for {name!r}")
 
 
@@ -510,7 +465,7 @@ def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def lipschitz_bound_check(chain, z, s, t, tolerance=1e-12):
+def lipschitz_bound_check(chain, z, s, t):
     """Time-regularity bounds for the chain and its transition functions.
 
     Chain bound:      |f(z,t) - f(z,s)|     <= 8|z| (e^t - e^s)/(1-|z|)^4
@@ -523,7 +478,7 @@ def lipschitz_bound_check(chain, z, s, t, tolerance=1e-12):
         raise ParamOutOfRange("need 0 <= s <= t")
     if abs(z) > 0.9:
         raise ParamOutOfRange("|z| <= 0.9 for the bound checks")
-    rep = BoundReport("lipschitz", tolerance)
+    rep = BoundReport("lipschitz", 1e-12)
     az = abs(z)
     fs = chain.eval_at(z, s)
     ft = chain.eval_at(z, t)

@@ -246,16 +246,3 @@ def evaluate(a, z, r_max=None):
 def evaluate_many(a, zs):
     """Vectorized Horner evaluation (no radius guard)."""
     return np.polyval(a.coeffs[::-1], np.asarray(zs, dtype=complex))
-
-
-# -- JSON wire format ------------------------------------------------------
-
-def to_json_dict(a):
-    return {"order": a.order, "coeffs": [[float(c.real), float(c.imag)] for c in a.coeffs]}
-
-
-def from_json_dict(d):
-    coeffs = [complex(re, im) for re, im in d["coeffs"]]
-    if len(coeffs) != d["order"] + 1:
-        raise ValueError("coefficient count does not match order")
-    return PowerSeries(coeffs)

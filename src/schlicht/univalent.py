@@ -27,7 +27,6 @@ class ClassSFunction:
     """A truncated series with the class-S normalization f(0)=0, f'(0)=1."""
 
     series: PowerSeries
-    label: str = ""
 
     def __post_init__(self):
         c = self.series.coeffs
@@ -60,30 +59,24 @@ class SigmaFunction:
             return self.b0
         return self.tail[n - 1] if n - 1 < len(self.tail) else 0.0
 
-    def eval(self, z):
-        acc = z + self.b0
-        for n, b in enumerate(self.tail, start=1):
-            acc += b * z ** (-n)
-        return acc
-
 
 def koebe(order):
     """z/(1-z)^2 truncated: coefficient n at degree n."""
     if order < 1:
         raise ParamOutOfRange("order must be >= 1")
     c = np.arange(order + 1, dtype=complex)
-    return ClassSFunction(PowerSeries(c), label="koebe")
+    return ClassSFunction(PowerSeries(c))
 
 
 def identity_map(order):
-    return ClassSFunction(PowerSeries.identity(order), label="identity")
+    return ClassSFunction(PowerSeries.identity(order))
 
 
 # -- elementary transformations ------------------------------------------
 
 def conjugation(f):
     """conj(f(conj(z))): conjugates every coefficient."""
-    return ClassSFunction(f.series.conjugate(), label=f"conj({f.label})")
+    return ClassSFunction(f.series.conjugate())
 
 
 def rotation(f, theta):
@@ -92,7 +85,7 @@ def rotation(f, theta):
     phase = np.exp(1j * theta * (n - 1))
     c = f.coeffs * phase
     c[0] = 0.0
-    return ClassSFunction(PowerSeries(c), label=f"rot({f.label},{theta:g})")
+    return ClassSFunction(PowerSeries(c))
 
 
 def dilation(f, r):
@@ -102,7 +95,7 @@ def dilation(f, r):
     n = np.arange(f.order + 1)
     c = f.coeffs * r ** (n - 1.0)
     c[0] = 0.0
-    return ClassSFunction(PowerSeries(c), label=f"dil({f.label},{r:g})")
+    return ClassSFunction(PowerSeries(c))
 
 
 def _taylor_shift(coeffs, a):
@@ -126,7 +119,7 @@ def disk_automorphism(f, a):
         raise ParamOutOfRange(f"need |a| < 1, got |a| = {abs(a)}")
     n = f.order
     if a == 0:
-        return ClassSFunction(f.series, label=f"aut({f.label},0)")
+        return f
     shifted = _taylor_shift(f.coeffs, a)
     # (z+a)/(1+conj(a)z) - a = (1-|a|^2) z / (1 + conj(a) z)
     m = np.zeros(n + 1, dtype=complex)
@@ -139,22 +132,7 @@ def disk_automorphism(f, a):
         (1.0 - abs(a) ** 2) * fpa
     )
     c[0] = 0.0
-    return ClassSFunction(PowerSeries(c), label=f"aut({f.label},{complex(a)})")
-
-
-def transform(f, kind, **params):
-    """Dispatch over the elementary transformations by name."""
-    table = {
-        "conjugation": conjugation,
-        "rotation": rotation,
-        "dilation": dilation,
-        "disk_automorphism": disk_automorphism,
-    }
-    try:
-        op = table[kind]
-    except KeyError:
-        raise ParamOutOfRange(f"unknown transform {kind!r}") from None
-    return op(f, **params)
+    return ClassSFunction(PowerSeries(c))
 
 
 # -- inversion to class Sigma and the odd transform ------------------------
@@ -184,7 +162,7 @@ def from_sigma(g, order):
         R[2 : 2 + m] = g.tail[:m]
     F = ps.div(PowerSeries.one(order - 1), PowerSeries(R))
     c = np.concatenate(([0.0], F.coeffs))
-    return ClassSFunction(PowerSeries(c), label="from_sigma")
+    return ClassSFunction(PowerSeries(c))
 
 
 def odd_sqrt_transform(f):
@@ -200,7 +178,7 @@ def odd_sqrt_transform(f):
     for j in range(G.order + 1):
         if 2 * j + 1 <= n:
             h[2 * j + 1] = G[j]
-    return ClassSFunction(PowerSeries(h), label=f"odd({f.label})")
+    return ClassSFunction(PowerSeries(h))
 
 
 # -- named-function registry for the CLI -----------------------------------
@@ -209,20 +187,23 @@ def from_registry(name, order):
     """Build a test subject from its registry name.
 
     Accepted: "koebe", "identity", "koebe-rot:<theta>", "coeffs:<json>".
+    A malformed payload raises what an unknown name raises.
     """
     if name == "koebe":
         return koebe(order)
     if name == "identity":
         return identity_map(order)
-    if name.startswith("koebe-rot:"):
-        theta = float(name.split(":", 1)[1])
-        return rotation(koebe(order), theta)
-    if name.startswith("coeffs:"):
-        data = json.loads(name.split(":", 1)[1])
-        coeffs = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in data]
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [0.0] * (order + 1 - len(coeffs))
-        return ClassSFunction(PowerSeries(coeffs[: order + 1]), label="coeffs")
+    try:
+        if name.startswith("koebe-rot:"):
+            return rotation(koebe(order), float(name.split(":", 1)[1]))
+        if name.startswith("coeffs:"):
+            data = json.loads(name.split(":", 1)[1])
+            coeffs = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in data]
+            if len(coeffs) < order + 1:
+                coeffs = coeffs + [0.0] * (order + 1 - len(coeffs))
+            return ClassSFunction(PowerSeries(coeffs[: order + 1]))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ParamOutOfRange(f"malformed function {name!r}: {exc}") from None
     raise ParamOutOfRange(f"unknown function name {name!r}")
 
 

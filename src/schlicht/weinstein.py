@@ -150,11 +150,13 @@ def lambda_fourier(t, N, max_k=None):
 
     U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come from one pass of
     the three-term recurrence U_{m+1} = 2x U_m - U_{m-1} on the phi grid;
-    entry (k, n) is the mean of U_n cos(k phi).
+    entry (k, n) is the mean of U_n cos(k phi).  Rows beyond N vanish, as
+    in lambda_rows, and are not computed.
     """
     max_k = _table_shape(N, max_k)
+    kmax = min(max_k, N)
     Q = 1024
-    if Q < 2 * (N + max_k) + 2:
+    if Q < 2 * (N + kmax) + 2:
         raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
     phi = 2.0 * np.pi * np.arange(Q) / Q
     x = cos_delta(t, phi)
@@ -162,8 +164,8 @@ def lambda_fourier(t, N, max_k=None):
     U[0] = 1.0
     for m in range(1, N + 1):
         U[m] = 2.0 * x * U[m - 1] - U[m - 2]
-    out = np.empty((max_k + 1, N + 1))
-    for k in range(max_k + 1):
+    out = np.zeros((max_k + 1, N + 1))
+    for k in range(kmax + 1):
         out[k] = np.mean(U[: N + 1] * np.cos(k * phi), axis=1)
     return out
 
@@ -221,16 +223,15 @@ def oracle_triangle(t_values, n_max):
 
 # -- the order-of-summation identity ----------------------------------------
 
-def milin_generating_identity(f, N, z_samples, tolerance=1e-10):
+def milin_generating_identity(f, N, z_samples):
     """Both sides of the summation-order identity, evaluated at samples.
 
     Left: sum_n [sum_{k<=n} (4/k - k|c_k(0)|^2)(n-k+1)] z^{n+1};
     right: z/(1-z)^2 times sum_k (4/k - k|c_k(0)|^2) z^k.  Truncated at
     degree N+1 on both sides; sample points must satisfy |z| <= 0.5.
     """
-    logc = fn.log_coefficients(f, N)
     kk = np.arange(1, N + 1)
-    ck = 2.0 * np.asarray(logc.gamma[:N])
+    ck = 2.0 * fn.log_coefficients(f, N)[:N]
     weights = 4.0 / kk - kk * np.abs(ck) ** 2
     lhs_coeffs = np.zeros(N + 2, dtype=complex)
     for n in range(1, N + 1):
@@ -241,14 +242,14 @@ def milin_generating_identity(f, N, z_samples, tolerance=1e-10):
     wser = np.zeros(N + 2, dtype=complex)
     wser[1 : N + 1] = weights
     rhs = kser * PowerSeries(wser)
-    rep = BoundReport("generating-identity", tolerance)
+    rep = BoundReport("generating-identity", 1e-10)
     # identical through degree N+1, so the tail bound is only the roundoff floor
     scale = max(float(np.max(np.abs(lhs_coeffs))), 1.0)
     for z in z_samples:
         if abs(z) > 0.5:
             raise RadiusExceeded("sample points must satisfy |z| <= 0.5")
         dv = abs(ps.evaluate(lhs, z) - ps.evaluate(rhs, z))
-        rep.add(f"z={z}", dv, tolerance * scale)
+        rep.add(f"z={z}", dv, rep.tolerance * scale)
     rep.meta["coeff_scale"] = scale
     return rep
 

@@ -1,19 +1,42 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
-from schlicht import cli
+from schlicht import cli, suites
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "schlicht.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
+    """Run the CLI in this process, with the exit code a CLI process would give.
+
+    Any exception other than SystemExit propagates and fails the test: a
+    process would print a traceback and exit 1.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(args))
+        except SystemExit as exc:  # argparse rejected the argv
+            rc = exc.code
+    return SimpleNamespace(returncode=rc, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def test_module_entry_point_in_a_process():
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "schlicht.cli", *args], capture_output=True, text=True
+        )
+
+    proc = run("table", "--kind", "legendre", "--n", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("degree,x^0,x^1,x^2\n")
+    proc = run("verify", "--suite", "milin", "--n", "3", "--function", "koebe-rot:abc")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric error: ") and "Traceback" not in proc.stderr
 
 
 def test_verify_pass_exit_zero(tmp_path):
@@ -117,6 +140,36 @@ def test_every_flag_is_read():
             and f"args.{action.dest}" not in source
         ]
     assert unread == []
+
+
+def test_suites_take_only_seed_and_quick():
+    # run_suite passes nothing else, so any other parameter is a knob no caller sets
+    for name, fnc in suites.SUITES.items():
+        assert set(inspect.signature(fnc).parameters) <= {"seed", "quick"}, name
+
+
+def test_malformed_text_exits_without_traceback():
+    trace = ("loewner", "trace", "--out", "-")
+    for code, argv in (
+        (2, trace + ("--grid", "polar:ax3")),
+        (2, trace + ("--grid", "polar:3")),
+        (2, trace + ("--grid", "points:bad")),
+        (2, trace + ("--grid", "points:[[1]]")),
+        (2, trace + ("--kappa", "const:abc")),
+        (2, trace + ("--kappa", "steps:oops")),
+        (2, trace + ("--kappa", "steps:[[0]]")),
+        (2, trace + ("--step", "0")),
+        (2, trace + ("--step", "nan")),
+        (2, trace + ("--step", "-0.001")),
+        (2, trace + ("--T", "nan")),
+        (2, trace + ("--T", "inf")),
+        (2, trace + ("--T", "-1")),
+        (3, ("verify", "--suite", "milin", "--n", "3", "--function", "koebe-rot:abc")),
+        (3, ("table", "--kind", "coefficients", "--function", "coeffs:[0,1")),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == code, argv
+        assert "Traceback" not in proc.stderr, argv
 
 
 def test_verify_n_zero_is_usage_error():
@@ -317,6 +370,14 @@ def test_verify_focus_weinstein():
     cases = {c["id"]: c for c in data["suites"][0]["cases"]}
     assert cases["oracle-discrepancy"]["lhs"] < 1e-8
     assert cases["min-lambda"]["pass"]
+
+
+def test_weinstein_lambda_row_beyond_n_passes():
+    # row k > N of every route is identically zero, so no oracle grid limits k
+    proc = run_cli("weinstein", "lambda", "--t", "0.5", "--k", "600", "--N", "5")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["values"] == data["fourier"] == data["legendre"] == [0.0] * 6
 
 
 def test_weinstein_lambda_oracle_gaps():

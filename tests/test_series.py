@@ -140,12 +140,6 @@ def test_eval_constant_and_radius_guard():
         ps.evaluate(a, 1.5, r_max=0.99)
 
 
-def test_json_roundtrip():
-    a = PowerSeries([1, 2 + 3j, -0.5])
-    b = ps.from_json_dict(ps.to_json_dict(a))
-    assert a.isclose(b, tol=0)
-
-
 coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 

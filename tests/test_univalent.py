@@ -77,13 +77,6 @@ def test_disk_automorphism_param_guard():
         uv.disk_automorphism(uv.koebe(4), 1.2)
 
 
-def test_transform_dispatch():
-    f = uv.transform(uv.koebe(6), "rotation", theta=0.3)
-    assert abs(f.coeffs[1] - 1.0) < 1e-12
-    with pytest.raises(ParamOutOfRange):
-        uv.transform(uv.koebe(4), "squaring")
-
-
 def test_to_sigma_koebe():
     # 1/k(1/z) = z(1 - 1/z)^2 = z - 2 + 1/z
     g = uv.to_sigma(uv.koebe(10))
@@ -141,14 +134,15 @@ def test_odd_sqrt_square_back():
 
 
 def test_registry():
-    assert uv.from_registry("koebe", 5).label == "koebe"
+    assert uv.from_registry("koebe", 5).coeffs[5] == 5
     assert uv.from_registry("identity", 5).coeffs[1] == 1
     rot = uv.from_registry("koebe-rot:3.14159", 5)
     assert abs(abs(rot.coeffs[2]) - 2.0) < 1e-12
     lit = uv.from_registry('coeffs:[[0,0],[1,0],[0.5,0.25]]', 2)
     assert lit.coeffs[2] == 0.5 + 0.25j
-    with pytest.raises(ParamOutOfRange):
-        uv.from_registry("unknown", 5)
+    for name in ("unknown", "koebe-rot:abc", "koebe-rot:nan", "coeffs:[0,1", "coeffs:[[1]]"):
+        with pytest.raises(ParamOutOfRange):
+            uv.from_registry(name, 5)
 
 
 def test_random_class_s_normalized():

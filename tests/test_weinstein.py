@@ -89,7 +89,7 @@ def test_generating_identity_radius_guard():
 
 def test_guards_raise_taxonomy_errors():
     with pytest.raises(QuadratureUnderresolved):
-        ws.lambda_fourier(0.5, 4, max_k=600)
+        ws.lambda_fourier(0.5, 600)
     with pytest.raises(ParamOutOfRange):
         ws.cos_delta(-1.0, np.array([np.pi]))
     with pytest.raises(ImaginaryResidue):
@@ -257,7 +257,7 @@ def test_routes_return_the_lambda_rows_table():
         assert sv.shape == fv.shape == lv.shape == (14, 11)
         assert np.max(np.abs(sv - fv)) < 1e-12
         assert np.max(np.abs(sv - lv)) < 1e-12
-        assert np.all(lv[11:] == 0.0) and ms >= 0.0
+        assert np.all(lv[11:] == 0.0) and np.all(fv[11:] == 0.0) and ms >= 0.0
     assert ws.lambda_fourier(0.7, 6, max_k=2).shape == (3, 7)
     assert ws.lambda_legendre_route(0.7, 6, max_k=2)[0].shape == (3, 7)
 
