@@ -91,15 +91,15 @@ def cmd_verify(args):
     if args.n is None:
         if args.function is not None or args.t is not None:
             raise UsageError("--function and --t need --n (single-case mode)")
-        reports = suites.run_suite(args.suite, seed=args.seed, quick=args.quick)
+        reports = suites.run_suite(args.suite, seed=args.seed)
     elif args.suite not in FOCUS_SUITES:
         raise UsageError(
             f"--n needs a suite with a single-case report: {', '.join(FOCUS_SUITES)}"
         )
     elif args.t is not None and args.suite != "weinstein":
         raise UsageError("--t needs --suite weinstein")
-    elif args.quick:
-        raise UsageError("--quick applies to suite runs, not to the single-case report (--n)")
+    elif args.function is not None and args.suite == "weinstein":
+        raise UsageError("--function does not apply to --suite weinstein")
     else:
         name = "koebe" if args.function is None else args.function
         t = 0.5 if args.t is None else args.t
@@ -290,7 +290,6 @@ def build_parser():
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default="-")
     pv.add_argument("--format", choices=["json", "csv"], default="json")
-    pv.add_argument("--quick", action="store_true", help="smaller grids, same checks")
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="emit a data table")

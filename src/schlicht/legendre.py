@@ -172,18 +172,18 @@ def generating_closed_form(x, t):
     return 1.0 / math.sqrt(1.0 - 2.0 * x * t + t * t)
 
 
-def schlafli_coeff(n, z, Q=512):
+def schlafli_coeff(n, z):
     """P_n(z) from the contour integral of (xi^2-1)^n / (2^n (xi-z)^{n+1}).
 
-    Trapezoid on the unit circle |xi - z| = 1; exact for Q > 2n up to
-    roundoff, computed in extended precision to keep the 2^-n cancellation
-    harmless.  Raises QuadratureUnderresolved when the result strays from
-    the exact-coefficient evaluation by more than 1e-6.
+    512-point trapezoid on the unit circle |xi - z| = 1; exact for n < 256
+    up to roundoff, computed in extended precision to keep the 2^-n
+    cancellation harmless.  Raises QuadratureUnderresolved when the result
+    strays from the exact-coefficient evaluation by more than 1e-6.
     """
-    if Q <= 2 * n:
-        raise QuadratureUnderresolved(f"Q = {Q} too small for degree {n}")
+    if n >= 256:
+        raise QuadratureUnderresolved(f"512 nodes are too few for degree {n}")
     z = complex(z)
-    phi = (2.0 * np.pi * np.arange(Q) / Q).astype(np.longdouble)
+    phi = (2.0 * np.pi * np.arange(512) / 512).astype(np.longdouble)
     ring = np.cos(phi) + 1j * np.sin(phi)
     xi = np.clongdouble(z) + ring
     ring_n = np.cos(n * phi) + 1j * np.sin(n * phi)

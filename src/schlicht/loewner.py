@@ -12,7 +12,8 @@ Three chain representations share one interface:
 Time-infinity statements are never extrapolated.  Where the time
 dependence is polynomial in e^{-t}, as for the kernel coefficients on the
 closed-form chains, the t -> infinity integral is taken exactly by a change
-of variable (see weinstein); numeric chains live on a finite horizon T.
+of variable (see weinstein); numeric chains take it from a quantity that
+the flow conserves after the last break of the driving.
 """
 
 from __future__ import annotations
@@ -264,8 +265,10 @@ class TrivialChain:
 class NumericChain:
     """Chain reconstructed from Loewner trajectories under a driving kappa.
 
-    f_t(z) is approximated by e^T w(T; z, t) where w(.; z, t) solves the
-    Loewner equation from state z at time t and T is the chain horizon.
+    f_t(z) = lim e^s w(s; z, t) as s -> infinity, where w(.; z, t) solves
+    the Loewner equation from state z at time t.  From T0, the last break of
+    kappa rounded up to the step grid, the flow conserves
+    e^s w/(1 + kappa w)^2 and w -> 0, so f_t(z) is that at s = max(t, T0).
     Boundary data comes from circle grids of trajectories; z-derivatives
     are spectral (differentiate the circle Fourier series), t-derivatives
     are central differences with spacing 0.01.  Series fits use the circle
@@ -274,42 +277,42 @@ class NumericChain:
 
     label = "numeric"
 
-    def __init__(self, kappa, T, h):
+    def __init__(self, kappa, h):
         self.kappa = kappa
-        self.T = float(T)
         self.h = float(h)
+        # every step from T0 on samples the last driving value
+        self.T0 = math.ceil(kappa.times[-1] / self.h - 1e-9) * self.h
         self._circle_cache = {}
 
     def _snap(self, t):
         return round(t / self.h) * self.h
 
     def _flow_from(self, z0, t0):
-        """e^T w(T; z0, t0) for an array of start states.
+        """f_t(z0) for an array of start states z0 at times t0.
 
-        t0 is one start time or one per state.  All states share one
-        integration: those with the earliest start are advanced alone to the
-        next start time, where the states starting there join, and so on up
-        to T.  RK4 acts on each state by itself, so every trajectory is the
-        one a solve from its own start would give, bit for bit, while the
-        step count is that of the earliest start alone.
+        t0 is one start time or one per state.  The states that start
+        before T0 share one integration up to T0: those with the earliest
+        start are advanced alone to the next start time, where the states
+        starting there join, and so on.  RK4 acts on each state by itself,
+        so every value is the one a solve from its own start would give,
+        bit for bit, while the step count is that of the earliest start.
         """
         z0 = np.asarray(z0, dtype=complex).ravel()
         t0 = np.array([self._snap(t) for t in np.broadcast_to(t0, z0.shape)])
-        starts, counts = np.unique(t0, return_counts=True)
-        for t in starts:
-            if not 0 <= t <= self.T:
-                raise ChainUnavailable(f"t = {t} outside the chain horizon [0, {self.T}]")
+        if np.any(t0 < 0):
+            raise ChainUnavailable(f"t = {t0.min()} is before the chain starts at t = 0")
+        starts, counts = np.unique(t0[t0 < self.T0], return_counts=True)
         order = np.argsort(t0, kind="stable")
-        joining = np.split(order, np.cumsum(counts)[:-1])
+        joining = np.split(order, np.cumsum(counts))  # the last part starts at T0 or later
         y = z0[:0]
-        for begin, end, idx in zip(starts, [*starts[1:], self.T], joining):
+        for begin, end, idx in zip(starts, [*starts[1:], self.T0], joining):
             y = np.concatenate([y, z0[idx]])
-            ev = loewner_solve(self.kappa, y, end, self.h, store_stride=max(
-                int(round((end - begin) / self.h)), 1), t0=begin)
+            ev = loewner_solve(self.kappa, y, end, self.h, store_stride=int(
+                round((end - begin) / self.h)), t0=begin)
             y = ev.states[-1]
-        out = np.empty_like(z0)
-        out[order] = math.exp(self.T) * y
-        return out
+        w = z0.copy()
+        w[order[: y.size]] = y
+        return np.exp(np.maximum(t0, self.T0)) * w / (1.0 + self.kappa.values[-1] * w) ** 2
 
     def _circles(self, specs):
         """Flow values and points on each (t, r, Q) circle of specs.
@@ -368,8 +371,8 @@ class NumericChain:
         dt = 0.01
         plan = []
         for ti, ri in zip(t.ravel().tolist(), r.ravel().tolist()):
-            # shift the stencil, not the scheme, near the horizon edges
-            ti = min(max(self._snap(ti), dt), self.T - dt)
+            # shift the stencil, not the scheme, near t = 0
+            ti = max(self._snap(ti), dt)
             # oversample until the aliased Fourier tail (modes beyond Qe at
             # radius r) is negligible, else the spectral derivative is
             # polluted exactly where z df/dz is smallest
@@ -420,7 +423,7 @@ def herglotz_p(chain, z, t):
     raise ChainUnavailable("pointwise p needs a closed-form chain; use p_on_circle")
 
 
-def chain_log_coeffs(chain, t, N, cross_check=True, tol=1e-8):
+def chain_log_coeffs(chain, t, N, cross_check=True):
     """c_k(t) of log(f_t(z)/(e^t z)), k = 1..N.
 
     Series route: log of the chain series with the e^t z factor removed.
@@ -440,7 +443,7 @@ def chain_log_coeffs(chain, t, N, cross_check=True, tol=1e-8):
     if cross_check:
         cq = _log_coeffs_quadrature(chain, t, N, *_QUAD_CIRCLE)
         err = float(np.max(np.abs(ck - cq)))
-        if err > tol:
+        if err > 1e-8:
             raise BranchTrackingFailure(
                 f"series and quadrature log-coefficients disagree by {err:.2e}"
             )

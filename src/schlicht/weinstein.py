@@ -250,7 +250,6 @@ def milin_generating_identity(f, N, z_samples):
             raise RadiusExceeded("sample points must satisfy |z| <= 0.5")
         dv = abs(ps.evaluate(lhs, z) - ps.evaluate(rhs, z))
         rep.add(f"z={z}", dv, rep.tolerance * scale)
-    rep.meta["coeff_scale"] = scale
     return rep
 
 

@@ -147,7 +147,7 @@ def test_criterion_07_loewner():
         e = lw.loewner_solve(drv, [0.5], 2.0, h, store_stride=int(2.0 / h))
         errs.append(abs(e.states[-1, 0] - lw.koebe_transition(0.5, 2.0)))
     ok &= all(12.0 <= errs[i] / errs[i + 1] <= 20.0 for i in range(2))
-    ch = lw.NumericChain(drv, T=6.0, h=2e-3)
+    ch = lw.NumericChain(drv, h=2e-3)
     samples = 0
     for t in (0.5, 1.5):
         for r in (0.35, 0.7):

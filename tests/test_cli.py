@@ -91,17 +91,22 @@ def test_decompose_horizon_flag_is_gone():
     assert proc.returncode == 2
 
 
-def test_decompose_numeric_chain_is_numeric_error():
+def test_decompose_unregistered_function_is_numeric_error():
+    # const: names a driving, not a registry subject, so the registry refuses
+    # it before any chain is built
     proc = run_cli("weinstein", "decompose", "--function", "const:-1", "--n", "3")
     assert proc.returncode == 3
+    assert "unknown function name 'const:-1'" in proc.stderr
 
 
 def test_radius_flag_is_gone():
     # flags that never reached a check are deleted: --radius (the weinstein
     # ladder is fixed, its limit exact), the single-case --tol/--quad/--order,
-    # --config on every subcommand and the ignored table --seed
+    # --config on every subcommand, the ignored table --seed and --quick (the
+    # numeric chain's limit is exact, so the full suite is already fast)
     for argv in (
         ("verify", "--suite", "weinstein", "--radius", "0.9"),
+        ("verify", "--suite", "all", "--quick"),
         ("verify", "--suite", "milin", "--n", "3", "--tol", "0.5"),
         ("verify", "--suite", "milin", "--n", "3", "--quad", "64"),
         ("verify", "--suite", "milin", "--n", "3", "--order", "80"),
@@ -142,10 +147,11 @@ def test_every_flag_is_read():
     assert unread == []
 
 
-def test_suites_take_only_seed_and_quick():
+def test_suites_take_only_seed():
     # run_suite passes nothing else, so any other parameter is a knob no caller sets
     for name, fnc in suites.SUITES.items():
-        assert set(inspect.signature(fnc).parameters) <= {"seed", "quick"}, name
+        assert set(inspect.signature(fnc).parameters) <= {"seed"}, name
+    assert list(inspect.signature(suites.run_suite).parameters) == ["name", "seed"]
 
 
 def test_malformed_text_exits_without_traceback():
@@ -207,10 +213,12 @@ def test_verify_t_needs_weinstein_suite():
     assert "--t needs --suite weinstein" in proc.stderr
 
 
-def test_verify_quick_with_n_is_usage_error():
-    proc = run_cli("verify", "--suite", "milin", "--n", "3", "--quick")
+def test_verify_function_with_weinstein_is_usage_error():
+    # the weinstein single case checks the universal kernel; no subject enters
+    proc = run_cli("verify", "--suite", "weinstein", "--n", "5", "--function", "identity")
     assert proc.returncode == 2
-    assert "--quick" in proc.stderr and "Traceback" not in proc.stderr
+    assert "--function does not apply to --suite weinstein" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_focus_weinstein_n_40_passes():
@@ -309,7 +317,7 @@ def test_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         proc = run_cli(
-            "verify", "--suite", "weinstein", "--quick", "--seed", "42",
+            "verify", "--suite", "weinstein", "--seed", "42",
             "--out", str(path),
         )
         assert proc.returncode == 0

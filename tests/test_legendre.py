@@ -87,8 +87,9 @@ def test_schlafli_complex_argument():
 
 
 def test_schlafli_underresolved_guard():
+    # the 512-node trapezoid resolves degrees below 256 only
     with pytest.raises(QuadratureUnderresolved):
-        lg.schlafli_coeff(10, 0.5, Q=16)
+        lg.schlafli_coeff(256, 0.5)
 
 
 def test_ode_residual():

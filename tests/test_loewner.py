@@ -173,8 +173,8 @@ def test_chain_log_coeffs_match_function_route():
 
 def test_numeric_chain_matches_koebe():
     drv = lw.DrivingFunction.constant(-1.0)
-    ch = lw.NumericChain(drv, T=14.0, h=2e-3)
-    ck = lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True, tol=1e-6)
+    ch = lw.NumericChain(drv, h=2e-3)
+    ck = lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True)
     assert np.max(np.abs(ck - 2.0 / np.arange(1, 4))) < 1e-4
     pv, z1 = ch.p_on_circle(1.0, 0.6, 64)
     assert np.max(np.abs(pv - (1 - z1) / (1 + z1))) < 1e-3
@@ -182,14 +182,14 @@ def test_numeric_chain_matches_koebe():
 
 
 def test_herglotz_p_pointwise_needs_closed_form_chain():
-    ch = lw.NumericChain(lw.DrivingFunction.constant(-1.0), T=1.0, h=1e-2)
+    ch = lw.NumericChain(lw.DrivingFunction.constant(-1.0), h=1e-2)
     with pytest.raises(ChainUnavailable):
         lw.herglotz_p(ch, 0.3, 0.5)
 
 
 def test_herglotz_positivity_rotated_driving():
     drv = lw.DrivingFunction.constant(complex(math.cos(0.7), math.sin(0.7)))
-    ch = lw.NumericChain(drv, T=4.0, h=2e-3)
+    ch = lw.NumericChain(drv, h=2e-3)
     for t in (0.5, 1.5):
         for r in (0.4, 0.7):
             pv, _ = ch.p_on_circle(t, r, 32)
@@ -264,12 +264,16 @@ def test_nan_state_is_rejected():
 
 
 def _separate_circle(chain, t, r, Q):
-    # one solve per circle, from its own snapped start time to the horizon
-    t0 = chain._snap(t)
+    # one solve per circle, from its own snapped start time to T0, then the
+    # quantity the last driving value conserves
+    s = chain._snap(t)
     z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
-    nsteps = int(round((chain.T - t0) / chain.h))
-    ev = lw.loewner_solve(chain.kappa, z1, chain.T, chain.h, store_stride=nsteps, t0=t0)
-    return math.exp(chain.T) * ev.states[-1], z1
+    y = z1
+    if s < chain.T0:
+        nsteps = int(round((chain.T0 - s) / chain.h))
+        ev = lw.loewner_solve(chain.kappa, z1, chain.T0, chain.h, store_stride=nsteps, t0=s)
+        y, s = ev.states[-1], chain.T0
+    return np.exp(s) * y / (1.0 + chain.kappa.values[-1] * y) ** 2, z1
 
 
 @pytest.mark.parametrize(
@@ -283,8 +287,11 @@ def _separate_circle(chain, t, r, Q):
     ],
 )
 def test_batched_circles_match_separate_solves_bitwise(drv):
-    ch = lw.NumericChain(drv, T=2.0, h=2e-3)
-    specs = [(0.9, 0.5, 16), (0.1, 0.3, 8), (0.5, 0.7, 32), (0.1, 0.6, 8), (0.9, 0.5, 16)]
+    ch = lw.NumericChain(drv, h=2e-3)
+    specs = [
+        (0.9, 0.5, 16), (1.5, 0.4, 8), (0.1, 0.3, 8), (0.5, 0.7, 32), (0.1, 0.6, 8),
+        (0.9, 0.5, 16), (1.2, 0.5, 16),
+    ]
     got = ch._circles(specs)
     for (t, r, Q), (vals, z1) in zip(specs, got):
         want_vals, want_z1 = _separate_circle(ch, t, r, Q)
@@ -295,11 +302,11 @@ def test_batched_circles_match_separate_solves_bitwise(drv):
 def test_batched_p_on_circle_matches_scalar_calls_bitwise():
     drv = lw.DrivingFunction.constant(-1.0)
     ts, rs = np.meshgrid((0.5, 1.5), (0.35, 0.7), indexing="ij")
-    p, z = lw.NumericChain(drv, T=3.0, h=2e-3).p_on_circle(ts, rs, 32)
+    p, z = lw.NumericChain(drv, h=2e-3).p_on_circle(ts, rs, 32)
     assert p.shape == z.shape == (2, 2, 32)
     for i in range(2):
         for j in range(2):
-            ch = lw.NumericChain(drv, T=3.0, h=2e-3)
+            ch = lw.NumericChain(drv, h=2e-3)
             pij, zij = ch.p_on_circle(ts[i, j], rs[i, j], 32)
             assert pij.shape == (32,)
             assert np.array_equal(p[i, j], pij)
@@ -318,9 +325,33 @@ def test_strided_solve_row_equals_shorter_solve():
 
 def test_numeric_log_coeffs_fetch_both_circles_in_one_solve(monkeypatch):
     drv = lw.DrivingFunction.constant(-1.0)
-    ch = lw.NumericChain(drv, T=4.0, h=2e-3)
+    ch = lw.NumericChain(drv, h=2e-3)
     calls = []
     flow = ch._flow_from
     monkeypatch.setattr(ch, "_flow_from", lambda z0, t0: calls.append(len(z0)) or flow(z0, t0))
-    lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True, tol=1e-4)
+    lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True)
     assert calls == [64 + 256]
+
+
+def test_numeric_chain_after_last_break_is_closed_form():
+    # constant driving -1 regenerates the koebe chain, f_t = e^t k(z), with
+    # no horizon: the conserved quantity gives the t -> infinity limit
+    ch = lw.NumericChain(lw.DrivingFunction.constant(-1.0), h=2e-3)
+    vals, z1 = ch._circle(1.5, 0.7, 64)
+    want = math.exp(1.5) * lw.koebe_map(z1)
+    assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-12
+
+
+def test_numeric_chain_before_last_break_matches_a_long_solve():
+    # RK4 to the last break, then the exact tail, against e^S w(S) from one
+    # solve to S = t + 20, whose own horizon error is ~e^-20
+    drv = lw.DrivingFunction.sampled(
+        [0.0, 0.3001, 0.7003, 1.1005], [1j, -1.0, complex(math.cos(2), math.sin(2)), 1.0]
+    )
+    ch = lw.NumericChain(drv, h=2e-3)
+    for t in (0.0, 0.5, 1.0):
+        vals, z1 = ch._circle(t, 0.6, 16)
+        S = t + 20.0
+        ev = lw.loewner_solve(drv, z1, S, 2e-3, store_stride=10000, t0=t)
+        want = math.exp(S) * ev.states[-1]
+        assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-6
