@@ -196,18 +196,14 @@ def cmd_loewner_trace(args):
     while nsteps % stride:
         stride -= 1
     ev = lw.loewner_solve(kappa, grid, args.T, args.step, store_stride=stride)
-    rows = []
-    scaled = ev.scaled
-    for it, t in enumerate(ev.times):
-        for iz, z in enumerate(ev.z_grid):
-            f = complex(ev.states[it, iz])
-            ef = complex(scaled[it, iz])
-            z = complex(z)
-            rows.append(
-                [repr(float(t)), repr(z.real), repr(z.imag), repr(f.real),
-                 repr(f.imag), repr(ef.real), repr(ef.imag)]
-            )
-    text = _csv_text(rows, header=["t", "z_re", "z_im", "f_re", "f_im", "etf_re", "etf_im"])
+    # one CSV line per (t, z), built column-wise: repr of every float, and
+    # no field ever needs quoting
+    z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
+    lines = ["t,z_re,z_im,f_re,f_im,etf_re,etf_im"]
+    for t, f, ef in zip(ev.times.tolist(), ev.states, ev.scaled):
+        cols = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
+        lines.extend(map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols)))
+    text = "\n".join(lines) + "\n"
     _write_text(args.out, text)
     return 0
 

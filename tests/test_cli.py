@@ -1,11 +1,14 @@
 import argparse
 import contextlib
+import csv
 import inspect
 import io
 import json
 import subprocess
 import sys
 from types import SimpleNamespace
+
+import pytest
 
 from schlicht import cli, suites
 
@@ -361,6 +364,54 @@ def test_trace_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,z_re,z_im,f_re,f_im,etf_re,etf_im"
     assert len(lines) == 1 + 5 * 8  # 5 stored times, 8 grid points
+
+
+def _trace_csv_oracle(ev):
+    """The trace CSV as the per-element csv.writer + repr loop wrote it."""
+    rows = []
+    scaled = ev.scaled
+    for it, t in enumerate(ev.times):
+        for iz, z in enumerate(ev.z_grid):
+            f = complex(ev.states[it, iz])
+            ef = complex(scaled[it, iz])
+            z = complex(z)
+            rows.append(
+                [repr(float(t)), repr(z.real), repr(z.imag), repr(f.real),
+                 repr(f.imag), repr(ef.real), repr(ef.imag)]
+            )
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", "z_re", "z_im", "f_re", "f_im", "etf_re", "etf_im"])
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "kappa, grid",
+    [
+        ("const:(0.6+0.8j)", "polar:3x5"),
+        ("steps:[[0,[1,0]],[0.3,[0,1]],[0.55,[-1,0]],[0.8,[0.6,-0.8]]]", "polar:2x3"),
+        ("const:-1", "points:[[0,0],[-0.0,0],[0.2,-0.0],[-0.0,-0.3],[0.3,-0.4]]"),
+    ],
+    ids=["const-polar", "steps", "points-signed-zeros"],
+)
+def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, grid):
+    solve, solves = cli.lw.loewner_solve, []
+
+    def recording_solve(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(cli.lw, "loewner_solve", recording_solve)
+    argv = ("loewner", "trace", "--kappa", kappa, "--grid", grid,
+            "--T", "1", "--step", "1e-2", "--samples", "4")
+    out = tmp_path / "trace.csv"
+    assert run_cli(*argv, "--out", str(out)).returncode == 0
+    proc = run_cli(*argv, "--out", "-")
+    assert proc.returncode == 0
+    expected = _trace_csv_oracle(solves[0]).encode()
+    assert out.read_bytes() == expected
+    assert proc.stdout.encode() == expected
 
 
 def test_verify_focus_milin_identity():

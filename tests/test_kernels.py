@@ -44,18 +44,41 @@ def test_backend_guards():
         _kernels.rk4_loewner(np.array([0.999999 + 0j]), np.full(50, 1.0 + 0j), 1e-2, 50, False)
 
 
-@pytest.mark.parametrize("with_deriv", [False, True])
-def test_rk4_matches_textbook_stages_bitwise(with_deriv):
+def _bits(a):
+    # np.array_equal counts -0.0 equal to 0.0; bit patterns do not
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _bitwise_cases():
     rng = np.random.default_rng(11)
     z0 = rng.uniform(0.0, 0.9, 5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 5))
-    kappa = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 120))
-    traj, dtraj = _kernels.rk4_loewner(z0, kappa, 1e-2, 1, with_deriv)
-    ref, dref = _rk4_reference(z0, kappa, 1e-2, with_deriv)
-    assert np.array_equal(traj, ref)
-    if with_deriv:
-        assert np.array_equal(dtraj, dref)
-    else:
-        assert dtraj is None
+    yield "random", z0, np.exp(1j * rng.uniform(0.0, 2 * np.pi, 120)), 1
+    # exact zeros of either sign, alone and beside nonzero components
+    zeros = np.array([
+        0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+        complex(0.2, -0.0), complex(-0.3, 0.0), complex(-0.0, 0.4), complex(0.0, -0.5),
+    ])
+    for kap in (1, -1, 1j, complex(1, -0.0)):
+        yield f"zeros-kappa-{kap}", zeros, np.full(40, kap, dtype=complex), 1
+    # a wide grid under stepped kappa, stored every 25 steps: a stored row
+    # that aliases the state updated in place would read as the last state
+    grid = rng.uniform(0.0, 0.9, 512) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 512))
+    pieces = np.exp(1j * np.array([0.3, 2.0, -1.1, np.pi]))
+    yield "stepped-512", grid, np.repeat(pieces, [30, 45, 60, 65]), 25
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_rk4_matches_textbook_stages_bitwise(with_deriv):
+    for name, z0, kappa, stride in _bitwise_cases():
+        start = z0.copy()
+        traj, dtraj = _kernels.rk4_loewner(z0, kappa, 1e-2, stride, with_deriv)
+        ref, dref = _rk4_reference(z0, kappa, 1e-2, with_deriv)
+        assert np.array_equal(_bits(traj), _bits(ref[::stride])), name
+        assert np.array_equal(_bits(z0), _bits(start)), name  # the start is not updated in place
+        if with_deriv:
+            assert np.array_equal(_bits(dtraj), _bits(dref[::stride])), name
+        else:
+            assert dtraj is None
 
 
 def test_rk4_stride_keeps_every_stored_state():
