@@ -1,9 +1,13 @@
-"""Legendre polynomials and associated functions with exact coefficients.
+"""Legendre polynomials and associated functions.
 
-Construction is Bonnet's three-term recurrence in exact rationals, with
-the Rodrigues formula (n-fold symbolic differentiation of (x^2-1)^n) kept
-as an independent route; the two must agree exactly.  Evaluation converts
-to double at the last step.
+Coefficients are exact rationals from Bonnet's three-term recurrence, with
+the Rodrigues formula (n-fold symbolic differentiation of (x^2-1)^n) and
+the explicit alternating sum kept as independent routes; the three must
+agree exactly.  Exact rationals serve exact statements only: these
+coefficients, their table and the ODE residual.  Every floating-point
+value comes from one recurrence in the degree (`_seminormalized_rows`),
+accurate to roundoff at every degree up to MAX_DEGREE, where double
+evaluation of the monomial coefficients loses every digit by degree 50.
 
 Convention: associated functions carry the Condon-Shortley phase, i.e.
 P_n^m(x) = (-1)^m (1-x^2)^{m/2} d^m/dx^m P_n(x), and negative orders come
@@ -24,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeTooLarge, OrderOutOfRange, QuadratureUnderresolved
+from .errors import DegreeTooLarge, OrderOutOfRange, ParamOutOfRange, QuadratureUnderresolved
 
 MAX_DEGREE = 64
 
@@ -35,7 +39,51 @@ class LegendrePoly:
     coeffs: tuple  # exact Fractions, degree 0..n
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, _float_coeffs(self.degree, 0))
+        return _last_column(self.degree, x, 0)
+
+
+def _seminormalized_rows(N, x, kmax):
+    """Yield the rows S_n^0..S_n^kmax at x (any shape) for n = 0..N.
+
+    S_n^0 = P_n and S_n^k = (-1)^k sqrt(2 (n-k)!/(n+k)!) P_n^k for k >= 1,
+    the semi-normalized functions whose squares are the equal-angle weights.
+    Row n has shape x.shape + (kmax+1,) with zeros at k > n; only the last
+    two rows are kept.  With c = x and s = sqrt(1 - x^2),
+
+        sqrt(n^2 - k^2) S_n^k = (2n-1) c S_{n-1}^k - sqrt((n-1)^2 - k^2) S_{n-2}^k
+
+    from S_0^0 = 1, S_1^1 = s and S_n^n = S_{n-1}^{n-1} s sqrt((2n-1)/2n).
+    At k = 0 the square roots are exact and this is Bonnet's recurrence, valid
+    for any real x; s is taken only when kmax >= 1, which needs |x| <= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    c = x[..., None]
+    if kmax >= 1:
+        if not np.all(np.abs(x) <= 1.0):
+            raise ParamOutOfRange("associated functions need |x| <= 1")
+        s = np.sqrt(1.0 - x * x)
+    older = np.zeros(x.shape + (kmax + 1,))  # S_{-1}
+    row = np.zeros_like(older)
+    row[..., 0] = 1.0
+    yield row
+    for n in range(1, N + 1):
+        new = np.zeros_like(row)
+        j = min(n, kmax + 1)
+        k = np.arange(j)
+        new[..., :j] = (2 * n - 1) * c * row[..., :j]
+        new[..., :j] -= np.sqrt((n - 1) ** 2 - k**2) * older[..., :j]
+        new[..., :j] /= np.sqrt(n * n - k**2)
+        if n <= kmax:
+            new[..., n] = s if n == 1 else row[..., n - 1] * s * math.sqrt((2 * n - 1) / (2 * n))
+        older, row = row, new
+        yield row
+
+
+def _last_column(n, x, k):
+    """S_n^k(x), the entry k of the last row."""
+    for row in _seminormalized_rows(n, x, k):
+        pass
+    return row[..., k]
 
 
 @lru_cache(maxsize=None)
@@ -92,41 +140,17 @@ def legendre_value(n, x):
     return float(legendre_poly(n)(float(x)))
 
 
-@lru_cache(maxsize=None)
-def _deriv_poly(n, m):
-    # d^m/dx^m P_n as exact coefficients
-    c = _recurrence_coeffs(n)
-    for _ in range(m):
-        c = tuple(Fraction(i) * c[i] for i in range(1, len(c)))
-        if not c:
-            c = (Fraction(0),)
-    return c
-
-
-@lru_cache(maxsize=None)
-def _float_coeffs(n, m, dtype=float):
-    """Coefficients of d^m/dx^m P_n rounded once to dtype (read-only)."""
-    if dtype is float:
-        c = np.array([float(q) for q in _deriv_poly(n, m)])
-    else:
-        c = np.array([dtype(q.numerator) / dtype(q.denominator) for q in _deriv_poly(n, m)])
-    c.flags.writeable = False
-    return c
-
-
 def assoc_legendre(n, m, x):
-    """Associated function P_n^m(x) for |x| <= 1, any |m| <= n."""
+    """Associated function P_n^m(x), any |m| <= n; m != 0 needs |x| <= 1."""
     if abs(m) > n:
         raise OrderOutOfRange(f"|m| = {abs(m)} exceeds degree {n}")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {n} outside 0..{MAX_DEGREE}")
-    if m < 0:
-        scale = (-1) ** (-m) * math.factorial(n + m) / math.factorial(n - m)
-        return scale * assoc_legendre(n, -m, x)
-    base = np.polynomial.polynomial.polyval(x, _float_coeffs(n, m))
-    if m == 0:
-        return float(base) if np.isscalar(x) else base
-    out = (-1.0) ** m * (1.0 - np.asarray(x, dtype=float) ** 2) ** (m / 2.0) * base
+    out = _last_column(n, x, abs(m))
+    if m:
+        # P_n^m = (-1)^m sqrt(r/2) S_n^m and P_n^{-m} = S_n^m / sqrt(2r), r = (n+m)!/(n-m)!
+        r = math.factorial(n + abs(m)) / math.factorial(n - abs(m))
+        out = out * ((-1) ** m * math.sqrt(r / 2) if m > 0 else 1 / math.sqrt(2 * r))
     return float(out) if np.isscalar(x) else out
 
 
@@ -149,21 +173,9 @@ def assoc_legendre_direct(n, m, x):
 
 def generating_partial_sum(x, t, N):
     """sum_{n<=N} P_n(x) t^n; tends to (1 - 2xt + t^2)^{-1/2}."""
-    acc = 0.0
-    pm1, pm2 = 1.0, 0.0
-    tn = 1.0
-    for n in range(N + 1):
-        if n == 0:
-            p = 1.0
-        elif n == 1:
-            p = x
-        else:
-            p = ((2 * n - 1) * x * pm1 - (n - 1) * pm2) / n
-        if n >= 1:
-            pm2, pm1 = pm1, p
-        else:
-            pm1 = p
-        acc += p * tn
+    acc, tn = 0.0, 1.0
+    for row in _seminormalized_rows(N, x, 0):
+        acc += row[..., 0] * tn
         tn *= t
     return acc
 
@@ -178,7 +190,7 @@ def schlafli_coeff(n, z):
     512-point trapezoid on the unit circle |xi - z| = 1; exact for n < 256
     up to roundoff, computed in extended precision to keep the 2^-n
     cancellation harmless.  Raises QuadratureUnderresolved when the result
-    strays from the exact-coefficient evaluation by more than 1e-6.
+    strays from `legendre_value` by more than 1e-6.
     """
     if n >= 256:
         raise QuadratureUnderresolved(f"512 nodes are too few for degree {n}")
@@ -199,35 +211,34 @@ def schlafli_coeff(n, z):
 
 
 def ode_residual(n, x):
-    """(1-x^2) P_n'' - 2x P_n' + n(n+1) P_n at x, from exact coefficients.
+    """(1-x^2) P_n'' - 2x P_n' + n(n+1) P_n at x, in exact arithmetic.
 
     This is the standard Legendre equation; the operator annihilates P_n.
-    Evaluated in extended precision so the cancellation between the three
-    terms stays far below the verification tolerances.
+    Its coefficient of x^j is (j+2)(j+1) a_{j+2} + (n-j)(n+j+1) a_j for
+    P_n = sum a_j x^j, evaluated at the exact rational value of x.
     """
-    xl = np.longdouble(x)
-    p, d1, d2 = (
-        np.polynomial.polynomial.polyval(xl, _float_coeffs(n, m, np.longdouble))
-        for m in (0, 1, 2)
-    )
-    return float((1.0 - xl * xl) * d2 - 2.0 * xl * d1 + n * (n + 1) * p)
+    a = legendre_poly(n).coeffs + (0, 0)
+    x = Fraction(x)
+    terms = ((j + 2) * (j + 1) * a[j + 2] + (n - j) * (n + j + 1) * a[j] for j in range(n + 1))
+    return float(sum(r * x**j for j, r in enumerate(terms)))
 
 
 def addition_theorem_residual(theta1, theta2, phi, n):
-    """|LHS - RHS| of the addition theorem at the given angles."""
-    c1, c2 = math.cos(theta1), math.cos(theta2)
-    s1, s2 = math.sin(theta1), math.sin(theta2)
-    lhs = legendre_value(n, c1 * c2 + s1 * s2 * math.cos(phi))
-    rhs = legendre_value(n, c1) * legendre_value(n, c2)
+    """|LHS - RHS| of the addition theorem, broadcast over the angles."""
+    c1, c2 = np.cos(theta1), np.cos(theta2)
+    s1, s2 = np.sin(theta1), np.sin(theta2)
+    p = legendre_poly(n)
+    lhs = p(c1 * c2 + s1 * s2 * np.cos(phi))
+    rhs = p(c1) * p(c2)
     for k in range(1, n + 1):
-        rhs += (
+        rhs = rhs + (
             2.0
             * (-1) ** k
             * assoc_legendre(n, -k, c1)
             * assoc_legendre(n, k, c2)
-            * math.cos(k * phi)
+            * np.cos(k * phi)
         )
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)
 
 
 def equal_angle_expansion(N, cos_theta):
@@ -236,24 +247,10 @@ def equal_angle_expansion(N, cos_theta):
     Row n of the returned (N+1, N+1) array holds w[0..n] (zeros beyond) with
     P_n(cos^2 t + sin^2 t cos phi) = w[0] + sum_{k>=1} w[k] cos(k phi),
     where w[0] = P_n(cos t)^2 and w[k] = 2 (n-k)!/(n+k)! P_n^k(cos t)^2.
-    Every weight is a square; this is what makes the kernel decomposition
-    work.  The square roots S_n^k (semi-normalized, c = cos t, s = sin t)
-    follow the three-term recurrence in n, accurate to roundoff at any n:
-
-        sqrt(n^2 - k^2) S_n^k = (2n-1) c S_{n-1}^k - sqrt((n-1)^2 - k^2) S_{n-2}^k
-
-    from S_0^0 = 1, S_1^1 = s and S_n^n = S_{n-1}^{n-1} s sqrt((2n-1)/2n).
+    Every weight is a square, S_n^k(cos t)^2; this is what makes the kernel
+    decomposition work.
     """
-    c = float(cos_theta)
-    s = math.sqrt(1.0 - c * c)
-    S = np.zeros((N + 2, N + 1))  # the last row stays 0 and serves as S_{-1}
-    S[0, 0] = 1.0
-    for n in range(1, N + 1):
-        k = np.arange(n)
-        S[n, n] = s if n == 1 else S[n - 1, n - 1] * s * math.sqrt((2 * n - 1) / (2 * n))
-        S[n, :n] = (2 * n - 1) * c * S[n - 1, :n] - np.sqrt((n - 1) ** 2 - k**2) * S[n - 2, :n]
-        S[n, :n] /= np.sqrt(n * n - k**2)
-    return S[: N + 1] ** 2
+    return np.array([row**2 for row in _seminormalized_rows(N, float(cos_theta), N)])
 
 
 def coefficient_table(max_degree):

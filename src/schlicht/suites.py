@@ -190,14 +190,12 @@ def suite_legendre():
     rep.add("schlafli-vs-polynomial", worst, 1e-8)
     worst = max(abs(lg.ode_residual(n, x)) for n in range(1, 21) for x in (-0.7, -0.2, 0.3, 0.9))
     rep.add("ode-residual", worst, tolerance)
-    worst = 0.0
     t1s = np.linspace(0.1, math.pi - 0.1, 5)
     phis = 2 * math.pi * np.arange(8) / 8
-    for n in range(1, 11):
-        for a in t1s:
-            for b in t1s:
-                for p in phis:
-                    worst = max(worst, lg.addition_theorem_residual(a, b, p, n))
+    worst = max(
+        np.max(lg.addition_theorem_residual(t1s[:, None, None], t1s[:, None], phis, n))
+        for n in range(1, 11)
+    )
     rep.add("addition-theorem", worst, tolerance)
     # orthogonality by composite Simpson (dense-grid quadrature)
     xs = np.linspace(-1.0, 1.0, 4097)
