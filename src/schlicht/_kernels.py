@@ -9,11 +9,30 @@ its cost per step is a fixed number of ufunc calls whatever the width.  The
 stepper writes every stage into buffers allocated once per call, in the
 textbook order of operations, so its trajectories are bitwise those of the
 plain array expressions.
+
+A grid at least SPLIT_MIN_WIDTH points wide, with at least
+SPLIT_MIN_POINT_STEPS points times steps, is stepped on two CPUs when the
+process may use two: a forked child takes the back half of the points and
+writes its trajectories into shared memory.  Smaller solves stay in one
+process: below that width the second process's per-step call overhead
+costs more than the halved arithmetic saves, and below that work the fork
+and reap (a few ms) do.  Threads do not help: each of a step's 43 ufunc
+calls hands the GIL over, so two threads on two halves of a 4,096-point
+grid step slower than one thread on all of it (355 against 231 us per
+step in BENCH_11.json).
 """
+
+import mmap
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 
 BACKEND = "numpy"
+SPLIT_MIN_WIDTH = 1024
+SPLIT_MIN_POINT_STEPS = 2**20
 
 
 def cauchy_mul(a, b):
@@ -61,89 +80,199 @@ def rk4_loewner(z0, kappa, h, store_stride, with_deriv):
     guard conditions; callers translate to the library error types.  A NaN
     state fails the guards too.
 
+    RK4 acts on each point by itself, so a wide grid is split in two: a
+    forked child steps the back half while this process steps the front
+    half, both writing into one shared anonymous mmap (see _rk4_split).
+    The split runs only where it pays (_split_pays), and its result is bit
+    for bit the one-process result.  If either half fails in any way, the
+    whole grid is rerun in this process and that run's outcome stands, so
+    every error and warning is the one-process one.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    nsteps = kappa.shape[0]
+    shape = (nsteps // store_stride + 1, z0.shape[0])
+    if _split_pays(z0.shape[0], nsteps):
+        result = _rk4_split(z0, kappa, h, store_stride, shape, with_deriv)
+        if result is not None:
+            return result
+    traj = np.empty(shape, dtype=complex)
+    dtraj = np.empty(shape, dtype=complex) if with_deriv else None
+    _rk4_steps(z0, kappa, h, store_stride, traj, dtraj)
+    return traj, dtraj
+
+
+def _split_pays(width, nsteps):
+    """Whether to step the back half of the grid in a forked child.
+
+    Only with a second CPU in this process's affinity, os.fork, no other
+    Python thread (a fork beside a running thread can deadlock the child)
+    and SIGCHLD not ignored (which would reap the child before its exit
+    status is read).
+
+    The thresholds come from the 2-core host of BENCH_11.json, where one
+    step takes (one process -> split) 60 -> 72 us at width 512, 84 -> 65 us
+    at 1,024 and 228 -> 155 us at 4,096, and a fork and reap about 3 ms:
+    the saving of some 160 steps at width 1,024.  SPLIT_MIN_POINT_STEPS asks
+    for several times that, so that the host's drift cannot turn a split
+    into a loss.
+    """
+    return (
+        width >= SPLIT_MIN_WIDTH
+        and width * nsteps >= SPLIT_MIN_POINT_STEPS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN
+    )
+
+
+def _rk4_split(z0, kappa, h, store_stride, shape, with_deriv):
+    """Step the back half of the grid in a forked child, the front half here.
+
+    Both halves run _rk4_steps on their columns of one shared anonymous
+    mmap, so no trajectory travels through a pipe.  Returns (traj, dtraj),
+    or None when either half failed: a guard, a floating-point condition the
+    caller does not ignore (raised here, so that the rerun reports it as one
+    process does), an exception or a crash of the child.  The child is
+    reaped on every path, killed first unless it finished.
+    """
+    layers = 2 if with_deriv else 1
+    buf = mmap.mmap(-1, layers * shape[0] * shape[1] * 16)  # anonymous, MAP_SHARED
+    out = np.frombuffer(buf, dtype=complex).reshape((layers,) + shape)
+    traj, dtraj = out[0], (out[1] if with_deriv else None)
+    strict = {key: "ignore" if how == "ignore" else "raise" for key, how in np.geterr().items()}
+
+    def half(cols):
+        with np.errstate(**strict):
+            _rk4_steps(
+                z0[cols], kappa, h, store_stride, traj[:, cols],
+                None if dtraj is None else dtraj[:, cols],
+            )
+
+    mid = shape[1] // 2
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork beside native threads (NumPy's BLAS
+        # pool); the child runs only ufuncs and leaves by os._exit
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            half(slice(mid, None))
+            code = 0
+        finally:
+            # never flush the parent's buffers or run its atexit handlers
+            os._exit(code)
+    status = None
+    try:
+        try:
+            half(slice(None, mid))
+        except Exception:
+            return None  # the one-process rerun raises it again
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return (traj, dtraj) if status == 0 else None
+
+
+def _rk4_steps(z0, kappa, h, store_stride, traj, dtraj):
+    """Step the states z0, writing every store_stride-th one into traj.
+
+    traj (and dtraj, None unless the derivative is wanted) may be column
+    views of a wider array.
+
     Every width-nz array of a step lives in a buffer allocated once per
     call: ky, -y, the stage inputs y2..y4, one denominator 1 - ky per stage
     (the derivative reuses them), the slopes k1..k4 (k1 is also the
     accumulator) and a float buffer for |.|.  Every ufunc writes into one of
-    them with out=, so a step allocates no array outside the derivative path.
+    them through its positional out argument, so a step allocates no array
+    outside the derivative path.
 
     The result is bit for bit that of the textbook expressions
     k = -y (1 + ky)/(1 - ky), y2 = y + (h/2) k1, ...,
     y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), signed zeros included: each
-    buffered call is the same ufunc on the same operands, in the same order
-    and with the same Python-float scalars, as one operator of those
-    expressions.  The one change is the sign flip -y, done by np.negative on
-    float64 views of the stage input and of the -y buffer.  It flips the
-    same sign bits as the complex negative, which NumPy does not vectorize
-    (about 3x slower at width 4096).  Folding the sign into the denominator,
-    y (1 + ky)/(ky - 1), would save a call per stage but flips the sign of
-    exact zeros.
+    buffered call is the same ufunc on the same operands, in the same order,
+    as one operator of those expressions.  The scalar operands enter as 0-d
+    arrays: a view of kappa[s], and the constants 1, 2, h/2, h and h/6 as
+    the complex values NumPy converts those Python floats to.  The ufunc
+    then skips that conversion, about 0.5 us a call at narrow widths.  The
+    one change is the sign flip -y, done by np.negative on float64 views of
+    the stage input and of the -y buffer.  It flips the same sign bits as
+    the complex negative, which NumPy does not vectorize (about 3x slower at
+    width 4096).  Folding the sign into the denominator, y (1 + ky)/(ky - 1),
+    would save a call per stage but flips the sign of exact zeros.
     """
     nsteps = kappa.shape[0]
-    nstored = nsteps // store_stride + 1
+    with_deriv = dtraj is not None
     y = np.array(z0, dtype=complex)
-    traj = np.empty((nstored, y.shape[0]), dtype=complex)
     traj[0] = y
     v = np.ones_like(y) if with_deriv else None
-    dtraj = None
     if with_deriv:
-        dtraj = np.empty_like(traj)
         dtraj[0] = v
     ky, negy, y2, y3, y4, den1, den2, den3, den4, k1, k2, k3, k4 = (
         np.empty_like(y) for _ in range(13)
     )
     mag = np.empty(y.shape, dtype=float)
     negy_f, y_f, y2_f, y3_f, y4_f = (a.view(float) for a in (negy, y, y2, y3, y4))
-    # local names: at narrow widths a step's cost is its 43 calls
+    # at narrow widths a step's cost is its 43 calls: local names, out passed
+    # by position (no keyword parsing), and the guards' reductions as the
+    # ufuncs' reduce (the .min/.max methods add a Python wrapper)
     mul, add, sub, div, neg = np.multiply, np.add, np.subtract, np.divide, np.negative
+    absolute, minimum, maximum = np.absolute, np.minimum.reduce, np.maximum.reduce
+    one, two, half, hstep, sixth = (
+        np.array(c, dtype=complex) for c in (1.0, 2.0, 0.5 * h, h, h / 6.0)
+    )
 
     def slope(kap, src, src_f, den, k):
         # k = -src (1 + kap src)/(1 - kap src), keeping den = 1 - kap src
-        mul(kap, src, out=ky)
-        sub(1.0, ky, out=den)
-        add(1.0, ky, out=ky)
-        neg(src_f, out=negy_f)
-        mul(negy, ky, out=k)
-        div(k, den, out=k)
+        mul(kap, src, ky)
+        sub(one, ky, den)
+        add(one, ky, ky)
+        neg(src_f, negy_f)
+        mul(negy, ky, k)
+        div(k, den, k)
 
-    half, sixth = 0.5 * h, h / 6.0
     row = 1
     for s in range(nsteps):
-        kap = kappa[s]
+        kap = kappa[s, ...]  # a 0-d view, which the ufuncs take as an array
         slope(kap, y, y_f, den1, k1)
-        mul(half, k1, out=y2)
-        add(y, y2, out=y2)
+        mul(half, k1, y2)
+        add(y, y2, y2)
         slope(kap, y2, y2_f, den2, k2)
-        mul(half, k2, out=y3)
-        add(y, y3, out=y3)
+        mul(half, k2, y3)
+        add(y, y3, y3)
         slope(kap, y3, y3_f, den3, k3)
-        mul(h, k3, out=y4)
-        add(y, y4, out=y4)
+        mul(hstep, k3, y4)
+        add(y, y4, y4)
         slope(kap, y4, y4_f, den4, k4)
         if with_deriv:
-            kk, k2x = kap * kap, 2.0 * kap
+            # NumPy's scalar product, which differs from the ufunc's in the
+            # last bit for some values, is the one the textbook uses here
+            kk, k2x = kappa[s] * kappa[s], 2.0 * kappa[s]
             d1 = _drhs(y, kk, k2x, den1) * v
             d2 = _drhs(y2, kk, k2x, den2) * (v + half * d1)
             d3 = _drhs(y3, kk, k2x, den3) * (v + half * d2)
-            d4 = _drhs(y4, kk, k2x, den4) * (v + h * d3)
+            d4 = _drhs(y4, kk, k2x, den4) * (v + hstep * d3)
             v = v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        mul(2.0, k2, out=k2)
-        add(k1, k2, out=k1)
-        mul(2.0, k3, out=k3)
-        add(k1, k3, out=k1)
-        add(k1, k4, out=k1)
-        mul(sixth, k1, out=k1)
-        add(y, k1, out=y)
+        mul(two, k2, k2)
+        add(k1, k2, k1)
+        mul(two, k3, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        mul(sixth, k1, k1)
+        add(y, k1, y)
         # written so that NaN fails them: a comparison with NaN is False
-        mul(kap, y, out=ky)
-        sub(1.0, ky, out=den1)
-        if not np.abs(den1, out=mag).min(initial=np.inf) >= 1e-6:
+        mul(kap, y, ky)
+        sub(one, ky, den1)
+        if not minimum(absolute(den1, mag), initial=np.inf) >= 1e-6:
             raise ValueError("singular")
-        if not np.abs(y, out=mag).max(initial=0.0) < 1.0:
+        if not maximum(absolute(y, mag), initial=0.0) < 1.0:
             raise ValueError("escaped")
         if (s + 1) % store_stride == 0:
             traj[row] = y
             if with_deriv:
                 dtraj[row] = v
             row += 1
-    return traj, dtraj

@@ -197,11 +197,9 @@ def suite_legendre():
         for n in range(1, 11)
     )
     rep.add("addition-theorem", worst, tolerance)
-    # orthogonality by composite Simpson (dense-grid quadrature)
-    xs = np.linspace(-1.0, 1.0, 4097)
-    wgt = np.ones_like(xs)
-    wgt[1:-1:2], wgt[2:-1:2] = 4.0, 2.0
-    wgt *= (xs[1] - xs[0]) / 3.0
+    # orthogonality by 13-node Gauss-Legendre, exact for the products of
+    # degree <= 24, so the case measures P_n and not its quadrature
+    xs, wgt = np.polynomial.legendre.leggauss(13)
     worst = 0.0
     vals = [lg.legendre_poly(n)(xs) for n in range(13)]
     for n in range(13):
@@ -209,7 +207,7 @@ def suite_legendre():
             ip = float(np.sum(wgt * vals[n] * vals[m]))
             expect = 2.0 / (2 * n + 1) if n == m else 0.0
             worst = max(worst, abs(ip - expect))
-    rep.add("orthogonality", worst, tolerance)
+    rep.add("orthogonality", worst, 1e-14)
     # negative orders: direct Rodrigues-Leibniz route against the factorial identity
     xs = np.linspace(-0.98, 0.98, 50)
     worst = 0.0

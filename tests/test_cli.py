@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -412,6 +413,27 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
     expected = _trace_csv_oracle(solves[0]).encode()
     assert out.read_bytes() == expected
     assert proc.stdout.encode() == expected
+
+
+def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
+    # 2,048 points x 1,000 steps is above the kernel's split threshold
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
+            "--T", "1", "--step", "1e-3", "--samples", "4")
+    texts = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"trace-{cpus}.csv"
+        assert run_cli(*argv, "--out", str(out)).returncode == 0
+        texts[cpus] = out.read_bytes()
+    assert len(forks) == 1
+    assert texts[2] == texts[1]
 
 
 def test_verify_focus_milin_identity():

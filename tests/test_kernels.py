@@ -1,4 +1,14 @@
-"""The NumPy kernels: guards and the RK4 stepper's order of operations."""
+"""The NumPy kernels: guards, the RK4 stepper's order of operations and its
+two-process split."""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -67,8 +77,40 @@ def _bitwise_cases():
     yield "stepped-512", grid, np.repeat(pieces, [30, 45, 60, 65]), 25
 
 
-@pytest.mark.parametrize("with_deriv", [False, True])
-def test_rk4_matches_textbook_stages_bitwise(with_deriv):
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _split_any_grid(monkeypatch):
+    monkeypatch.setattr(_kernels, "SPLIT_MIN_WIDTH", 2)
+    monkeypatch.setattr(_kernels, "SPLIT_MIN_POINT_STEPS", 0)
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("the kernel forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _assert_no_child():
+    # waitpid(-1) raises when this process has no child, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_textbook_bitwise(with_deriv, forks=None):
     for name, z0, kappa, stride in _bitwise_cases():
         start = z0.copy()
         traj, dtraj = _kernels.rk4_loewner(z0, kappa, 1e-2, stride, with_deriv)
@@ -79,6 +121,25 @@ def test_rk4_matches_textbook_stages_bitwise(with_deriv):
             assert np.array_equal(_bits(dtraj), _bits(dref[::stride])), name
         else:
             assert dtraj is None
+        if forks is not None:
+            assert len(forks) == 1, name
+            forks.clear()
+            _assert_no_child()
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_rk4_matches_textbook_stages_bitwise(with_deriv):
+    _check_textbook_bitwise(with_deriv)
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_rk4_split_matches_textbook_stages_bitwise(monkeypatch, with_deriv):
+    # every case splits: 5 points (odd), 8 signed zeros, 512 points stored
+    # every 25 steps under stepped kappa
+    forks = _count_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    _split_any_grid(monkeypatch)
+    _check_textbook_bitwise(with_deriv, forks)
 
 
 def test_rk4_stride_keeps_every_stored_state():
@@ -99,3 +160,242 @@ def test_empty_grid_passes_the_guards():
     z0 = np.zeros(0, dtype=complex)
     traj, _ = _kernels.rk4_loewner(z0, np.full(4, -1.0 + 0j), 1e-2, 2, False)
     assert traj.shape == (3, 0)
+
+
+def _outcome(z0, kappa, h, stride, with_deriv):
+    """The kernel's result as bit patterns, or the type and text it raised."""
+    try:
+        traj, dtraj = _kernels.rk4_loewner(z0, kappa, h, stride, with_deriv)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _bits(traj).tobytes(), None if dtraj is None else _bits(dtraj).tobytes()
+
+
+def _split_and_one_process(monkeypatch, run):
+    """What run() gives split over two CPUs, then in one process."""
+    forks = _count_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    split = run()
+    assert len(forks) == 1
+    _assert_no_child()
+    _set_cpus(monkeypatch, 1)
+    alone = run()
+    assert len(forks) == 1
+    return split, alone
+
+
+def _at_threshold():
+    """Width and step count of the smallest solve the real rule splits."""
+    width = _kernels.SPLIT_MIN_WIDTH
+    return width, -(-_kernels.SPLIT_MIN_POINT_STEPS // width)
+
+
+def _polar_grid(width, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 0.9, width) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, width))
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_split_at_the_threshold_is_bitwise_one_process(monkeypatch, with_deriv):
+    width, nsteps = _at_threshold()
+    pieces = np.exp(1j * np.array([0.3, 2.0, -1.1]))
+    kappa = np.repeat(pieces, [nsteps // 3, nsteps // 3, nsteps - 2 * (nsteps // 3)])
+    stride = next(d for d in (256, 128, 64, 32, 16, 8, 4, 2, 1) if nsteps % d == 0)
+    z0 = _polar_grid(width)
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _outcome(z0, kappa, 1e-3, stride, with_deriv)
+    )
+    assert isinstance(split[0], bytes)
+    assert split == alone
+
+
+def test_no_fork_below_the_threshold_one_cpu_or_without_fork(monkeypatch):
+    width, nsteps = _at_threshold()
+    kappa = np.full(nsteps, np.exp(0.7j))
+    _no_fork(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    _kernels.rk4_loewner(_polar_grid(width - 1), kappa, 1e-3, nsteps, False)
+    _kernels.rk4_loewner(_polar_grid(width), kappa[:-1], 1e-3, nsteps - 1, False)
+    _set_cpus(monkeypatch, 1)
+    _kernels.rk4_loewner(_polar_grid(width), kappa, 1e-3, nsteps, False)
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    _kernels.rk4_loewner(_polar_grid(width), kappa, 1e-3, nsteps, False)
+
+
+def test_split_follows_the_real_affinity(monkeypatch):
+    # under `taskset -c 0` this runs the one-CPU path of the real rule
+    width, nsteps = _at_threshold()
+    forks = _count_forks(monkeypatch)
+    _kernels.rk4_loewner(_polar_grid(width), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
+    assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
+
+
+def test_no_fork_when_sigchld_is_ignored(monkeypatch):
+    # the kernel could not read the child's exit status
+    width, nsteps = _at_threshold()
+    _no_fork(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        _kernels.rk4_loewner(_polar_grid(width), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def test_no_fork_beside_another_thread(monkeypatch):
+    width, nsteps = _at_threshold()
+    _no_fork(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        _kernels.rk4_loewner(_polar_grid(width), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+# A 64-point grid splits into points 0-31 (this process) and 32-63 (the
+# child).  Point 5 escapes at the step where kappa = 1, point 40 at the step
+# where kappa = -1j; every other step is benign for the whole grid.
+_BENIGN = np.exp(0.75j * np.pi)
+
+
+def _kappa(front_step=None, back_step=None, nsteps=8):
+    kappa = np.full(nsteps, _BENIGN)
+    if front_step:
+        kappa[front_step - 1] = 1.0
+    if back_step:
+        kappa[back_step - 1] = -1j
+    return kappa
+
+
+def _planted(front=0.999, back=0.999j):
+    z0 = _polar_grid(64, seed=5)
+    z0[5], z0[40] = front, back
+    return z0
+
+
+_ESCAPED = (ValueError, "escaped")
+_FAILURES = {
+    "front-only": (_planted(), _kappa(front_step=5), "ignore", _ESCAPED),
+    "back-only": (_planted(), _kappa(back_step=3), "ignore", _ESCAPED),
+    "back-first": (_planted(), _kappa(front_step=5, back_step=2), "ignore", _ESCAPED),
+    "front-first": (_planted(), _kappa(front_step=2, back_step=5), "ignore", _ESCAPED),
+    # the first failure wins, whichever half it is in
+    "nan-back-escape-front": (
+        _planted(back=complex("nan")), _kappa(front_step=3), "ignore", (ValueError, "singular")
+    ),
+    "nan-front-escape-back": (
+        _planted(front=complex("nan")), _kappa(back_step=3), "ignore", (ValueError, "singular")
+    ),
+    # invalid = warn, warnings as errors: the child's half meets the NaN
+    "warning-in-back": (
+        _planted(back=complex("inf")), _kappa(front_step=5), "warn",
+        (RuntimeWarning, "invalid value encountered in multiply"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_split_failures_raise_what_one_process_raises(monkeypatch, case):
+    z0, kappa, invalid, expected = _FAILURES[case]
+    _split_any_grid(monkeypatch)
+    with warnings.catch_warnings(), np.errstate(invalid=invalid):
+        warnings.simplefilter("error", RuntimeWarning)
+        split, alone = _split_and_one_process(
+            monkeypatch, lambda: _outcome(z0, kappa, 1e-2, 1, False)
+        )
+    assert alone == expected
+    assert split == alone
+
+
+def test_split_warnings_are_the_one_process_warnings(monkeypatch):
+    # the tiny point underflows in the child's half; the solve passes
+    z0 = _planted(0.5, 1e-300 + 0j)
+    _split_any_grid(monkeypatch)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+            warnings.simplefilter("always")
+            out = _outcome(z0, _kappa(), 1e-2, 1, False)
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    split, alone = _split_and_one_process(monkeypatch, run)
+    assert isinstance(alone[0][0], bytes) and alone[1]
+    assert split == alone
+
+
+def test_crashed_child_reruns_in_one_process(monkeypatch):
+    parent, steps = os.getpid(), _kernels._rk4_steps
+
+    def crash_in_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return steps(*args)
+
+    monkeypatch.setattr(_kernels, "_rk4_steps", crash_in_child)
+    _split_any_grid(monkeypatch)
+    z0 = _planted(0.5, 0.5j)
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _outcome(z0, _kappa(), 1e-2, 2, True)
+    )
+    assert isinstance(split[0], bytes)
+    assert split == alone
+
+
+def test_interrupt_in_this_process_kills_and_reaps_the_child(monkeypatch):
+    parent, steps = os.getpid(), _kernels._rk4_steps
+
+    def interrupt_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child left to finish would hold the caller this long
+        return steps(*args)
+
+    monkeypatch.setattr(_kernels, "_rk4_steps", interrupt_in_parent)
+    _split_any_grid(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _kernels.rk4_loewner(_planted(0.5, 0.5j), _kappa(), 1e-2, 1, False)
+    assert time.perf_counter() - start < 30
+    _assert_no_child()
+
+
+_HYGIENE = """
+    import atexit, os
+    import numpy as np
+    from schlicht import _kernels
+
+    forks, fork = [], os.fork
+    def counting_fork():
+        forks.append(1)
+        return fork()
+    os.fork = counting_fork
+    os.sched_getaffinity = lambda pid: {0, 1}
+    atexit.register(lambda: print("atexit"))
+    print("pending", end="|")  # buffered: stdout is a pipe
+    width = _kernels.SPLIT_MIN_WIDTH
+    nsteps = -(-_kernels.SPLIT_MIN_POINT_STEPS // width)
+    _kernels.rk4_loewner(np.full(width, 0.5 + 0j), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print(f"forks={len(forks)}, no child", end="|")
+"""
+
+
+def test_fork_leaves_buffers_and_atexit_to_the_parent():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_HYGIENE)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pending|forks=1, no child|atexit\n"
+    assert proc.stderr == ""
