@@ -12,23 +12,14 @@ plain array expressions.
 
 A grid at least SPLIT_MIN_WIDTH points wide, with at least
 SPLIT_MIN_POINT_STEPS points times steps, is stepped on two CPUs when the
-process may use two: a forked child takes the back half of the points and
-writes its trajectories into shared memory.  Smaller solves stay in one
-process: below that width the second process's per-step call overhead
-costs more than the halved arithmetic saves, and below that work the fork
-and reap (a few ms) do.  Threads do not help: each of a step's 43 ufunc
-calls hands the GIL over, so two threads on two halves of a 4,096-point
-grid step slower than one thread on all of it (355 against 231 us per
-step in BENCH_11.json).
+process may use two (schlicht._fork).  Below that width the second
+process's per-step call overhead costs more than the halved arithmetic
+saves, and below that work the fork and reap (a few ms) do.
 """
 
-import mmap
-import os
-import signal
-import threading
-import warnings
-
 import numpy as np
+
+from . import _fork
 
 BACKEND = "numpy"
 SPLIT_MIN_WIDTH = 1024
@@ -80,34 +71,35 @@ def rk4_loewner(z0, kappa, h, store_stride, with_deriv):
     guard conditions; callers translate to the library error types.  A NaN
     state fails the guards too.
 
-    RK4 acts on each point by itself, so a wide grid is split in two: a
-    forked child steps the back half while this process steps the front
-    half, both writing into one shared anonymous mmap (see _rk4_split).
-    The split runs only where it pays (_split_pays), and its result is bit
-    for bit the one-process result.  If either half fails in any way, the
-    whole grid is rerun in this process and that run's outcome stands, so
-    every error and warning is the one-process one.
+    RK4 acts on each point by itself, so a wide grid is split in two where
+    it pays (_split_pays): a forked child steps the back half while this
+    process steps the front half (_fork.beside).  The result is bit for bit
+    the one-process result.  If either half fails in any way, the whole
+    grid is rerun in this process and that run's outcome stands, so every
+    error and warning is the one-process one.
     """
     z0 = np.asarray(z0, dtype=complex)
     nsteps = kappa.shape[0]
-    shape = (nsteps // store_stride + 1, z0.shape[0])
+
+    def solve(points):
+        shape = (nsteps // store_stride + 1, points.shape[0])
+        traj = np.empty(shape, dtype=complex)
+        dtraj = np.empty(shape, dtype=complex) if with_deriv else None
+        _rk4_steps(points, kappa, h, store_stride, traj, dtraj)
+        return traj, dtraj
+
     if _split_pays(z0.shape[0], nsteps):
-        result = _rk4_split(z0, kappa, h, store_stride, shape, with_deriv)
-        if result is not None:
-            return result
-    traj = np.empty(shape, dtype=complex)
-    dtraj = np.empty(shape, dtype=complex) if with_deriv else None
-    _rk4_steps(z0, kappa, h, store_stride, traj, dtraj)
-    return traj, dtraj
+        mid = z0.shape[0] // 2
+        halves = _fork.beside(lambda: solve(z0[mid:]), lambda: solve(z0[:mid]))
+        if halves is not None:
+            (back, dback), (front, dfront) = halves
+            traj = np.concatenate((front, back), axis=1)
+            return traj, (np.concatenate((dfront, dback), axis=1) if with_deriv else None)
+    return solve(z0)
 
 
 def _split_pays(width, nsteps):
     """Whether to step the back half of the grid in a forked child.
-
-    Only with a second CPU in this process's affinity, os.fork, no other
-    Python thread (a fork beside a running thread can deadlock the child)
-    and SIGCHLD not ignored (which would reap the child before its exit
-    status is read).
 
     The thresholds come from the 2-core host of BENCH_11.json, where one
     step takes (one process -> split) 60 -> 72 us at width 512, 84 -> 65 us
@@ -119,70 +111,14 @@ def _split_pays(width, nsteps):
     return (
         width >= SPLIT_MIN_WIDTH
         and width * nsteps >= SPLIT_MIN_POINT_STEPS
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-        and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN
+        and _fork.can_fork()
     )
-
-
-def _rk4_split(z0, kappa, h, store_stride, shape, with_deriv):
-    """Step the back half of the grid in a forked child, the front half here.
-
-    Both halves run _rk4_steps on their columns of one shared anonymous
-    mmap, so no trajectory travels through a pipe.  Returns (traj, dtraj),
-    or None when either half failed: a guard, a floating-point condition the
-    caller does not ignore (raised here, so that the rerun reports it as one
-    process does), an exception or a crash of the child.  The child is
-    reaped on every path, killed first unless it finished.
-    """
-    layers = 2 if with_deriv else 1
-    buf = mmap.mmap(-1, layers * shape[0] * shape[1] * 16)  # anonymous, MAP_SHARED
-    out = np.frombuffer(buf, dtype=complex).reshape((layers,) + shape)
-    traj, dtraj = out[0], (out[1] if with_deriv else None)
-    strict = {key: "ignore" if how == "ignore" else "raise" for key, how in np.geterr().items()}
-
-    def half(cols):
-        with np.errstate(**strict):
-            _rk4_steps(
-                z0[cols], kappa, h, store_stride, traj[:, cols],
-                None if dtraj is None else dtraj[:, cols],
-            )
-
-    mid = shape[1] // 2
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on a fork beside native threads (NumPy's BLAS
-        # pool); the child runs only ufuncs and leaves by os._exit
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            half(slice(mid, None))
-            code = 0
-        finally:
-            # never flush the parent's buffers or run its atexit handlers
-            os._exit(code)
-    status = None
-    try:
-        try:
-            half(slice(None, mid))
-        except Exception:
-            return None  # the one-process rerun raises it again
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return (traj, dtraj) if status == 0 else None
 
 
 def _rk4_steps(z0, kappa, h, store_stride, traj, dtraj):
     """Step the states z0, writing every store_stride-th one into traj.
 
-    traj (and dtraj, None unless the derivative is wanted) may be column
-    views of a wider array.
+    dtraj is None unless the derivative is wanted.
 
     Every width-nz array of a step lives in a buffer allocated once per
     call: ky, -y, the stage inputs y2..y4, one denominator 1 - ky per stage

@@ -99,13 +99,16 @@ def dilation(f, r):
 
 
 def _taylor_shift(coeffs, a):
-    # coefficients of p(z + a) via repeated Ruffini-Horner; O(N^2), stable
-    d = np.array(coeffs, dtype=complex)
-    n = d.size
+    # coefficients of p(z + a) via repeated Ruffini-Horner; O(N^2), stable.
+    # Python complex values: the same products and sums as NumPy's complex
+    # scalars, bit for bit, without the cost of indexing an array
+    d = np.array(coeffs, dtype=complex).tolist()
+    a = complex(a)
+    n = len(d)
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
             d[j] += a * d[j + 1]
-    return d
+    return np.array(d, dtype=complex)
 
 
 def disk_automorphism(f, a):

@@ -7,11 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from test_kernels import _split_and_one_process
 
 from schlicht import cli, suites
+from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
+from schlicht.report import BoundReport
 
 
 def run_cli(*args):
@@ -434,6 +439,111 @@ def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
         texts[cpus] = out.read_bytes()
     assert len(forks) == 1
     assert texts[2] == texts[1]
+
+
+def _verify_all(seed):
+    proc = run_cli("verify", "--suite", "all", "--seed", str(seed))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_verify_all_same_split_or_on_one_cpu(monkeypatch):
+    split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(1))
+    assert alone[0] == 0 and json.loads(alone[1])["pass"] is True
+    assert split == alone
+
+
+def _raises(message):
+    def suite(seed=0):
+        raise TrajectoryEscaped(message)
+
+    return suite
+
+
+def _fp_warning_as_error(seed=0):
+    # a floating-point warning that the suite turns into a library error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.log(np.zeros(1))
+    raise ImaginaryResidue(f"planted: {caught[0].message}")
+
+
+def _stub(name):
+    def suite(seed=0):
+        rep = BoundReport(name, 1e-9)
+        rep.add(f"seed-{seed}", 0.0, 1.0)
+        return rep
+
+    return suite
+
+
+def _stub_suites(monkeypatch, planted):
+    # cheap suites under the real names, so CHILD_SUITES splits them as usual
+    assert set(planted) <= set(suites.SUITES)
+    monkeypatch.setattr(suites, "SUITES", {
+        name: planted.get(name, _stub(name)) for name in suites.SUITES
+    })
+
+
+_SUITE_FAILURES = {
+    "in-child": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
+    "in-parent": ({"milin": _raises("planted in milin")}, "planted in milin"),
+    # area runs before milin in one process, so its error is the one reported
+    "in-both": (
+        {"area": _raises("planted in area"), "milin": _raises("planted in milin")},
+        "planted in area",
+    ),
+    "warning-in-child": (
+        {"weinstein": _fp_warning_as_error}, "planted: divide by zero encountered in log"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUITE_FAILURES))
+def test_verify_all_failures_give_the_one_process_outcome(monkeypatch, case):
+    planted, message = _SUITE_FAILURES[case]
+    # the cases name the share each planted suite runs in
+    assert {"loewner", "area", "weinstein"} <= set(suites.CHILD_SUITES)
+    assert "milin" not in suites.CHILD_SUITES
+    _stub_suites(monkeypatch, planted)
+    split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(3))
+    assert alone == (3, "", f"numeric error: {message}\n")
+    assert split == alone
+
+
+_WARNINGS = {
+    "python": ("warn", lambda: warnings.warn("planted", RuntimeWarning),
+               [(RuntimeWarning, "planted")]),
+    "floating-point": ("warn", lambda: np.log(np.zeros(1)),
+                       [(RuntimeWarning, "divide by zero encountered in log")]),
+    "error-callback": ("call", lambda: np.log(np.zeros(1)), ["divide by zero"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_WARNINGS))
+def test_verify_all_warnings_are_the_one_process_warnings(monkeypatch, case):
+    # a child suite warns (or calls the error callback) and passes: the
+    # warning comes once, from this process, split or not
+    divide, plant, expected = _WARNINGS[case]
+
+    def warns(seed=0):
+        plant()
+        return _stub("weinstein")()
+
+    _stub_suites(monkeypatch, {"weinstein": warns})
+
+    def run():
+        calls = []
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+            divide=divide, call=lambda err, flag: calls.append(err)
+        ):
+            warnings.simplefilter("always")
+            out = _verify_all(3)
+        return out, [(w.category, str(w.message)) for w in caught] + calls
+
+    split, alone = _split_and_one_process(monkeypatch, run)
+    assert alone[1] == expected
+    assert alone[0][0] == 0 and json.loads(alone[0][1])["pass"] is True
+    assert split == alone
 
 
 def test_verify_focus_milin_identity():

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from schlicht import _kernels
+from schlicht import _fork, _kernels
 
 
 def _rhs(y, kap):
@@ -216,10 +216,13 @@ def test_no_fork_below_the_threshold_one_cpu_or_without_fork(monkeypatch):
     _set_cpus(monkeypatch, 2)
     _kernels.rk4_loewner(_polar_grid(width - 1), kappa, 1e-3, nsteps, False)
     _kernels.rk4_loewner(_polar_grid(width), kappa[:-1], 1e-3, nsteps - 1, False)
+    assert _fork.can_fork()
     _set_cpus(monkeypatch, 1)
+    assert not _fork.can_fork()
     _kernels.rk4_loewner(_polar_grid(width), kappa, 1e-3, nsteps, False)
     _set_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
+    assert not _fork.can_fork()
     _kernels.rk4_loewner(_polar_grid(width), kappa, 1e-3, nsteps, False)
 
 
@@ -236,8 +239,10 @@ def test_no_fork_when_sigchld_is_ignored(monkeypatch):
     width, nsteps = _at_threshold()
     _no_fork(monkeypatch)
     _set_cpus(monkeypatch, 2)
+    assert _fork.can_fork()
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
+        assert not _fork.can_fork()
         _kernels.rk4_loewner(_polar_grid(width), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
     finally:
         signal.signal(signal.SIGCHLD, previous)
@@ -247,15 +252,18 @@ def test_no_fork_beside_another_thread(monkeypatch):
     width, nsteps = _at_threshold()
     _no_fork(monkeypatch)
     _set_cpus(monkeypatch, 2)
+    assert _fork.can_fork()
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
+        assert not _fork.can_fork()
         _kernels.rk4_loewner(_polar_grid(width), np.full(nsteps, -1.0 + 0j), 1e-3, nsteps, False)
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+    assert _fork.can_fork()
 
 
 # A 64-point grid splits into points 0-31 (this process) and 32-63 (the
@@ -347,6 +355,22 @@ def test_crashed_child_reruns_in_one_process(monkeypatch):
     assert split == alone
 
 
+def test_failed_fork_steps_in_one_process(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _split_any_grid(monkeypatch)
+    z0 = _planted(0.5, 0.5j)
+    _set_cpus(monkeypatch, 1)
+    alone = _outcome(z0, _kappa(), 1e-2, 2, True)
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert _outcome(z0, _kappa(), 1e-2, 2, True) == alone
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
+
 def test_interrupt_in_this_process_kills_and_reaps_the_child(monkeypatch):
     parent, steps = os.getpid(), _kernels._rk4_steps
 
@@ -369,7 +393,7 @@ def test_interrupt_in_this_process_kills_and_reaps_the_child(monkeypatch):
 _HYGIENE = """
     import atexit, os
     import numpy as np
-    from schlicht import _kernels
+    from schlicht import _fork, _kernels
 
     forks, fork = [], os.fork
     def counting_fork():
