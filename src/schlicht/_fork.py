@@ -17,16 +17,22 @@ import warnings
 
 import numpy as np
 
+# True while beside() runs, in this process and in its child
+_busy = False
+
+
 def can_fork():
     """Whether beside() may fork here.
 
-    Only with os.fork, a second CPU in this process's affinity, no other
-    Python thread (a fork beside a running thread can deadlock the child)
-    and SIGCHLD not ignored (which would reap the child before its exit
-    status is read).
+    Only outside beside() (a split inside a split would put three processes
+    on two CPUs), with os.fork, a second CPU in this process's affinity, no
+    other Python thread (a fork beside a running thread can deadlock the
+    child) and SIGCHLD not ignored (which would reap the child before its
+    exit status is read).
     """
     return (
-        hasattr(os, "fork")
+        not _busy
+        and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1
@@ -44,8 +50,18 @@ def beside(child_fn, here_fn):
     caller's error state with every non-ignored condition set to raise), a
     child that died or exited nonzero, or a fork that failed.  The child is
     killed unless it finished, and reaped, on every path, a
-    KeyboardInterrupt included.
+    KeyboardInterrupt included.  While it runs, can_fork() is False on
+    both sides, so neither function splits again.
     """
+    global _busy
+    _busy = True
+    try:
+        return _fork_and_run(child_fn, here_fn)
+    finally:
+        _busy = False  # in this process: the child leaves by os._exit
+
+
+def _fork_and_run(child_fn, here_fn):
     strict = {key: "ignore" if how == "ignore" else "raise" for key, how in np.geterr().items()}
 
     def strictly(fn):

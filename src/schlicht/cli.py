@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from . import _fork
 from . import functionals as fn
 from . import legendre as lg
 from . import loewner as lw
@@ -34,6 +35,12 @@ from .report import BoundReport
 
 # suites with a single-case report for one function and index (verify --n)
 FOCUS_SUITES = ("milin", "robertson", "area", "lebedev-milin", "weinstein")
+# stored states (times x points) from which loewner trace formats its CSV in
+# two halves (_fork.beside).  On a 2-core host a state's line costs about
+# 6-7 us and beside() about 4-6 ms plus the pickled half; one process against
+# split took 53 -> 59 ms at 8,192 states, 114 -> 78 ms at 16,384 and
+# 236 -> 143 ms at 32,768.  2^15 is twice the break-even, for the host's drift.
+SPLIT_MIN_VALUES = 2**15
 
 
 def _write_text(path, text):
@@ -199,12 +206,27 @@ def cmd_loewner_trace(args):
     # one CSV line per (t, z), built column-wise: repr of every float, and
     # no field ever needs quoting
     z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
-    lines = ["t,z_re,z_im,f_re,f_im,etf_re,etf_im"]
-    for t, f, ef in zip(ev.times.tolist(), ev.states, ev.scaled):
-        cols = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
-        lines.extend(map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols)))
-    text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
+    times, states, scaled = ev.times.tolist(), ev.states, ev.scaled
+
+    def rows(lo, hi):
+        # the lines of stored times [lo, hi), each ended by a newline; joined
+        # a time at a time, so that no list holds every line
+        blocks = []
+        for t, f, ef in zip(times[lo:hi], states[lo:hi], scaled[lo:hi]):
+            cols = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
+            blocks.append("\n".join(map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols))))
+            blocks.append("\n")
+        return "".join(blocks) if z_text else ""  # an empty grid has no lines
+
+    # the time blocks are contiguous in the CSV, so two halves of them,
+    # formatted on two CPUs, join into the one-process bytes
+    n = len(times)
+    halves = None
+    if states.size >= SPLIT_MIN_VALUES and _fork.can_fork():
+        mid = n // 2
+        halves = _fork.beside(lambda: rows(mid, n), lambda: rows(0, mid))
+    back, front = ("", rows(0, n)) if halves is None else halves
+    _write_text(args.out, "".join(("t,z_re,z_im,f_re,f_im,etf_re,etf_im\n", front, back)))
     return 0
 
 

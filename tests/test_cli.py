@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -439,6 +440,54 @@ def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
         texts[cpus] = out.read_bytes()
     assert len(forks) == 1
     assert texts[2] == texts[1]
+
+
+# 2,048 points x 520 steps is above the kernel's split threshold, and 21
+# stored times x 2,048 points above cli.SPLIT_MIN_VALUES: the solve forks,
+# then the formatting
+_WIDE_TRACE = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
+               "--T", "0.52", "--step", "1e-3", "--samples", "20")
+
+
+def _wide_trace(tmp_path, out):
+    """Exit code, CSV bytes and stderr of the wide trace, to a file or stdout."""
+    assert 21 * 2048 >= cli.SPLIT_MIN_VALUES
+    if out == "-":
+        proc = run_cli(*_WIDE_TRACE, "--out", "-")
+        return proc.returncode, proc.stdout.encode(), proc.stderr
+    path = tmp_path / "trace.csv"
+    proc = run_cli(*_WIDE_TRACE, "--out", str(path))
+    return proc.returncode, path.read_bytes(), proc.stderr
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+def test_trace_text_split_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch, out):
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _wide_trace(tmp_path, out), nforks=2
+    )
+    assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
+    assert split == alone
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_trace_text_failure_in_the_child_gives_the_one_process_bytes(tmp_path, monkeypatch, how):
+    parent = os.getpid()
+
+    def planted_repr(value):
+        # only the formatting child formats with repr (the solve's child
+        # does not), and it fails
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("planted")
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", planted_repr, raising=False)
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _wide_trace(tmp_path, "file"), nforks=2
+    )
+    assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
+    assert split == alone
 
 
 def _verify_all(seed):

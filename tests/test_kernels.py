@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schlicht import _fork, _kernels
 
@@ -162,6 +164,76 @@ def test_empty_grid_passes_the_guards():
     assert traj.shape == (3, 0)
 
 
+def _guarded_reference(z0, kappa, h):
+    """The kernel's outcome, every state stored, by the textbook update and
+    the guards as they ran on every step before the guard bound: the
+    "singular" check first, then "escaped", both failed by NaN."""
+    ys = [np.array(z0, dtype=complex)]
+    for s, kap in enumerate(kappa):
+        y = _rk4_reference(ys[-1], kappa[s:s + 1], h, False)[0][-1]
+        if not np.abs(1.0 - kap * y).min(initial=np.inf) >= 1e-6:
+            return ValueError, "singular"
+        if not np.abs(y).max(initial=0.0) < 1.0:
+            return ValueError, "escaped"
+        ys.append(y)
+    return _bits(np.array(ys)).tobytes(), None
+
+
+_NONFINITE = [complex("nan"), complex("inf"), complex("-inf"), complex(0.5, float("nan")),
+              complex(float("inf"), 0.5), complex(float("nan"), float("inf"))]
+
+
+def _driving(modulus, angle, roll):
+    # NaN or inf in 2 of 20 steps
+    if roll < 2:
+        return (complex("nan"), complex("inf"))[roll]
+    return modulus * np.exp(1j * angle)
+
+
+@st.composite
+def _guard_cases(draw):
+    """A few states beside the guards' edges under a driving with |kappa| != 1
+    at times: |y| within 1e-4 of 1, kappa y within 1e-5 of 1, NaN and inf
+    (in the states, and now and then in kappa)."""
+    angle = st.floats(-np.pi, np.pi)
+    modulus = st.sampled_from([1.0]) | st.floats(0.25, 4.0)
+    kappa = np.array(draw(st.lists(
+        st.builds(_driving, modulus, angle, st.integers(0, 19)), min_size=1, max_size=3
+    )))
+    kap0 = kappa[0] if np.isfinite(kappa[0]) else 1.0
+    point = st.one_of(
+        st.builds(lambda r, a: r * np.exp(1j * a), st.floats(0.0, 0.9), angle),
+        st.builds(lambda r, a: r * np.exp(1j * a), st.floats(1 - 1e-4, 1 + 1e-4), angle),
+        st.builds(lambda e, a: (1 + e) * np.exp(1j * a) / kap0,
+                  st.floats(-1e-5, 1e-5), st.floats(-1e-6, 1e-6)),
+        st.sampled_from(_NONFINITE),
+    )
+    z0 = np.array(draw(st.lists(point, min_size=1, max_size=5)), dtype=complex)
+    return z0, kappa, draw(st.sampled_from([1e-15, 1e-9, 1e-6, 1e-3, 1e-2]))
+
+
+def _diagonal(r, turns=0):
+    # r e^{i pi/4} turns times a quarter turn: |Re| = |Im| = r / sqrt(2)
+    c = r / np.sqrt(2.0)
+    return complex(c, c) * 1j**turns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_guard_cases())
+# |y| = 1 + 1e-5 on the diagonal, where max(|Re y|, |Im y|) is |y| / sqrt(2)
+@example((np.array([_diagonal(1 + 1e-5), 0.3]), np.array([1.0 + 0j]), 1e-15))
+# |1 - kappa y| = 5e-7 with |y| within 1e-5 of 1 on the diagonal
+@example((np.array([_diagonal(1 - 5e-7)]), np.array([np.conj(_diagonal(1.0))]), 1e-15))
+# |1 - kappa y| = 5e-7 with |kappa| = 2 and |y| = 1/2
+@example((np.array([0.5 * (1 - 5e-7) + 0j, 0.1j]), np.array([2.0 + 0j, 2.0 + 0j]), 1e-15))
+@example((np.array([_diagonal(0.5), complex("nan")]), np.array([1j]), 1e-3))
+@example((np.array([_diagonal(0.5, 3)]), np.array([complex("inf")]), 1e-3))
+def test_guard_bound_gives_the_exact_guards_outcome(case):
+    z0, kappa, h = case
+    with np.errstate(all="ignore"):
+        assert _outcome(z0, kappa, h, 1, False) == _guarded_reference(z0, kappa, h)
+
+
 def _outcome(z0, kappa, h, stride, with_deriv):
     """The kernel's result as bit patterns, or the type and text it raised."""
     try:
@@ -171,16 +243,17 @@ def _outcome(z0, kappa, h, stride, with_deriv):
     return _bits(traj).tobytes(), None if dtraj is None else _bits(dtraj).tobytes()
 
 
-def _split_and_one_process(monkeypatch, run):
-    """What run() gives split over two CPUs, then in one process."""
+def _split_and_one_process(monkeypatch, run, nforks=1):
+    """What run() gives split over two CPUs (nforks forks), then in one
+    process."""
     forks = _count_forks(monkeypatch)
     _set_cpus(monkeypatch, 2)
     split = run()
-    assert len(forks) == 1
+    assert len(forks) == nforks
     _assert_no_child()
     _set_cpus(monkeypatch, 1)
     alone = run()
-    assert len(forks) == 1
+    assert len(forks) == nforks
     return split, alone
 
 
@@ -263,6 +336,35 @@ def test_no_fork_beside_another_thread(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+    assert _fork.can_fork()
+
+
+@pytest.mark.parametrize("side", ["child", "here"])
+def test_no_split_inside_a_split(monkeypatch, side):
+    # a wide solve inside either function of beside() steps in one process
+    width, nsteps = _at_threshold()
+    z0, kappa = _polar_grid(width), np.full(nsteps, np.exp(0.7j))
+    _set_cpus(monkeypatch, 1)
+    alone = _outcome(z0, kappa, 1e-3, nsteps, False)
+    forks = _count_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+
+    def wide():
+        # the outcome and the forks this process has made, beside()'s own
+        # included; in the child, a child left behind fails beside()
+        out = _outcome(z0, kappa, 1e-3, nsteps, False)
+        if side == "child":
+            _assert_no_child()
+        return len(forks), out
+
+    def idle():
+        return None
+
+    pair = _fork.beside(wide, idle) if side == "child" else _fork.beside(idle, wide)
+    assert pair is not None
+    assert pair[side == "here"] == (1, alone)
+    assert len(forks) == 1
+    _assert_no_child()
     assert _fork.can_fork()
 
 
