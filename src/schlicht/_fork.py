@@ -2,7 +2,7 @@
 
 ``beside(child_fn, here_fn)`` is the one place the package forks.  Its
 callers split work whose parts do not depend on each other (the halves of
-a wide RK4 grid, the shares of ``verify --suite all``) and keep a
+a wide trace, the shares of ``verify --suite all``) and keep a
 one-process path: ``beside`` returns None whenever either side fails in
 any way, and the caller then does the whole job in this process, whose
 outcome stands.  So results, exceptions and warnings are always the
@@ -17,22 +17,17 @@ import warnings
 
 import numpy as np
 
-# True while beside() runs, in this process and in its child
-_busy = False
-
 
 def can_fork():
     """Whether beside() may fork here.
 
-    Only outside beside() (a split inside a split would put three processes
-    on two CPUs), with os.fork, a second CPU in this process's affinity, no
-    other Python thread (a fork beside a running thread can deadlock the
-    child) and SIGCHLD not ignored (which would reap the child before its
-    exit status is read).
+    With os.fork, a second CPU in this process's affinity, no other Python
+    thread (a fork beside a running thread can deadlock the child) and
+    SIGCHLD not ignored (which would reap the child before its exit status
+    is read).
     """
     return (
-        not _busy
-        and hasattr(os, "fork")
+        hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1
@@ -50,18 +45,8 @@ def beside(child_fn, here_fn):
     caller's error state with every non-ignored condition set to raise), a
     child that died or exited nonzero, or a fork that failed.  The child is
     killed unless it finished, and reaped, on every path, a
-    KeyboardInterrupt included.  While it runs, can_fork() is False on
-    both sides, so neither function splits again.
+    KeyboardInterrupt included.
     """
-    global _busy
-    _busy = True
-    try:
-        return _fork_and_run(child_fn, here_fn)
-    finally:
-        _busy = False  # in this process: the child leaves by os._exit
-
-
-def _fork_and_run(child_fn, here_fn):
     strict = {key: "ignore" if how == "ignore" else "raise" for key, how in np.geterr().items()}
 
     def strictly(fn):

@@ -11,23 +11,15 @@ textbook order of operations, so its trajectories are bitwise those of the
 plain array expressions.  After each step one cheap bound on the states
 (2 calls) shows for nearly every step that neither guard, "singular" nor
 "escaped", can fail; only the other steps run the exact guards (6 calls).
-
-A grid at least SPLIT_MIN_WIDTH points wide, with at least
-SPLIT_MIN_POINT_STEPS points times steps, is stepped on two CPUs when the
-process may use two (schlicht._fork).  Below that width the second
-process's per-step call overhead costs more than the halved arithmetic
-saves, and below that work the fork and reap (a few ms) do.
+The stepper runs in the calling process: RK4 acts on each point by itself,
+so a caller that wants two CPUs splits the grid by points.
 """
 
 import math
 
 import numpy as np
 
-from . import _fork
-
 BACKEND = "numpy"
-SPLIT_MIN_WIDTH = 1024
-SPLIT_MIN_POINT_STEPS = 2**20
 
 
 def cauchy_mul(a, b):
@@ -74,49 +66,13 @@ def rk4_loewner(z0, kappa, h, store_stride, with_deriv):
     Status: raises ValueError("escaped") / ValueError("singular") on the
     guard conditions; callers translate to the library error types.  A NaN
     state fails the guards too.
-
-    RK4 acts on each point by itself, so a wide grid is split in two where
-    it pays (_split_pays): a forked child steps the back half while this
-    process steps the front half (_fork.beside).  The result is bit for bit
-    the one-process result.  If either half fails in any way, the whole
-    grid is rerun in this process and that run's outcome stands, so every
-    error and warning is the one-process one.
     """
     z0 = np.asarray(z0, dtype=complex)
-    nsteps = kappa.shape[0]
-
-    def solve(points):
-        shape = (nsteps // store_stride + 1, points.shape[0])
-        traj = np.empty(shape, dtype=complex)
-        dtraj = np.empty(shape, dtype=complex) if with_deriv else None
-        _rk4_steps(points, kappa, h, store_stride, traj, dtraj)
-        return traj, dtraj
-
-    if _split_pays(z0.shape[0], nsteps):
-        mid = z0.shape[0] // 2
-        halves = _fork.beside(lambda: solve(z0[mid:]), lambda: solve(z0[:mid]))
-        if halves is not None:
-            (back, dback), (front, dfront) = halves
-            traj = np.concatenate((front, back), axis=1)
-            return traj, (np.concatenate((dfront, dback), axis=1) if with_deriv else None)
-    return solve(z0)
-
-
-def _split_pays(width, nsteps):
-    """Whether to step the back half of the grid in a forked child.
-
-    The thresholds come from the 2-core host of BENCH_11.json, where one
-    step takes (one process -> split) 60 -> 72 us at width 512, 84 -> 65 us
-    at 1,024 and 228 -> 155 us at 4,096, and a fork and reap about 3 ms:
-    the saving of some 160 steps at width 1,024.  SPLIT_MIN_POINT_STEPS asks
-    for several times that, so that the host's drift cannot turn a split
-    into a loss.
-    """
-    return (
-        width >= SPLIT_MIN_WIDTH
-        and width * nsteps >= SPLIT_MIN_POINT_STEPS
-        and _fork.can_fork()
-    )
+    shape = (kappa.shape[0] // store_stride + 1, z0.shape[0])
+    traj = np.empty(shape, dtype=complex)
+    dtraj = np.empty(shape, dtype=complex) if with_deriv else None
+    _rk4_steps(z0, kappa, h, store_stride, traj, dtraj)
+    return traj, dtraj
 
 
 def _rk4_steps(z0, kappa, h, store_stride, traj, dtraj):

@@ -35,11 +35,18 @@ from .report import BoundReport
 
 # suites with a single-case report for one function and index (verify --n)
 FOCUS_SUITES = ("milin", "robertson", "area", "lebedev-milin", "weinstein")
-# stored states (times x points) from which loewner trace formats its CSV in
-# two halves (_fork.beside).  On a 2-core host a state's line costs about
-# 6-7 us and beside() about 4-6 ms plus the pickled half; one process against
-# split took 53 -> 59 ms at 8,192 states, 114 -> 78 ms at 16,384 and
-# 236 -> 143 ms at 32,768.  2^15 is twice the break-even, for the host's drift.
+# loewner trace solves and formats the two halves of a grid on two CPUs
+# (_fork.beside) when it has at least SPLIT_MIN_WIDTH points and
+# SPLIT_MIN_POINT_STEPS points x steps, or at least SPLIT_MIN_VALUES stored
+# states (times x points).  On a 2-core host a fork and reap cost 3-6 ms plus
+# the pickled half of the CSV.  One RK4 step took (one process -> split)
+# 60 -> 72 us at 512 points, 84 -> 65 us at 1,024 and 228 -> 155 us at 4,096:
+# some 160 steps at 1,024 points repay the fork, and 2^20 point-steps are
+# several times that.  A state's line costs 6-7 us, and formatting alone took
+# 53 -> 59 ms at 8,192 states, 114 -> 78 ms at 16,384 and 236 -> 143 ms at
+# 32,768: 2^15 states are twice the break-even.
+SPLIT_MIN_WIDTH = 1024
+SPLIT_MIN_POINT_STEPS = 2**20
 SPLIT_MIN_VALUES = 2**15
 
 
@@ -202,31 +209,37 @@ def cmd_loewner_trace(args):
     stride = max(nsteps // args.samples, 1)
     while nsteps % stride:
         stride -= 1
-    ev = lw.loewner_solve(kappa, grid, args.T, args.step, store_stride=stride)
-    # one CSV line per (t, z), built column-wise: repr of every float, and
-    # no field ever needs quoting
-    z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
-    times, states, scaled = ev.times.tolist(), ev.states, ev.scaled
 
-    def rows(lo, hi):
-        # the lines of stored times [lo, hi), each ended by a newline; joined
-        # a time at a time, so that no list holds every line
-        blocks = []
-        for t, f, ef in zip(times[lo:hi], states[lo:hi], scaled[lo:hi]):
+    def blocks(points):
+        # one string per stored time: the CSV lines of these points at that
+        # time, each ended by a newline (an empty grid has no lines); the
+        # lines are built column-wise, with repr of every float, and no
+        # field ever needs quoting
+        ev = lw.loewner_solve(kappa, points, args.T, args.step, store_stride=stride)
+        z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
+        out = []
+        for t, f, ef in zip(ev.times.tolist(), ev.states, ev.scaled):
             cols = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
-            blocks.append("\n".join(map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols))))
-            blocks.append("\n")
-        return "".join(blocks) if z_text else ""  # an empty grid has no lines
+            rows = map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols))
+            out.append("\n".join([*rows, ""]))
+        return out
 
-    # the time blocks are contiguous in the CSV, so two halves of them,
-    # formatted on two CPUs, join into the one-process bytes
-    n = len(times)
+    # RK4 steps each point by itself, so the halves of the grid are solved
+    # and formatted apart, and each time's two blocks join into its lines
+    width = grid.shape[0]
     halves = None
-    if states.size >= SPLIT_MIN_VALUES and _fork.can_fork():
-        mid = n // 2
-        halves = _fork.beside(lambda: rows(mid, n), lambda: rows(0, mid))
-    back, front = ("", rows(0, n)) if halves is None else halves
-    _write_text(args.out, "".join(("t,z_re,z_im,f_re,f_im,etf_re,etf_im\n", front, back)))
+    if width >= 2 and _fork.can_fork() and (
+        width >= SPLIT_MIN_WIDTH and width * nsteps >= SPLIT_MIN_POINT_STEPS
+        or (nsteps // stride + 1) * width >= SPLIT_MIN_VALUES
+    ):
+        mid = width // 2
+        halves = _fork.beside(lambda: blocks(grid[mid:]), lambda: blocks(grid[:mid]))
+    if halves is None:
+        chunks = blocks(grid)
+    else:
+        back, front = halves
+        chunks = [block for pair in zip(front, back) for block in pair]
+    _write_text(args.out, "".join(["t,z_re,z_im,f_re,f_im,etf_re,etf_im\n", *chunks]))
     return 0
 
 

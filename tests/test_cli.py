@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from test_kernels import _split_and_one_process
+from test_fork import _count_forks, _set_cpus, _split_and_one_process
 
 from schlicht import cli, suites
 from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
@@ -422,19 +422,15 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
 
 
 def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
-    # 2,048 points x 1,000 steps is above the kernel's split threshold
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    # 2,048 points x 1,000 steps is above the RK4 rule (cli.SPLIT_MIN_WIDTH,
+    # cli.SPLIT_MIN_POINT_STEPS); its 5 x 2,048 stored states are below
+    # cli.SPLIT_MIN_VALUES
+    forks = _count_forks(monkeypatch)
     argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
             "--T", "1", "--step", "1e-3", "--samples", "4")
     texts = {}
     for cpus in (2, 1):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        _set_cpus(monkeypatch, cpus)
         out = tmp_path / f"trace-{cpus}.csv"
         assert run_cli(*argv, "--out", str(out)).returncode == 0
         texts[cpus] = out.read_bytes()
@@ -442,30 +438,70 @@ def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
     assert texts[2] == texts[1]
 
 
-# 2,048 points x 520 steps is above the kernel's split threshold, and 21
-# stored times x 2,048 points above cli.SPLIT_MIN_VALUES: the solve forks,
-# then the formatting
+# 2,048 points x 520 steps is above the RK4 rule, and 21 stored times x
+# 2,048 points above cli.SPLIT_MIN_VALUES: one fork solves and formats the
+# back half of the grid
 _WIDE_TRACE = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
                "--T", "0.52", "--step", "1e-3", "--samples", "20")
 
 
-def _wide_trace(tmp_path, out):
-    """Exit code, CSV bytes and stderr of the wide trace, to a file or stdout."""
-    assert 21 * 2048 >= cli.SPLIT_MIN_VALUES
+def _trace(tmp_path, argv, out):
+    """Exit code, CSV bytes and stderr of a trace, to a file or stdout."""
     if out == "-":
-        proc = run_cli(*_WIDE_TRACE, "--out", "-")
+        proc = run_cli(*argv, "--out", "-")
         return proc.returncode, proc.stdout.encode(), proc.stderr
     path = tmp_path / "trace.csv"
-    proc = run_cli(*_WIDE_TRACE, "--out", str(path))
+    proc = run_cli(*argv, "--out", str(path))
     return proc.returncode, path.read_bytes(), proc.stderr
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
 def test_trace_text_split_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch, out):
     split, alone = _split_and_one_process(
-        monkeypatch, lambda: _wide_trace(tmp_path, out), nforks=2
+        monkeypatch, lambda: _trace(tmp_path, _WIDE_TRACE, out)
     )
     assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
+    assert split == alone
+
+
+def test_trace_split_follows_the_real_affinity(tmp_path, monkeypatch):
+    # under `taskset -c 0` this runs the one-CPU path of the real rule
+    forks = _count_forks(monkeypatch)
+    assert _trace(tmp_path, _WIDE_TRACE, "file")[0] == 0
+    assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
+
+
+# the smallest traces each rule splits, and the largest it does not; the
+# states rule splits narrow traces (128 points here) for their CSV alone
+_THRESHOLDS = {
+    "rk4-rule": ("polar:16x64", "1.024", "1", 1),  # 1,024 x 1,024 = 2^20 point-steps
+    "rk4-steps-below": ("polar:16x64", "1.023", "1", 0),
+    "rk4-width-below": ("polar:31x33", "1.1", "1", 0),  # 1,023 points
+    "states-rule": ("polar:2x64", "0.255", "255", 1),  # 256 x 128 = 2^15 stored states
+    "states-below": ("polar:2x64", "0.254", "254", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_THRESHOLDS))
+def test_trace_split_at_the_thresholds_is_bitwise_one_process(tmp_path, monkeypatch, case):
+    grid, horizon, samples, nforks = _THRESHOLDS[case]
+    argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", grid,
+            "--T", horizon, "--step", "1e-3", "--samples", samples)
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _trace(tmp_path, argv, "-"), nforks=nforks
+    )
+    assert alone[0] == 0
+    assert split == alone
+
+
+@pytest.mark.parametrize("grid, nforks", [("points:[[0.5,0]]", 0), ("points:[[0.5,0],[0,0.5]]", 1)])
+def test_trace_splits_from_two_points(tmp_path, monkeypatch, grid, nforks):
+    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
+    argv = ("loewner", "trace", "--grid", grid, "--T", "0.1", "--step", "1e-2")
+    split, alone = _split_and_one_process(
+        monkeypatch, lambda: _trace(tmp_path, argv, "-"), nforks=nforks
+    )
+    assert alone[0] == 0
     assert split == alone
 
 
@@ -474,8 +510,7 @@ def test_trace_text_failure_in_the_child_gives_the_one_process_bytes(tmp_path, m
     parent = os.getpid()
 
     def planted_repr(value):
-        # only the formatting child formats with repr (the solve's child
-        # does not), and it fails
+        # the child fails as it formats its half
         if os.getpid() != parent:
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -484,9 +519,81 @@ def test_trace_text_failure_in_the_child_gives_the_one_process_bytes(tmp_path, m
 
     monkeypatch.setattr(cli, "repr", planted_repr, raising=False)
     split, alone = _split_and_one_process(
-        monkeypatch, lambda: _wide_trace(tmp_path, "file"), nforks=2
+        monkeypatch, lambda: _trace(tmp_path, _WIDE_TRACE, "file")
     )
     assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
+    assert split == alone
+
+
+# A 64-point grid splits into points 0-31 (this process) and 32-63 (the
+# child).  Point 5 escapes in the step where kappa = 1, point 40 in the step
+# where kappa = -1j; every other step is benign for the whole grid.
+_BENIGN = [-0.7071067811865476, 0.7071067811865476]  # e^{3 pi i / 4}
+
+
+def _steps(front_step=None, back_step=None):
+    """A steps: driving for 8 steps of 1e-2, each value from the middle of
+    the step before: kappa = 1 in front_step, -1j in back_step."""
+    kappa = [_BENIGN] * 8
+    if front_step:
+        kappa[front_step - 1] = [1, 0]
+    if back_step:
+        kappa[back_step - 1] = [0, -1]
+    return "steps:" + json.dumps([[(s - 0.5) * 1e-2, k] for s, k in enumerate(kappa)])
+
+
+def _points(front=(0.999, 0.0), back=(0.0, 0.999)):
+    rng = np.random.default_rng(5)
+    z0 = rng.uniform(0.0, 0.9, 64) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 64))
+    pts = [[z.real, z.imag] for z in z0]
+    pts[5], pts[40] = list(front), list(back)
+    return "points:" + json.dumps(pts)
+
+
+_ESCAPED = (3, "", "numeric error: trajectory left the unit disk\n")
+_NAN = (3, "", "numeric error: grid points must satisfy |z| < 1\n")
+_FAILURES = {
+    "front-only": (_points(), _steps(front_step=5), _ESCAPED),
+    "back-only": (_points(), _steps(back_step=3), _ESCAPED),
+    "back-first": (_points(), _steps(front_step=5, back_step=2), _ESCAPED),
+    "front-first": (_points(), _steps(front_step=2, back_step=5), _ESCAPED),
+    # the one-process error is the NaN grid point's, whichever half it is in
+    "nan-back-escape-front": (_points(back=(float("nan"), 0.0)), _steps(front_step=3), _NAN),
+    "nan-front-escape-back": (_points(front=(float("nan"), 0.0)), _steps(back_step=3), _NAN),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_trace_split_failures_give_the_one_process_outcome(monkeypatch, case):
+    grid, kappa, expected = _FAILURES[case]
+    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
+    argv = ("loewner", "trace", "--kappa", kappa, "--grid", grid,
+            "--T", "0.08", "--step", "1e-2", "--out", "-")
+
+    def run():
+        proc = run_cli(*argv)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    split, alone = _split_and_one_process(monkeypatch, run)
+    assert alone == expected
+    assert split == alone
+
+
+def test_trace_warnings_are_the_one_process_warnings(monkeypatch):
+    # the tiny point underflows in the child's half; the trace passes
+    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
+    argv = ("loewner", "trace", "--kappa", _steps(), "--grid", _points((0.5, 0.0), (1e-300, 0.0)),
+            "--T", "0.08", "--step", "1e-2", "--out", "-")
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+            warnings.simplefilter("always")
+            proc = run_cli(*argv)
+        out = proc.returncode, proc.stdout, proc.stderr
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    split, alone = _split_and_one_process(monkeypatch, run)
+    assert alone[0][0] == 0 and alone[1]
     assert split == alone
 
 
