@@ -1,11 +1,15 @@
-"""The NumPy kernels: guards, and the RK4 stepper's order of operations."""
+"""The NumPy kernels: guards, the RK4 stepper's order of operations, and
+the halves of a grid stepped in two processes as `loewner trace` steps them."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_fork import _assert_no_child, _count_forks
 
-from schlicht import _kernels
+from schlicht import _fork, _kernels, cli
 
 
 def _rhs(y, kap):
@@ -201,3 +205,113 @@ def _outcome(z0, kappa, h, stride, with_deriv):
     except Exception as exc:
         return type(exc), str(exc)
     return _bits(traj).tobytes(), None if dtraj is None else _bits(dtraj).tobytes()
+
+
+# RK4 steps each point by itself, so `loewner trace` steps the back half of
+# a wide grid in a forked child beside the front half (_fork.beside).  When
+# beside() gives None, the trace steps the whole grid in one process, whose
+# outcome stands.
+
+def _split_and_one_process(monkeypatch, z0, kappa, h, stride, with_deriv):
+    """The kernel's outcome with the halves of the grid stepped beside each
+    other (None when beside() gave None), then in one process."""
+    forks = _count_forks(monkeypatch)
+    mid = z0.shape[0] // 2
+    pair = _fork.beside(
+        lambda: _kernels.rk4_loewner(z0[mid:], kappa, h, stride, with_deriv),
+        lambda: _kernels.rk4_loewner(z0[:mid], kappa, h, stride, with_deriv),
+    )
+    assert len(forks) == 1
+    _assert_no_child()
+    split = None
+    if pair is not None:
+        (back, dback), (front, dfront) = pair
+        split = _bits(np.concatenate([front, back], axis=1)).tobytes(), (
+            None if dback is None else _bits(np.concatenate([dfront, dback], axis=1)).tobytes()
+        )
+    return split, _outcome(z0, kappa, h, stride, with_deriv)
+
+
+def _polar_grid(width, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 0.9, width) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, width))
+
+
+@pytest.mark.parametrize("with_deriv", [False, True])
+def test_split_at_the_threshold_is_bitwise_one_process(monkeypatch, with_deriv):
+    # the smallest wide grid and step count that `loewner trace` splits
+    width = cli.SPLIT_MIN_WIDTH
+    nsteps = -(-cli.SPLIT_MIN_POINT_STEPS // width)
+    pieces = np.exp(1j * np.array([0.3, 2.0, -1.1]))
+    kappa = np.repeat(pieces, [nsteps // 3, nsteps // 3, nsteps - 2 * (nsteps // 3)])
+    stride = next(d for d in (256, 128, 64, 32, 16, 8, 4, 2, 1) if nsteps % d == 0)
+    split, alone = _split_and_one_process(
+        monkeypatch, _polar_grid(width), kappa, 1e-3, stride, with_deriv
+    )
+    assert isinstance(split[0], bytes)
+    assert split == alone
+
+
+# A 64-point grid splits into points 0-31 (this process) and 32-63 (the
+# child).  Point 5 escapes at the step where kappa = 1, point 40 at the step
+# where kappa = -1j; every other step is benign for the whole grid.
+_BENIGN = np.exp(0.75j * np.pi)
+
+
+def _kappa(front_step=None, back_step=None, nsteps=8):
+    kappa = np.full(nsteps, _BENIGN)
+    if front_step:
+        kappa[front_step - 1] = 1.0
+    if back_step:
+        kappa[back_step - 1] = -1j
+    return kappa
+
+
+def _planted(front=0.999, back=0.999j):
+    z0 = _polar_grid(64, seed=5)
+    z0[5], z0[40] = front, back
+    return z0
+
+
+_ESCAPED = (ValueError, "escaped")
+_FAILURES = {
+    "front-only": (_planted(), _kappa(front_step=5), "ignore", _ESCAPED),
+    "back-only": (_planted(), _kappa(back_step=3), "ignore", _ESCAPED),
+    "back-first": (_planted(), _kappa(front_step=5, back_step=2), "ignore", _ESCAPED),
+    "front-first": (_planted(), _kappa(front_step=2, back_step=5), "ignore", _ESCAPED),
+    # the first failure wins, whichever half it is in
+    "nan-back-escape-front": (
+        _planted(back=complex("nan")), _kappa(front_step=3), "ignore", (ValueError, "singular")
+    ),
+    "nan-front-escape-back": (
+        _planted(front=complex("nan")), _kappa(back_step=3), "ignore", (ValueError, "singular")
+    ),
+    # invalid = warn, warnings as errors: the child's half meets the NaN
+    "warning-in-back": (
+        _planted(back=complex("inf")), _kappa(front_step=5), "warn",
+        (RuntimeWarning, "invalid value encountered in multiply"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_split_failures_raise_what_one_process_raises(monkeypatch, case):
+    z0, kappa, invalid, expected = _FAILURES[case]
+    with warnings.catch_warnings(), np.errstate(invalid=invalid):
+        warnings.simplefilter("error", RuntimeWarning)
+        split, alone = _split_and_one_process(monkeypatch, z0, kappa, 1e-2, 1, False)
+    # a failed half gives None, so what the one-process run raises stands
+    assert split is None
+    assert alone == expected
+
+
+def test_split_warnings_are_the_one_process_warnings(monkeypatch):
+    # the tiny point underflows in the child's half: beside() gives None and
+    # no warning, so the warnings are the one-process run's; the solve passes
+    z0 = _planted(0.5, 1e-300 + 0j)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+        warnings.simplefilter("always")
+        split, alone = _split_and_one_process(monkeypatch, z0, _kappa(), 1e-2, 1, False)
+    assert split is None
+    assert isinstance(alone[0], bytes) and caught
+    assert {w.category for w in caught} == {RuntimeWarning}
