@@ -1,8 +1,8 @@
 """Two calls at once on two CPUs: one in a forked child, one in this process.
 
 ``beside(child_fn, here_fn)`` is the one place the package forks.  Its
-callers split work whose parts do not depend on each other (the halves of
-a wide trace, the shares of ``verify --suite all``) and keep a
+callers split work whose parts do not depend on each other (the CSV
+halves of a large trace, the shares of ``verify --suite all``) and keep a
 one-process path: ``beside`` returns None whenever either side fails in
 any way, and the caller then does the whole job in this process, whose
 outcome stands.  So results, exceptions and warnings are always the

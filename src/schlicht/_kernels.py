@@ -11,8 +11,9 @@ textbook order of operations, so its trajectories are bitwise those of the
 plain array expressions.  After each step one cheap bound on the states
 (2 calls) shows for nearly every step that neither guard, "singular" nor
 "escaped", can fail; only the other steps run the exact guards (6 calls).
-The stepper runs in the calling process: RK4 acts on each point by itself,
-so a caller that wants two CPUs splits the grid by points.
+RK4 is the oracle of ``loewner.loewner_solve``, which moves each constant
+piece of the driving by its closed-form flow: the suites and tests call it
+to measure its fourth order and to hold the exact flow to it.
 """
 
 import math

@@ -35,18 +35,12 @@ from .report import BoundReport
 
 # suites with a single-case report for one function and index (verify --n)
 FOCUS_SUITES = ("milin", "robertson", "area", "lebedev-milin", "weinstein")
-# loewner trace solves and formats the two halves of a grid on two CPUs
-# (_fork.beside) when it has at least SPLIT_MIN_WIDTH points and
-# SPLIT_MIN_POINT_STEPS points x steps, or at least SPLIT_MIN_VALUES stored
-# states (times x points).  On a 2-core host a fork and reap cost 3-6 ms plus
-# the pickled half of the CSV.  One RK4 step took (one process -> split)
-# 60 -> 72 us at 512 points, 84 -> 65 us at 1,024 and 228 -> 155 us at 4,096:
-# some 160 steps at 1,024 points repay the fork, and 2^20 point-steps are
-# several times that.  A state's line costs 6-7 us, and formatting alone took
-# 53 -> 59 ms at 8,192 states, 114 -> 78 ms at 16,384 and 236 -> 143 ms at
-# 32,768: 2^15 states are twice the break-even.
-SPLIT_MIN_WIDTH = 1024
-SPLIT_MIN_POINT_STEPS = 2**20
+# loewner trace formats the two halves of a grid on two CPUs (_fork.beside)
+# when it stores at least SPLIT_MIN_VALUES states (times x points).  On a
+# 2-core host a fork and reap cost 3-6 ms plus the pickled half of the CSV.
+# A state's line costs 6-7 us, and formatting alone took 53 -> 59 ms at
+# 8,192 states, 114 -> 78 ms at 16,384 and 236 -> 143 ms at 32,768: 2^15
+# states are twice the break-even.
 SPLIT_MIN_VALUES = 2**15
 
 
@@ -209,33 +203,31 @@ def cmd_loewner_trace(args):
     stride = max(nsteps // args.samples, 1)
     while nsteps % stride:
         stride -= 1
+    ev = lw.loewner_solve(kappa, grid, args.T, args.step, store_stride=stride)
+    times, scaled = ev.times.tolist(), ev.scaled
 
-    def blocks(points):
-        # one string per stored time: the CSV lines of these points at that
-        # time, each ended by a newline (an empty grid has no lines); the
-        # lines are built column-wise, with repr of every float, and no
+    def blocks(cols):
+        # one string per stored time: the CSV lines of these grid columns at
+        # that time, each ended by a newline (an empty grid has no lines);
+        # the lines are built column-wise, with repr of every float, and no
         # field ever needs quoting
-        ev = lw.loewner_solve(kappa, points, args.T, args.step, store_stride=stride)
-        z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
+        z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid[cols].tolist()]
         out = []
-        for t, f, ef in zip(ev.times.tolist(), ev.states, ev.scaled):
-            cols = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
-            rows = map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *cols))
+        for t, f, ef in zip(times, ev.states[:, cols], scaled[:, cols]):
+            parts = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
+            rows = map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *parts))
             out.append("\n".join([*rows, ""]))
         return out
 
-    # RK4 steps each point by itself, so the halves of the grid are solved
-    # and formatted apart, and each time's two blocks join into its lines
+    # the halves of the grid are formatted apart, and each time's two blocks
+    # join into its lines
     width = grid.shape[0]
     halves = None
-    if width >= 2 and _fork.can_fork() and (
-        width >= SPLIT_MIN_WIDTH and width * nsteps >= SPLIT_MIN_POINT_STEPS
-        or (nsteps // stride + 1) * width >= SPLIT_MIN_VALUES
-    ):
+    if width >= 2 and ev.states.size >= SPLIT_MIN_VALUES and _fork.can_fork():
         mid = width // 2
-        halves = _fork.beside(lambda: blocks(grid[mid:]), lambda: blocks(grid[:mid]))
+        halves = _fork.beside(lambda: blocks(slice(mid, None)), lambda: blocks(slice(mid)))
     if halves is None:
-        chunks = blocks(grid)
+        chunks = blocks(slice(None))
     else:
         back, front = halves
         chunks = [block for pair in zip(front, back) for block in pair]

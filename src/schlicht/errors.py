@@ -57,10 +57,6 @@ class PoleAtMinusOne(SchlichtError):
     pass
 
 
-class StepRejected(SchlichtError):
-    pass
-
-
 class TrajectoryEscaped(SchlichtError):
     pass
 

@@ -5,9 +5,10 @@ Three chain representations share one interface:
 * ``KoebeChain``   -- f_t(z) = e^t z/(1-z)^2 in closed form, with the
   transition flow w_t(z) solving z/(1-z)^2 = e^t w/(1-w)^2.
 * ``TrivialChain`` -- f_t(z) = e^t z (p identically 1, all c_k = 0).
-* ``NumericChain`` -- driven by a unit-circle-valued control kappa(t);
-  trajectories come from fixed-step RK4 on
-  df/dt = -f (1 + kappa f)/(1 - kappa f).
+* ``NumericChain`` -- driven by a unit-circle-valued control kappa(t),
+  piecewise constant on a step grid; trajectories of
+  df/dt = -f (1 + kappa f)/(1 - kappa f) come from the closed-form flow
+  of each constant piece, which conserves e^t x/(1 - x)^2 with x = -kappa f.
 
 Time-infinity statements are never extrapolated.  Where the time
 dependence is polynomial in e^{-t}, as for the kernel coefficients on the
@@ -34,7 +35,6 @@ from .errors import (
     DerivativeUnderflow,
     ParamOutOfRange,
     PoleAtMinusOne,
-    StepRejected,
     TrajectoryEscaped,
 )
 from .series import PowerSeries
@@ -164,13 +164,30 @@ class Evolution:
         return np.exp(self.times)[:, None] * self.states
 
 
+def _flow_map(w, k, tau):
+    """The state w after time tau of the flow under the constant driving k.
+
+    With x = -k w the flow conserves e^t x/(1 - x)^2, so this is
+    koebe_transition on x, vectorized and without its branch test: for x in
+    the disk, 4u + 1 never lies on (-inf, 0], so the principal square root
+    gives the root inside the disk.  tau is a scalar or an array that
+    broadcasts against w.
+    """
+    x = -k * w
+    u = np.exp(-tau) * x / (1.0 - x) ** 2
+    return -(2.0 * u / (1.0 + 2.0 * u + np.sqrt(4.0 * u + 1.0))) / k
+
+
 def loewner_solve(kappa, z_grid, T, h, store_stride=1, t0=0.0):
     """Integrate the radial Loewner equation for each grid point.
 
-    Classical fixed-step RK4; kappa is sampled once per step (piecewise-
-    constant driving with jumps aligned to step boundaries).  Trajectories
-    must stay inside the unit disk and away from the kappa f = 1
-    singularity, else TrajectoryEscaped / StepRejected is raised.
+    kappa is sampled once per step of h (piecewise-constant driving with
+    jumps aligned to step boundaries), and each constant piece moves a
+    state by the closed-form flow (_flow_map).  The state at each piece's
+    start comes from chaining the map from break to break; every stored
+    state is mapped from the start of its piece, so it does not depend on
+    store_stride.  A state that is not finite or has left the unit disk
+    raises TrajectoryEscaped.
     """
     if not 0 < h <= 1e-2 + 1e-15:
         raise ParamOutOfRange("step size must satisfy 0 < h <= 1e-2")
@@ -186,14 +203,26 @@ def loewner_solve(kappa, z_grid, T, h, store_stride=1, t0=0.0):
     if nsteps % store_stride:
         raise ParamOutOfRange("step count must be a multiple of store_stride")
     kap = kappa.per_step(t0, h, nsteps)
-    try:
-        traj, _ = _kernels.rk4_loewner(z0, kap, h, store_stride, False)
-    except ValueError as exc:
-        if "singular" in str(exc):
-            raise StepRejected("trajectory approached the kappa f = 1 singularity") from exc
-        raise TrajectoryEscaped("trajectory left the unit disk") from exc
-    times = t0 + h * store_stride * np.arange(traj.shape[0])
-    return Evolution(times=times, z_grid=z0, states=traj)
+    # the pieces start at step 0 and wherever the sample changes (a NaN
+    # sample starts a piece of its own)
+    breaks = np.flatnonzero(np.concatenate([[True], kap[1:] != kap[:-1]]))
+    starts = [z0]
+    for begin, end in zip(breaks[:-1].tolist(), breaks[1:].tolist()):
+        starts.append(_flow_map(starts[-1], kap[begin], h * (end - begin)))
+    steps = store_stride * np.arange(nsteps // store_stride + 1)
+    piece = np.searchsorted(breaks, steps, side="right") - 1
+    begin, states = breaks[piece], np.stack(starts)[piece]
+    # a row on a break keeps its piece's start state, since the map at
+    # tau = 0 is not the identity bit for bit; the others take one call
+    off = steps != begin
+    states[off] = _flow_map(
+        states[off], kap[begin[off]][:, None], (h * (steps[off] - begin[off]))[:, None]
+    )
+    # a NaN or infinite state carries on to every later row
+    if not np.all(np.abs(states) < 1.0):
+        raise TrajectoryEscaped("trajectory left the unit disk")
+    times = t0 + h * store_stride * np.arange(states.shape[0])
+    return Evolution(times=times, z_grid=z0, states=states)
 
 
 # -- chain representations --------------------------------------------------
@@ -266,9 +295,11 @@ class NumericChain:
     """Chain reconstructed from Loewner trajectories under a driving kappa.
 
     f_t(z) = lim e^s w(s; z, t) as s -> infinity, where w(.; z, t) solves
-    the Loewner equation from state z at time t.  From T0, the last break of
-    kappa rounded up to the step grid, the flow conserves
-    e^s w/(1 + kappa w)^2 and w -> 0, so f_t(z) is that at s = max(t, T0).
+    the Loewner equation from state z at time t (loewner_solve, exact on
+    each constant piece of kappa; h only places the breaks on its step
+    grid).  From T0, the last break of kappa rounded up to the step grid,
+    the flow conserves e^s w/(1 + kappa w)^2 and w -> 0, so f_t(z) is that
+    at s = max(t, T0).
     Boundary data comes from circle grids of trajectories; z-derivatives
     are spectral (differentiate the circle Fourier series), t-derivatives
     are central differences with spacing 0.01.  Series fits use the circle
@@ -290,34 +321,27 @@ class NumericChain:
     def _flow_from(self, z0, t0):
         """f_t(z0) for an array of start states z0 at times t0.
 
-        t0 is one start time or one per state.  The states that start
-        before T0 share one integration up to T0: those with the earliest
-        start are advanced alone to the next start time, where the states
-        starting there join, and so on.  RK4 acts on each state by itself,
-        so every value is the one a solve from its own start would give,
-        bit for bit, while the step count is that of the earliest start.
+        t0 is one start time or one per state.  The states of each start
+        time before T0 take one solve from that time to T0, so every value
+        is the one a solve from its own start would give, bit for bit.
         """
         z0 = np.asarray(z0, dtype=complex).ravel()
         t0 = np.array([self._snap(t) for t in np.broadcast_to(t0, z0.shape)])
         if np.any(t0 < 0):
             raise ChainUnavailable(f"t = {t0.min()} is before the chain starts at t = 0")
-        starts, counts = np.unique(t0[t0 < self.T0], return_counts=True)
-        order = np.argsort(t0, kind="stable")
-        joining = np.split(order, np.cumsum(counts))  # the last part starts at T0 or later
-        y = z0[:0]
-        for begin, end, idx in zip(starts, [*starts[1:], self.T0], joining):
-            y = np.concatenate([y, z0[idx]])
-            ev = loewner_solve(self.kappa, y, end, self.h, store_stride=int(
-                round((end - begin) / self.h)), t0=begin)
-            y = ev.states[-1]
         w = z0.copy()
-        w[order[: y.size]] = y
+        for begin in np.unique(t0[t0 < self.T0]).tolist():
+            at = t0 == begin
+            nsteps = int(round((self.T0 - begin) / self.h))
+            w[at] = loewner_solve(
+                self.kappa, z0[at], self.T0, self.h, store_stride=nsteps, t0=begin
+            ).states[-1]
         return np.exp(np.maximum(t0, self.T0)) * w / (1.0 + self.kappa.values[-1] * w) ** 2
 
     def _circles(self, specs):
         """Flow values and points on each (t, r, Q) circle of specs.
 
-        Circles not yet cached come from one integration (see _flow_from).
+        Circles not yet cached come from one _flow_from call.
         """
         keys = [(self._snap(t), float(r), int(Q)) for t, r, Q in specs]
         missing = [key for key in dict.fromkeys(keys) if key not in self._circle_cache]
@@ -365,7 +389,7 @@ class NumericChain:
 
         t and r broadcast against each other; both results then carry that
         shape in front of the Q axis.  All the circles the finite-difference
-        stencils need come from one integration.
+        stencils need come from one _flow_from call.
         """
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
         dt = 0.01
@@ -431,7 +455,7 @@ def chain_log_coeffs(chain, t, N, cross_check=True):
     z^{-k-1} on |z| = 0.5, with branch continuity enforced along the contour.
     """
     if cross_check and isinstance(chain, NumericChain):
-        # the fit circle and the quadrature circle in one integration
+        # the fit circle and the quadrature circle in one _flow_from call
         chain._circles([chain._fit_circle(t, N + 1), (t, *_QUAD_CIRCLE)])
     s = chain.series_at(t, N + 1)
     F = PowerSeries(s.coeffs[1:] * math.exp(-t))

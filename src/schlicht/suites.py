@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import _fork
+from . import _fork, _kernels
 from . import functionals as fn
 from . import legendre as lg
 from . import loewner as lw
@@ -239,11 +239,14 @@ def suite_loewner():
     for i, z in enumerate(pts):
         gap = abs(np.exp(10.0) * ev.states[5, i] - lw.koebe_map(z))
         rep.add(f"hull-limit-T=10-z={z}", gap, 1e-3)
-    # fourth-order convergence under step halving
+    # the RK4 oracle converges at fourth order under step halving
     errs = []
     for hh in (1e-2, 5e-3, 2.5e-3):
-        e = lw.loewner_solve(drv, [0.5], 2.0, hh, store_stride=int(2.0 / hh))
-        errs.append(abs(e.states[-1, 0] - lw.koebe_transition(0.5, 2.0)))
+        nsteps = int(round(2.0 / hh))
+        traj, _ = _kernels.rk4_loewner(
+            np.array([0.5 + 0j]), np.full(nsteps, -1.0 + 0j), hh, nsteps, False
+        )
+        errs.append(abs(traj[-1, 0] - lw.koebe_transition(0.5, 2.0)))
     for i in range(2):
         ratio = errs[i] / errs[i + 1]
         rep.add(f"h-halving-ratio-low-{i}", 12.0, ratio)
@@ -330,12 +333,13 @@ SUITES = {
 
 
 # The suites of 'all' that a forked child runs while this process runs the
-# rest.  Warm seconds per suite, seed 1, on a 2-core host: loewner
-# 0.53-0.58, legendre 0.26-0.29, milin 0.20-0.23, lebedev-milin 0.12-0.13,
-# bounds 0.05-0.06, weinstein 0.055, area 0.04, littlewood 0.015, robertson
-# 0.001.  So the child's share is about 0.65 s and this process's 0.69 s;
-# the child also pays for the pages it copies on write.
-CHILD_SUITES = ("loewner", "area", "weinstein")
+# rest.  Warm seconds per suite, seed 1, on a 2-core host: legendre 0.24,
+# milin 0.20, lebedev-milin 0.11, loewner 0.077, weinstein 0.047, bounds
+# 0.045, area 0.019, littlewood 0.013, robertson 0.001.  So the child's
+# share is about 0.38 s and this process's 0.36 s; the child also pays for
+# the pages it copies on write.  The whole gate took 0.95 s in one process
+# against 0.82 s split.
+CHILD_SUITES = ("legendre", "loewner", "area", "weinstein")
 
 
 def run_suite(name, seed=0):

@@ -422,9 +422,8 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
 
 
 def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
-    # 2,048 points x 1,000 steps is above the RK4 rule (cli.SPLIT_MIN_WIDTH,
-    # cli.SPLIT_MIN_POINT_STEPS); its 5 x 2,048 stored states are below
-    # cli.SPLIT_MIN_VALUES
+    # 2,048 points x 1,000 steps, but its 5 x 2,048 stored states are below
+    # cli.SPLIT_MIN_VALUES: no fork on either affinity
     forks = _count_forks(monkeypatch)
     argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
             "--T", "1", "--step", "1e-3", "--samples", "4")
@@ -434,13 +433,23 @@ def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
         out = tmp_path / f"trace-{cpus}.csv"
         assert run_cli(*argv, "--out", str(out)).returncode == 0
         texts[cpus] = out.read_bytes()
-    assert len(forks) == 1
+    assert not forks
     assert texts[2] == texts[1]
 
 
-# 2,048 points x 520 steps is above the RK4 rule, and 21 stored times x
-# 2,048 points above cli.SPLIT_MIN_VALUES: one fork solves and formats the
-# back half of the grid
+def test_wide_trace_with_a_bad_horizon_fails_before_it_forks(monkeypatch):
+    # the solve checks --T, --step and the grid before the CSV is split
+    forks = _count_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    proc = run_cli("loewner", "trace", "--grid", "polar:64x64", "--T", "25", "--step", "1e-2",
+                   "--out", "-")
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: horizon must satisfy 0 <= T - t0 <= 20\n"
+    assert not forks
+
+
+# 21 stored times x 2,048 points is above cli.SPLIT_MIN_VALUES: one fork
+# formats the back half of the grid
 _WIDE_TRACE = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
                "--T", "0.52", "--step", "1e-3", "--samples", "20")
 
@@ -471,12 +480,9 @@ def test_trace_split_follows_the_real_affinity(tmp_path, monkeypatch):
     assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
 
 
-# the smallest traces each rule splits, and the largest it does not; the
-# states rule splits narrow traces (128 points here) for their CSV alone
+# the smallest trace the rule splits, and the largest it does not; it
+# splits narrow traces (128 points here) for their CSV alone
 _THRESHOLDS = {
-    "rk4-rule": ("polar:16x64", "1.024", "1", 1),  # 1,024 x 1,024 = 2^20 point-steps
-    "rk4-steps-below": ("polar:16x64", "1.023", "1", 0),
-    "rk4-width-below": ("polar:31x33", "1.1", "1", 0),  # 1,023 points
     "states-rule": ("polar:2x64", "0.255", "255", 1),  # 256 x 128 = 2^15 stored states
     "states-below": ("polar:2x64", "0.254", "254", 0),
 }
@@ -526,8 +532,10 @@ def test_trace_text_failure_in_the_child_gives_the_one_process_bytes(tmp_path, m
 
 
 # A 64-point grid splits into points 0-31 (this process) and 32-63 (the
-# child).  Point 5 escapes in the step where kappa = 1, point 40 in the step
-# where kappa = -1j; every other step is benign for the whole grid.
+# child).  Point 5 (0.999) meets kappa = 1 in front_step, and point 40
+# (0.999i) meets kappa = -1j in back_step: kappa f is then within 1e-3 of 1,
+# where RK4 at h = 1e-2 overshoots the disk.  The exact flow keeps both
+# inside.  Every other step is benign for the whole grid.
 _BENIGN = [-0.7071067811865476, 0.7071067811865476]  # e^{3 pi i / 4}
 
 
@@ -550,14 +558,15 @@ def _points(front=(0.999, 0.0), back=(0.0, 0.999)):
     return "points:" + json.dumps(pts)
 
 
-_ESCAPED = (3, "", "numeric error: trajectory left the unit disk\n")
 _NAN = (3, "", "numeric error: grid points must satisfy |z| < 1\n")
 _FAILURES = {
-    "front-only": (_points(), _steps(front_step=5), _ESCAPED),
-    "back-only": (_points(), _steps(back_step=3), _ESCAPED),
-    "back-first": (_points(), _steps(front_step=5, back_step=2), _ESCAPED),
-    "front-first": (_points(), _steps(front_step=2, back_step=5), _ESCAPED),
-    # the one-process error is the NaN grid point's, whichever half it is in
+    # each stored state stays in the disk: exit 0, one fork
+    "front-only": (_points(), _steps(front_step=5), None),
+    "back-only": (_points(), _steps(back_step=3), None),
+    "back-first": (_points(), _steps(front_step=5, back_step=2), None),
+    "front-first": (_points(), _steps(front_step=2, back_step=5), None),
+    # the NaN grid point fails the solve before the split, whichever half it
+    # is in
     "nan-back-escape-front": (_points(back=(float("nan"), 0.0)), _steps(front_step=3), _NAN),
     "nan-front-escape-back": (_points(front=(float("nan"), 0.0)), _steps(back_step=3), _NAN),
 }
@@ -574,8 +583,14 @@ def test_trace_split_failures_give_the_one_process_outcome(monkeypatch, case):
         proc = run_cli(*argv)
         return proc.returncode, proc.stdout, proc.stderr
 
-    split, alone = _split_and_one_process(monkeypatch, run)
-    assert alone == expected
+    split, alone = _split_and_one_process(monkeypatch, run, nforks=int(expected is None))
+    if expected is None:
+        assert alone[0] == 0 and alone[2] == ""
+        rows = np.array([line.split(",") for line in alone[1].splitlines()[1:]], dtype=float)
+        assert rows.shape == (9 * 64, 7)
+        assert np.all(np.hypot(rows[:, 3], rows[:, 4]) < 1.0)
+    else:
+        assert alone == expected
     assert split == alone
 
 

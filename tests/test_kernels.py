@@ -1,5 +1,5 @@
 """The NumPy kernels: guards, the RK4 stepper's order of operations, and
-the halves of a grid stepped in two processes as `loewner trace` steps them."""
+the halves of a grid stepped in two processes and put side by side."""
 
 import warnings
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fork import _assert_no_child, _count_forks
 
-from schlicht import _fork, _kernels, cli
+from schlicht import _fork, _kernels
 
 
 def _rhs(y, kap):
@@ -77,8 +77,7 @@ def _check_textbook_bitwise(with_deriv, split=False):
     for name, z0, kappa, stride in _bitwise_cases():
         start = z0.copy()
         if split:
-            # the halves of the grid stepped apart, as `loewner trace` steps
-            # them on two CPUs, and put side by side
+            # the halves of the grid stepped apart and put side by side
             mid = z0.shape[0] // 2
             halves = [_kernels.rk4_loewner(part, kappa, 1e-2, stride, with_deriv)
                       for part in (z0[:mid], z0[mid:])]
@@ -207,10 +206,9 @@ def _outcome(z0, kappa, h, stride, with_deriv):
     return _bits(traj).tobytes(), None if dtraj is None else _bits(dtraj).tobytes()
 
 
-# RK4 steps each point by itself, so `loewner trace` steps the back half of
-# a wide grid in a forked child beside the front half (_fork.beside).  When
-# beside() gives None, the trace steps the whole grid in one process, whose
-# outcome stands.
+# RK4 steps each point by itself, so the back half of a grid stepped in a
+# forked child beside the front half (_fork.beside) gives the whole grid's
+# bits.  When beside() gives None, the one-process outcome stands.
 
 def _split_and_one_process(monkeypatch, z0, kappa, h, stride, with_deriv):
     """The kernel's outcome with the halves of the grid stepped beside each
@@ -239,9 +237,8 @@ def _polar_grid(width, seed=3):
 
 @pytest.mark.parametrize("with_deriv", [False, True])
 def test_split_at_the_threshold_is_bitwise_one_process(monkeypatch, with_deriv):
-    # the smallest wide grid and step count that `loewner trace` splits
-    width = cli.SPLIT_MIN_WIDTH
-    nsteps = -(-cli.SPLIT_MIN_POINT_STEPS // width)
+    # a wide grid of 1,024 points for 1,024 steps under stepped kappa
+    width = nsteps = 1024
     pieces = np.exp(1j * np.array([0.3, 2.0, -1.1]))
     kappa = np.repeat(pieces, [nsteps // 3, nsteps // 3, nsteps - 2 * (nsteps // 3)])
     stride = next(d for d in (256, 128, 64, 32, 16, 8, 4, 2, 1) if nsteps % d == 0)
