@@ -199,11 +199,7 @@ def _parse_kappa(desc):
 def cmd_loewner_trace(args):
     kappa = _parse_kappa(args.kappa)
     grid = _parse_grid(args.grid)
-    nsteps = int(round(args.T / args.step))
-    stride = max(nsteps // args.samples, 1)
-    while nsteps % stride:
-        stride -= 1
-    ev = lw.loewner_solve(kappa, grid, args.T, args.step, store_stride=stride)
+    ev = lw.loewner_solve(kappa, grid, args.T, args.step, samples=args.samples)
     times, scaled = ev.times.tolist(), ev.scaled
 
     def blocks(cols):

@@ -19,6 +19,7 @@ the flow conserves after the last break of the driving.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -147,6 +148,28 @@ class DrivingFunction:
         )
         return np.asarray(self.values, dtype=complex)[idx]
 
+    def pieces(self, t0, h, nsteps):
+        """per_step's samples as pieces, without a sample per step.
+
+        Returns the steps where pieces begin (0 first, then increasing and
+        below nsteps) and the value of each.  values[i] holds from the first
+        step s with t0 + h*s >= times[i], the float expression per_step
+        samples at, so each step's piece has that step's sample.  Of values
+        that begin on the same step, the last one holds; consecutive pieces
+        may have equal values.
+        """
+        begins, idx = [0], [0]
+        for i, tau in enumerate(self.times[1:], 1):
+            s = bisect.bisect_left(range(nsteps), tau, hi=nsteps, key=lambda s: t0 + h * s)
+            if s == nsteps:
+                break
+            if s == begins[-1]:
+                idx[-1] = i
+            else:
+                begins.append(s)
+                idx.append(i)
+        return begins, np.asarray(self.values, dtype=complex)[idx]
+
 
 # -- the solver -------------------------------------------------------------
 
@@ -178,16 +201,37 @@ def _flow_map(w, k, tau):
     return -(2.0 * u / (1.0 + 2.0 * u + np.sqrt(4.0 * u + 1.0))) / k
 
 
-def loewner_solve(kappa, z_grid, T, h, store_stride=1, t0=0.0):
+def _sample_stride(nsteps, samples):
+    """The largest divisor of nsteps at most max(nsteps // samples, 1).
+
+    Divisors pair up as d and nsteps // d with d <= isqrt(nsteps), so the
+    search takes at most about sqrt(nsteps) trial divisions.
+    """
+    cap = max(nsteps // samples, 1)
+    if nsteps == 0:
+        return cap  # every stride divides 0
+    root = math.isqrt(nsteps)
+    # the least cofactor d >= nsteps / cap gives the greatest stride above root
+    for d in range(-(-nsteps // cap), root + 1):
+        if nsteps % d == 0:
+            return nsteps // d
+    for d in range(min(cap, root), 0, -1):
+        if nsteps % d == 0:
+            return d
+
+
+def loewner_solve(kappa, z_grid, T, h, samples, t0=0.0):
     """Integrate the radial Loewner equation for each grid point.
 
-    kappa is sampled once per step of h (piecewise-constant driving with
-    jumps aligned to step boundaries), and each constant piece moves a
-    state by the closed-form flow (_flow_map).  The state at each piece's
-    start comes from chaining the map from break to break; every stored
-    state is mapped from the start of its piece, so it does not depend on
-    store_stride.  A state that is not finite or has left the unit disk
-    raises TrajectoryEscaped.
+    kappa is piecewise constant with its breaks moved onto the step grid of
+    h (DrivingFunction.pieces), and each constant piece moves a state by the
+    closed-form flow (_flow_map).  The state at each piece's start comes
+    from chaining the map from break to break, so the cost does not grow
+    with the step count.  The states are stored every stride steps, the
+    largest divisor of the step count at most step count // samples.  Every
+    stored state is mapped from the start of its piece, so it does not
+    depend on the stride.  A state that is not
+    finite or has left the unit disk raises TrajectoryEscaped.
     """
     if not 0 < h <= 1e-2 + 1e-15:
         raise ParamOutOfRange("step size must satisfy 0 < h <= 1e-2")
@@ -197,31 +241,33 @@ def loewner_solve(kappa, z_grid, T, h, store_stride=1, t0=0.0):
     if not np.all(np.abs(z0) < 1):  # NaN fails this too
         raise ParamOutOfRange("grid points must satisfy |z| < 1")
     span = T - t0
-    nsteps = max(int(round(span / h)), 0)
+    # steps up to 2^53 stay exact as floats and as int64
+    if not span / h < 2**53:
+        raise ParamOutOfRange(f"span {span} takes 2^53 or more steps of h = {h}")
+    nsteps = int(round(span / h))
     if abs(nsteps * h - span) > 1e-9:
         raise ParamOutOfRange(f"span {span} is not a multiple of h = {h}")
-    if nsteps % store_stride:
-        raise ParamOutOfRange("step count must be a multiple of store_stride")
-    kap = kappa.per_step(t0, h, nsteps)
-    # the pieces start at step 0 and wherever the sample changes (a NaN
-    # sample starts a piece of its own)
-    breaks = np.flatnonzero(np.concatenate([[True], kap[1:] != kap[:-1]]))
+    stride = _sample_stride(nsteps, samples)
+    begins, values = kappa.pieces(t0, h, nsteps)
+    # equal consecutive values make one piece (a NaN value keeps its own)
+    keep = np.concatenate([[True], values[1:] != values[:-1]])
+    breaks, kap = np.asarray(begins)[keep], values[keep]
     starts = [z0]
-    for begin, end in zip(breaks[:-1].tolist(), breaks[1:].tolist()):
-        starts.append(_flow_map(starts[-1], kap[begin], h * (end - begin)))
-    steps = store_stride * np.arange(nsteps // store_stride + 1)
+    for k, begin, end in zip(kap, breaks[:-1].tolist(), breaks[1:].tolist()):
+        starts.append(_flow_map(starts[-1], k, h * (end - begin)))
+    steps = stride * np.arange(nsteps // stride + 1)
     piece = np.searchsorted(breaks, steps, side="right") - 1
     begin, states = breaks[piece], np.stack(starts)[piece]
     # a row on a break keeps its piece's start state, since the map at
     # tau = 0 is not the identity bit for bit; the others take one call
     off = steps != begin
     states[off] = _flow_map(
-        states[off], kap[begin[off]][:, None], (h * (steps[off] - begin[off]))[:, None]
+        states[off], kap[piece[off]][:, None], (h * (steps[off] - begin[off]))[:, None]
     )
     # a NaN or infinite state carries on to every later row
     if not np.all(np.abs(states) < 1.0):
         raise TrajectoryEscaped("trajectory left the unit disk")
-    times = t0 + h * store_stride * np.arange(states.shape[0])
+    times = t0 + h * stride * np.arange(states.shape[0])
     return Evolution(times=times, z_grid=z0, states=states)
 
 
@@ -332,9 +378,8 @@ class NumericChain:
         w = z0.copy()
         for begin in np.unique(t0[t0 < self.T0]).tolist():
             at = t0 == begin
-            nsteps = int(round((self.T0 - begin) / self.h))
             w[at] = loewner_solve(
-                self.kappa, z0[at], self.T0, self.h, store_stride=nsteps, t0=begin
+                self.kappa, z0[at], self.T0, self.h, samples=1, t0=begin
             ).states[-1]
         return np.exp(np.maximum(t0, self.T0)) * w / (1.0 + self.kappa.values[-1] * w) ** 2
 

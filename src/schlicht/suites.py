@@ -226,7 +226,7 @@ def suite_loewner():
     drv = lw.DrivingFunction.constant(-1.0)
     pts = [0.3, 0.5, 0.5j]
     # one solve to T = 10 at h = 1e-3, stored every 2 time units: row 4 is T = 8
-    ev = lw.loewner_solve(drv, pts, 10.0, 1e-3, store_stride=2000)
+    ev = lw.loewner_solve(drv, pts, 10.0, 1e-3, samples=5)
     T = 8.0
     for i, z in enumerate(pts):
         exact = lw.koebe_transition(z, T)
@@ -269,7 +269,7 @@ def suite_loewner():
     ckn = lw.chain_log_coeffs(ch, 1.0, 3)
     rep.add("numeric-chain-log-coeffs", float(np.max(np.abs(ckn - 2.0 / np.arange(1, 4)))), 1e-10)
     # subordination: |w_t(z)| non-increasing along trajectories
-    ev2 = lw.loewner_solve(drv, [0.2, 0.6, 0.8j], 4.0, 2e-3, store_stride=200)
+    ev2 = lw.loewner_solve(drv, [0.2, 0.6, 0.8j], 4.0, 2e-3, samples=10)
     mods = np.abs(ev2.states)
     rep.add("subordination-monotone", float(np.max(np.diff(mods, axis=0))), 1e-12)
     return rep

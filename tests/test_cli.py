@@ -323,6 +323,43 @@ def test_trace_zero_samples_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def _trace_in_a_process(*args):
+    # a process with a timeout, so that a search that does not end fails
+    return subprocess.run(
+        [sys.executable, "-m", "schlicht.cli", "loewner", "trace", *args, "--out", "-"],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_trace_checks_the_step_before_it_seeks_a_stride():
+    # 2e11 steps of 1: the solve rejects the step before any stride search
+    proc = _trace_in_a_process("--T", "200000000006", "--step", "1")
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: step size must satisfy 0 < h <= 1e-2\n"
+
+
+@pytest.mark.parametrize(
+    "args, rows",
+    [
+        (("--T", "8", "--step", "1e-9"), 17),
+        (("--T", "7.999993", "--step", "1e-9", "--samples", "3"), 5),
+    ],
+    ids=["8e9-steps", "7999993000-steps"],
+)
+def test_trace_at_a_tiny_step_stores_only_its_rows(args, rows):
+    # the solve maps the driving's pieces, with no array of one entry per step
+    proc = _trace_in_a_process(*args, "--grid", "polar:1x1")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == rows + 1
+
+
+def test_trace_with_too_many_steps_is_numeric_error():
+    proc = run_cli("loewner", "trace", "--T", "8", "--step", "1e-320", "--grid", "polar:1x1",
+                   "--out", "-")
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: span 8.0 takes 2^53 or more steps of h = 1e-320\n"
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

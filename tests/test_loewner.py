@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schlicht import _kernels
 from schlicht import loewner as lw
@@ -92,14 +94,14 @@ def test_driving_function_validation():
 
 def test_solver_initial_condition():
     drv = lw.DrivingFunction.constant(-1.0)
-    ev = lw.loewner_solve(drv, [0.2, 0.4j], 0.0, 1e-2)
+    ev = lw.loewner_solve(drv, [0.2, 0.4j], 0.0, 1e-2, samples=1)
     assert np.max(np.abs(ev.states[0] - np.array([0.2, 0.4j]))) == 0.0
 
 
 def test_solver_matches_closed_form():
     drv = lw.DrivingFunction.constant(-1.0)
     pts = [0.3, 0.5, 0.5j]
-    ev = lw.loewner_solve(drv, pts, 8.0, 1e-3, store_stride=8000)
+    ev = lw.loewner_solve(drv, pts, 8.0, 1e-3, samples=1)
     for i, z in enumerate(pts):
         assert abs(ev.states[-1, i] - lw.koebe_transition(z, 8.0)) < 1e-9
 
@@ -107,7 +109,7 @@ def test_solver_matches_closed_form():
 def test_solver_hull_limit():
     drv = lw.DrivingFunction.constant(-1.0)
     pts = [0.3, 0.5, 0.5j]
-    ev = lw.loewner_solve(drv, pts, 8.0, 1e-3, store_stride=8000)
+    ev = lw.loewner_solve(drv, pts, 8.0, 1e-3, samples=1)
     for i, z in enumerate(pts):
         gap = abs(math.exp(8.0) * ev.states[-1, i] - lw.koebe_map(z))
         assert gap <= 1e-3 + 2.5 * math.exp(-8.0) * abs(lw.koebe_map(z)) ** 2
@@ -137,16 +139,55 @@ def test_solver_matches_rk4_at_a_small_step():
     # RK4 at h = 2.5e-4 meets the exact map on every piece; its error grows
     # toward the singularity kappa z = 1 (2.7e-12 at z = 0.8 under kappa = 1)
     grid = _polar(np.linspace(0.1, 0.7, 7), 16)
-    ev = lw.loewner_solve(_STEPS, grid, 1.5, 1e-2, store_stride=5)
+    ev = lw.loewner_solve(_STEPS, grid, 1.5, 1e-2, samples=30)
     traj, _ = _kernels.rk4_loewner(grid, _STEPS.per_step(0.0, 2.5e-4, 6000), 2.5e-4, 200, False)
     assert np.max(np.abs(traj - ev.states)) < 1e-12
+
+
+def test_solver_rows_at_a_tiny_step_equal_rows_at_a_coarse_step():
+    # 2e9 steps of 1e-9 cost as much as 2,000 of 1e-3: the solve maps piece
+    # to piece, and the breaks of _STEPS lie on both step grids
+    grid = _polar((0.2, 0.5, 0.8), 8)
+    fine = lw.loewner_solve(_STEPS, grid, 2.0, 1e-9, samples=8)
+    coarse = lw.loewner_solve(_STEPS, grid, 2.0, 1e-3, samples=8)
+    assert fine.states.shape == coarse.states.shape == (9, 24)
+    assert np.max(np.abs(fine.times - coarse.times)) < 1e-13
+    assert np.max(np.abs(fine.states - coarse.states)) < 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-0.5, 2.5), min_size=1, max_size=6, unique=True),
+    st.lists(st.sampled_from([1.0, -1.0, 1j, complex(1, -0.0)]), min_size=6, max_size=6),
+    st.sampled_from([0.0, 0.3001, 1.0]),
+    st.sampled_from([1e-2, 3e-3, 1e-3]),
+    st.integers(0, 300),
+)
+def test_pieces_are_the_per_step_samples(times, values, t0, h, nsteps):
+    # breaks on and off the step grid, several in one step, before t0 and
+    # after the last step, and repeated values
+    times = sorted(times)
+    drv = lw.DrivingFunction.sampled(times, values[: len(times)])
+    begins, vals = drv.pieces(t0, h, nsteps)
+    assert begins[0] == 0 and np.all(np.diff(begins) > 0)
+    expanded = np.repeat(vals, np.diff([*begins, max(nsteps, begins[-1])]))
+    assert np.array_equal(expanded.view(np.uint64), drv.per_step(t0, h, nsteps).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 40))
+def test_sample_stride_is_the_largest_divisor_below_the_cap(nsteps, samples):
+    stride = max(nsteps // samples, 1)
+    while nsteps % stride:
+        stride -= 1
+    assert lw._sample_stride(nsteps, samples) == stride
 
 
 def test_solver_conserves_the_flow_invariant():
     # on a constant piece the flow keeps e^t x/(1 - x)^2 with x = -kappa f
     kap = complex(0.6, -0.8)
     grid = _polar(np.linspace(0.1, 0.9, 9), 32)
-    ev = lw.loewner_solve(lw.DrivingFunction.constant(kap), grid, 6.0, 1e-3, store_stride=250)
+    ev = lw.loewner_solve(lw.DrivingFunction.constant(kap), grid, 6.0, 1e-3, samples=24)
     x = -kap * ev.states
     q = np.exp(ev.times)[:, None] * x / (1.0 - x) ** 2
     assert np.max(np.abs(q - q[0]) / np.abs(q[0])) < 1e-13
@@ -158,17 +199,17 @@ def test_solver_guards():
     # the exact flow stays inside
     with pytest.raises(ValueError, match="escaped|singular"):
         _kernels.rk4_loewner(np.array([0.999999 + 0j]), np.full(100, 1.0 + 0j), 1e-2, 100, False)
-    ev = lw.loewner_solve(drv, [0.999999], 1.0, 1e-2)
+    ev = lw.loewner_solve(drv, [0.999999], 1.0, 1e-2, samples=100)
     assert np.all(np.abs(ev.states) < 1.0)
     with pytest.raises(ParamOutOfRange):
-        lw.loewner_solve(drv, [1.2], 1.0, 1e-2)
+        lw.loewner_solve(drv, [1.2], 1.0, 1e-2, samples=1)
     with pytest.raises(ParamOutOfRange):
-        lw.loewner_solve(drv, [0.3], 1.0, 0.5)
+        lw.loewner_solve(drv, [0.3], 1.0, 0.5, samples=1)
 
 
 def test_subordination_monotone():
     drv = lw.DrivingFunction.constant(-1.0)
-    ev = lw.loewner_solve(drv, [0.2, 0.6, 0.8j], 4.0, 2e-3, store_stride=100)
+    ev = lw.loewner_solve(drv, [0.2, 0.6, 0.8j], 4.0, 2e-3, samples=20)
     mods = np.abs(ev.states)
     assert np.max(np.diff(mods, axis=0)) <= 1e-12
 
@@ -272,28 +313,26 @@ def test_nan_driving_value_rejected():
 def test_nan_start_is_out_of_range():
     drv = lw.DrivingFunction.constant(-1.0)
     with pytest.raises(ParamOutOfRange):
-        lw.loewner_solve(drv, [complex("nan"), 0.5], 0.1, 1e-2)
+        lw.loewner_solve(drv, [complex("nan"), 0.5], 0.1, 1e-2, samples=1)
     for h in (0.0, -1e-3, float("nan")):
         with pytest.raises(ParamOutOfRange):
-            lw.loewner_solve(drv, [0.5], 0.1, h)
+            lw.loewner_solve(drv, [0.5], 0.1, h, samples=1)
 
 
 class _NanAfter:
-    """Driving stub whose samples turn NaN from a given step on."""
+    """Driving stub whose pieces turn NaN from a given step on."""
 
     def __init__(self, step):
         self.step = step
 
-    def per_step(self, t0, h, nsteps):
-        kap = np.full(nsteps, -1.0 + 0j)
-        kap[self.step :] = complex("nan")
-        return kap
+    def pieces(self, t0, h, nsteps):
+        return [0, self.step], np.array([-1.0, complex("nan")])
 
 
 def test_nan_state_is_rejected():
     # a NaN state fails the disk check: the solver raises instead of storing it
     with np.errstate(invalid="ignore"), pytest.raises(TrajectoryEscaped):
-        lw.loewner_solve(_NanAfter(5), [0.3, 0.5j], 0.1, 1e-2, store_stride=10)
+        lw.loewner_solve(_NanAfter(5), [0.3, 0.5j], 0.1, 1e-2, samples=1)
 
 
 def _separate_circle(chain, t, r, Q):
@@ -303,8 +342,7 @@ def _separate_circle(chain, t, r, Q):
     z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
     y = z1
     if s < chain.T0:
-        nsteps = int(round((chain.T0 - s) / chain.h))
-        ev = lw.loewner_solve(chain.kappa, z1, chain.T0, chain.h, store_stride=nsteps, t0=s)
+        ev = lw.loewner_solve(chain.kappa, z1, chain.T0, chain.h, samples=1, t0=s)
         y, s = ev.states[-1], chain.T0
     return np.exp(s) * y / (1.0 + chain.kappa.values[-1] * y) ** 2, z1
 
@@ -350,8 +388,8 @@ def test_strided_solve_row_equals_shorter_solve():
     # one T = 10 solve stored every 2 time units carries the T = 8 state exactly
     drv = lw.DrivingFunction.constant(-1.0)
     pts = [0.3, 0.5, 0.5j]
-    long = lw.loewner_solve(drv, pts, 10.0, 1e-3, store_stride=2000)
-    short = lw.loewner_solve(drv, pts, 8.0, 1e-3, store_stride=8000)
+    long = lw.loewner_solve(drv, pts, 10.0, 1e-3, samples=5)
+    short = lw.loewner_solve(drv, pts, 8.0, 1e-3, samples=1)
     assert abs(long.times[4] - 8.0) < 1e-12
     assert np.array_equal(long.states[4], short.states[-1])
 
@@ -385,6 +423,6 @@ def test_numeric_chain_before_last_break_matches_a_long_solve():
     for t in (0.0, 0.5, 1.0):
         vals, z1 = ch._circle(t, 0.6, 16)
         S = t + 20.0
-        ev = lw.loewner_solve(drv, z1, S, 2e-3, store_stride=10000, t0=t)
+        ev = lw.loewner_solve(drv, z1, S, 2e-3, samples=1, t0=t)
         want = math.exp(S) * ev.states[-1]
         assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-6
