@@ -29,7 +29,7 @@ def area_sum(g, N):
 
 def coefficient_report(f, N):
     """|a_n| against the sharp bound n and Littlewood's e*n, for 2 <= n <= N."""
-    rep = BoundReport("coefficients", 1e-9)
+    rep = BoundReport("coefficients")
     a = np.abs(f.coeffs)
     for n in range(2, N + 1):
         rep.add(f"n={n:02d}:sharp", a[n], n)
@@ -56,13 +56,18 @@ def littlewood_factor(n):
     return n * (1.0 + 1.0 / (n - 1.0)) ** (n - 1.0)
 
 
+# Koebe meets each envelope with equality; at order 1024, Horner lands up
+# to 4.4e-12 outside one on the bounds suite's polar grid out to r = 0.95
+ROUNDOFF = 1e-10
+
+
 def pointwise_bounds_check(f, grid):
     """Growth, distortion, |z f'/f| and the pre-Schwarzian envelope.
 
     grid: iterable of complex points with |z| < 1.  Failures are recorded
-    in the report, never raised.
+    in the report, never raised; each bound is moved outward by ROUNDOFF.
     """
-    rep = BoundReport("pointwise-bounds", 1e-9)
+    rep = BoundReport("pointwise-bounds")
     grid = list(grid)
     fp = f.series.derivative()
     # one Horner pass per series over the whole grid
@@ -73,17 +78,17 @@ def pointwise_bounds_check(f, grid):
         r = abs(z)
         cid = f"z{i:03d}(r={r:.4f})"
         val, dval, ddval = vals[i], dvals[i], ddvals[i]
-        rep.add(f"{cid}:growth-lo", r / (1 + r) ** 2, abs(val))
-        rep.add(f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2)
-        rep.add(f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3, abs(dval))
-        rep.add(f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3)
+        rep.add(f"{cid}:growth-lo", r / (1 + r) ** 2 - ROUNDOFF, abs(val))
+        rep.add(f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2 + ROUNDOFF)
+        rep.add(f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3 - ROUNDOFF, abs(dval))
+        rep.add(f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3 + ROUNDOFF)
         if abs(val) > 0:
             q = abs(z * dval / val)
-            rep.add(f"{cid}:zf'/f-lo", (1 - r) / (1 + r), q)
-            rep.add(f"{cid}:zf'/f-hi", q, (1 + r) / (1 - r))
+            rep.add(f"{cid}:zf'/f-lo", (1 - r) / (1 + r) - ROUNDOFF, q)
+            rep.add(f"{cid}:zf'/f-hi", q, (1 + r) / (1 - r) + ROUNDOFF)
         if abs(dval) > 0:
             w = z * ddval / dval - 2 * r**2 / (1 - r**2)
-            rep.add(f"{cid}:pre-schwarzian", abs(w), 4 * r / (1 - r**2))
+            rep.add(f"{cid}:pre-schwarzian", abs(w), 4 * r / (1 - r**2) + ROUNDOFF)
     return rep
 
 
@@ -110,21 +115,21 @@ def _milin_double_sum(g):
     return float(np.sum(np.cumsum(terms)))
 
 
-def milin_functional(f, n, gamma=None):
+def milin_functional(f, n):
     """The double sum M_n = sum_{m<=n} sum_{k<=m} (k |gamma_k|^2 - 1/k)."""
-    gamma = log_coefficients(f) if gamma is None else gamma
+    gamma = log_coefficients(f, n)
     if n > len(gamma):
         raise ValueError(f"only {len(gamma)} logarithmic coefficients available")
     return _milin_double_sum(gamma[:n])
 
 
-def milin_weighted_form(f, n, gamma=None):
+def milin_weighted_form(f, n):
     """sum_k (4/k - k |c_k|^2)(n - k + 1) with c_k = 2 gamma_k.
 
     Equals -4 times the double-sum form; nonnegative exactly when the
     Milin functional is nonpositive.
     """
-    gamma = log_coefficients(f) if gamma is None else gamma
+    gamma = log_coefficients(f, n)
     k = np.arange(1, n + 1)
     c = 2.0 * gamma[:n]
     return float(np.sum((4.0 / k - k * np.abs(c) ** 2) * (n - k + 1)))

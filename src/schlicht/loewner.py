@@ -38,6 +38,7 @@ from .errors import (
     PoleAtMinusOne,
     TrajectoryEscaped,
 )
+from .report import BoundReport
 from .series import PowerSeries
 
 
@@ -201,6 +202,11 @@ def _flow_map(w, k, tau):
     return -(2.0 * u / (1.0 + 2.0 * u + np.sqrt(4.0 * u + 1.0))) / k
 
 
+# The most states (stored times x grid points) one solve stores: 2^24
+# complex128 states take 256 MiB, and their trace CSV about 2 GB.
+MAX_STORED_STATES = 2**24
+
+
 def _sample_stride(nsteps, samples):
     """The largest divisor of nsteps at most max(nsteps // samples, 1).
 
@@ -230,8 +236,10 @@ def loewner_solve(kappa, z_grid, T, h, samples, t0=0.0):
     with the step count.  The states are stored every stride steps, the
     largest divisor of the step count at most step count // samples.  Every
     stored state is mapped from the start of its piece, so it does not
-    depend on the stride.  A state that is not
-    finite or has left the unit disk raises TrajectoryEscaped.
+    depend on the stride.  A solve that would store more than
+    MAX_STORED_STATES states raises ParamOutOfRange before it allocates them,
+    and a state that is not finite or has left the unit disk raises
+    TrajectoryEscaped.
     """
     if not 0 < h <= 1e-2 + 1e-15:
         raise ParamOutOfRange("step size must satisfy 0 < h <= 1e-2")
@@ -248,6 +256,12 @@ def loewner_solve(kappa, z_grid, T, h, samples, t0=0.0):
     if abs(nsteps * h - span) > 1e-9:
         raise ParamOutOfRange(f"span {span} is not a multiple of h = {h}")
     stride = _sample_stride(nsteps, samples)
+    rows = nsteps // stride + 1
+    if rows * max(z0.size, 1) > MAX_STORED_STATES:
+        raise ParamOutOfRange(
+            f"{rows} stored times x {z0.size} points exceed {MAX_STORED_STATES} "
+            f"states (a stride of {stride} of {nsteps} steps)"
+        )
     begins, values = kappa.pieces(t0, h, nsteps)
     # equal consecutive values make one piece (a NaN value keeps its own)
     keep = np.concatenate([[True], values[1:] != values[:-1]])
@@ -255,7 +269,7 @@ def loewner_solve(kappa, z_grid, T, h, samples, t0=0.0):
     starts = [z0]
     for k, begin, end in zip(kap, breaks[:-1].tolist(), breaks[1:].tolist()):
         starts.append(_flow_map(starts[-1], k, h * (end - begin)))
-    steps = stride * np.arange(nsteps // stride + 1)
+    steps = stride * np.arange(rows)
     piece = np.searchsorted(breaks, steps, side="right") - 1
     begin, states = breaks[piece], np.stack(starts)[piece]
     # a row on a break keeps its piece's start state, since the map at
@@ -544,13 +558,11 @@ def lipschitz_bound_check(chain, z, s, t):
     Transition bound: |phi(z,t,u)-phi(z,s,u)| <= 2|z| (1-e^{s-t})/(1-|z|)^2
     evaluated at u = t, where available.  Failures land in the report.
     """
-    from .report import BoundReport
-
     if not 0 <= s <= t:
         raise ParamOutOfRange("need 0 <= s <= t")
     if abs(z) > 0.9:
         raise ParamOutOfRange("|z| <= 0.9 for the bound checks")
-    rep = BoundReport("lipschitz", 1e-12)
+    rep = BoundReport("lipschitz")
     az = abs(z)
     fs = chain.eval_at(z, s)
     ft = chain.eval_at(z, t)

@@ -1,8 +1,8 @@
 """Pass/fail bookkeeping for inequality checks.
 
-A case passes when lhs <= rhs + tolerance.  Reports serialize to the JSON
-schema {"suite": ..., "tolerance": ..., "cases": [{"id", "lhs", "rhs",
-"pass"}]} and case lists are kept sorted by id for deterministic output.
+A case passes exactly when lhs <= rhs; any allowance is part of the printed
+bound.  Reports serialize to the JSON schema {"suite": ..., "tolerance": 0.0
+(a constant), "cases": [{"id", "lhs", "rhs", "pass"}]}, cases sorted by id.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ class Case:
     id: str
     lhs: float
     rhs: float
-    passed: bool
+
+    @property
+    def passed(self):
+        return self.lhs <= self.rhs
 
     def to_dict(self):
         return {"id": self.id, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
@@ -24,14 +27,11 @@ class Case:
 @dataclass
 class BoundReport:
     name: str
-    tolerance: float
     cases: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def add(self, case_id, lhs, rhs):
-        ok = bool(lhs <= rhs + self.tolerance)
-        self.cases.append(Case(str(case_id), float(lhs), float(rhs), ok))
-        return ok
+        self.cases.append(Case(str(case_id), float(lhs), float(rhs)))
 
     @property
     def all_pass(self):
@@ -44,7 +44,7 @@ class BoundReport:
     def to_dict(self):
         out = {
             "suite": self.name,
-            "tolerance": self.tolerance,
+            "tolerance": 0.0,
             "cases": [c.to_dict() for c in sorted(self.cases, key=lambda c: c.id)],
         }
         if self.meta:

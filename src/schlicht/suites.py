@@ -2,8 +2,8 @@
 
 Each suite function returns a BoundReport; the CLI serializes them and
 maps pass/fail onto exit codes.  A suite takes at most ``seed``; its
-orders are fixed so that series truncation tails sit below the stated
-tolerances (the reports record the order used so near-boundary failures
+orders are fixed so that series truncation tails sit below the bounds the
+cases print (the reports record the order used so near-boundary failures
 can be attributed).
 """
 
@@ -28,7 +28,7 @@ E = math.e
 
 def suite_area(seed=0):
     order = 64
-    rep = BoundReport("area", 1e-9)
+    rep = BoundReport("area")
     g = uv.to_sigma(uv.koebe(order))
     target = fn.area_sum(g, order - 2)
     rep.add("koebe-equality", abs(target - 1.0), 1e-12)
@@ -45,27 +45,22 @@ def suite_area(seed=0):
 
 
 def suite_bounds():
-    tolerance = 1e-9
-    rep = BoundReport("bounds", tolerance)
+    rep = BoundReport("bounds")
     k64 = uv.koebe(64)
     # integer-valued coefficients, exact
     exact = all(k64.coeffs[n] == n for n in range(65))
     rep.add("koebe-coefficients-exact", 0.0 if exact else 1.0, 0.0)
     # sharp growth/distortion on the positive axis; order chosen so the
-    # truncation tail is far below the relative tolerance at r = 0.7
+    # truncation tail is far below the relative bound 1e-9 at r = 0.7
     ks = uv.koebe(160)
     fp = ks.series.derivative()
     for r in (0.3, 0.5, 0.7):
         growth = r / (1 - r) ** 2
         dist = (1 + r) / (1 - r) ** 3
-        rep.add(f"growth-sharp-r={r}", abs(abs(ks.eval(r)) - growth) / growth, tolerance)
-        rep.add(
-            f"distortion-sharp-r={r}",
-            abs(abs(ps.evaluate(fp, r)) - dist) / dist,
-            tolerance,
-        )
+        rep.add(f"growth-sharp-r={r}", abs(abs(ks.eval(r)) - growth) / growth, 1e-9)
+        rep.add(f"distortion-sharp-r={r}", abs(abs(ps.evaluate(fp, r)) - dist) / dist, 1e-9)
         q = abs(r * ps.evaluate(fp, r) / ks.eval(r))
-        rep.add(f"zf'/f-sharp-r={r}", abs(q - (1 + r) / (1 - r)) / ((1 + r) / (1 - r)), tolerance)
+        rep.add(f"zf'/f-sharp-r={r}", abs(q - (1 + r) / (1 - r)) / ((1 + r) / (1 - r)), 1e-9)
     # full envelope on a polar grid
     kg = uv.koebe(1024)
     rr = np.linspace(0.05, 0.95, 32)
@@ -78,8 +73,8 @@ def suite_bounds():
 
 
 def suite_littlewood():
-    order, tolerance = 512, 1e-8
-    rep = BoundReport("littlewood", tolerance)
+    order = 512
+    rep = BoundReport("littlewood")
     f = uv.koebe(order)
     for n in (4, 8, 16):
         r = fn.littlewood_radius(n)
@@ -88,7 +83,7 @@ def suite_littlewood():
         # the chain |a_n| <= (1/(1-r)) r^{-(n-1)} = n (1 + 1/(n-1))^{n-1} < e n
         chain = (1.0 / (1.0 - r)) * r ** (-(n - 1.0))
         factor = fn.littlewood_factor(n)
-        rep.add(f"factor-match-n={n}", abs(chain - factor), tolerance * factor)
+        rep.add(f"factor-match-n={n}", abs(chain - factor), 1e-8 * factor)
         rep.add(f"factor-below-en-n={n}", factor, E * n)
         rep.add(f"coeff-chain-n={n}", float(abs(f.coeffs[n])), factor)
     # Parseval tie between quadrature and coefficients
@@ -101,7 +96,7 @@ def suite_littlewood():
 
 def suite_robertson():
     order = 64
-    rep = BoundReport("robertson", 1e-9)
+    rep = BoundReport("robertson")
     k = uv.koebe(order)
     sums = fn.robertson_sums(k, 30)
     for n in (1, 5, 15, 30):
@@ -116,29 +111,28 @@ def suite_robertson():
 
 def suite_milin(seed=0):
     order = 96
-    rep = BoundReport("milin", 1e-9)
+    rep = BoundReport("milin")
     k = uv.koebe(order)
-    logk = fn.log_coefficients(k)
     for n in (1, 10, 30):
-        rep.add(f"koebe-zero-n={n}", abs(fn.milin_functional(k, n, logk)), 1e-10)
+        rep.add(f"koebe-zero-n={n}", abs(fn.milin_functional(k, n)), 1e-10)
     rep.add("identity-n=1", abs(fn.milin_functional(uv.identity_map(order), 1) + 1.0), 1e-12)
     # the weighted form is -4 times the double sum
     for n in (5, 20):
-        m = fn.milin_functional(k, n, logk)
-        wf = fn.milin_weighted_form(k, n, logk)
+        m = fn.milin_functional(k, n)
+        wf = fn.milin_weighted_form(k, n)
         rep.add(f"weighted-relation-n={n}", abs(wf + 4.0 * m), 1e-10)
+    # M_20 <= 0 up to roundoff: rotated Koebe draws reach +2.0e-14 (seeds < 1000)
     rng = np.random.default_rng(seed)
     for i in range(100):
         f = uv.random_class_s(rng, order)
-        val = fn.milin_functional(f, 20)
-        rep.add(f"random-{i:03d}", val, 0.0)
+        rep.add(f"random-{i:03d}", fn.milin_functional(f, 20), 1e-12)
     rep.meta["order"] = order
     return rep
 
 
 def suite_lebedev_milin(seed=0):
     trials = 1000
-    rep = BoundReport("lebedev-milin", 1e-10)
+    rep = BoundReport("lebedev-milin")
     lhs, rhs = fn.lebedev_milin_check([0.0], 1)
     rep.add("alpha-zero-lhs", abs(lhs - 1.0), 1e-12)
     rep.add("alpha-zero-rhs", abs(rhs - 2.0 * math.exp(-0.5)), 1e-12)
@@ -163,8 +157,7 @@ def suite_lebedev_milin(seed=0):
 
 
 def suite_legendre():
-    tolerance = 1e-9
-    rep = BoundReport("legendre", tolerance)
+    rep = BoundReport("legendre")
     exact = all(
         lg.rodrigues_coeffs(n) == lg.legendre_poly(n).coeffs == lg.explicit_sum_coeffs(n)
         for n in range(21)
@@ -190,14 +183,14 @@ def suite_legendre():
     )
     rep.add("schlafli-vs-polynomial", worst, 1e-8)
     worst = max(abs(lg.ode_residual(n, x)) for n in range(1, 21) for x in (-0.7, -0.2, 0.3, 0.9))
-    rep.add("ode-residual", worst, tolerance)
+    rep.add("ode-residual", worst, 1e-9)
     t1s = np.linspace(0.1, math.pi - 0.1, 5)
     phis = 2 * math.pi * np.arange(8) / 8
     worst = max(
         np.max(lg.addition_theorem_residual(t1s[:, None, None], t1s[:, None], phis, n))
         for n in range(1, 11)
     )
-    rep.add("addition-theorem", worst, tolerance)
+    rep.add("addition-theorem", worst, 1e-9)
     # orthogonality by 13-node Gauss-Legendre, exact for the products of
     # degree <= 24, so the case measures P_n and not its quadrature
     xs, wgt = np.polynomial.legendre.leggauss(13)
@@ -222,7 +215,7 @@ def suite_legendre():
 
 
 def suite_loewner():
-    rep = BoundReport("loewner", 1e-9)
+    rep = BoundReport("loewner")
     drv = lw.DrivingFunction.constant(-1.0)
     pts = [0.3, 0.5, 0.5j]
     # one solve to T = 10 at h = 1e-3, stored every 2 time units: row 4 is T = 8
@@ -276,7 +269,7 @@ def suite_loewner():
 
 
 def suite_weinstein():
-    rep = BoundReport("weinstein", 1e-8)
+    rep = BoundReport("weinstein")
     worst, min_summand = ws.oracle_triangle([0.0, 0.5, 1.0, 2.0], 12)
     rep.add("oracle-triangle", worst, 1e-8)
     rep.add("route-min-summand", 0.0, min_summand)

@@ -242,14 +242,14 @@ def milin_generating_identity(f, N, z_samples):
     wser = np.zeros(N + 2, dtype=complex)
     wser[1 : N + 1] = weights
     rhs = kser * PowerSeries(wser)
-    rep = BoundReport("generating-identity", 1e-10)
+    rep = BoundReport("generating-identity")
     # identical through degree N+1, so the tail bound is only the roundoff floor
     scale = max(float(np.max(np.abs(lhs_coeffs))), 1.0)
     for z in z_samples:
         if abs(z) > 0.5:
             raise RadiusExceeded("sample points must satisfy |z| <= 0.5")
         dv = abs(ps.evaluate(lhs, z) - ps.evaluate(rhs, z))
-        rep.add(f"z={z}", dv, rep.tolerance * scale)
+        rep.add(f"z={z}", dv, 1e-10 * scale)
     return rep
 
 

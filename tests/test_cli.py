@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -323,11 +324,30 @@ def test_trace_zero_samples_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
-def _trace_in_a_process(*args):
+def _trace_in_a_process(*args, preexec_fn=None):
     # a process with a timeout, so that a search that does not end fails
     return subprocess.run(
         [sys.executable, "-m", "schlicht.cli", "loewner", "trace", *args, "--out", "-"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn,
+    )
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_trace_of_a_prime_step_count_is_refused_before_it_allocates():
+    # 1,000,000,007 steps have no divisor but 1 below steps // 16, so every
+    # step would be stored: 7.45 GiB of step indices alone.  In 2 GiB of
+    # address space the solve must refuse it, not run out of memory.
+    proc = _trace_in_a_process(
+        "--T", "1.000000007", "--step", "1e-9", "--grid", "polar:1x1",
+        preexec_fn=_two_gib_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "numeric error: 1000000008 stored times x 1 points exceed 16777216 states "
+        "(a stride of 1 of 1000000007 steps)\n"
     )
 
 
@@ -654,6 +674,21 @@ def _verify_all(seed):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_all_verdicts_follow_the_printed_numbers(seed):
+    # every suite prints tolerance 0.0, and a case passes exactly when
+    # lhs <= rhs, in JSON and in CSV
+    data = json.loads(run_cli("verify", "--suite", "all", "--seed", str(seed)).stdout)
+    cases = [c for s in data["suites"] for c in s["cases"]]
+    assert [s["tolerance"] for s in data["suites"]] == [0.0] * len(suites.SUITES)
+    assert len(cases) == 277
+    assert all(c["pass"] == (c["lhs"] <= c["rhs"]) for c in cases)
+    proc = run_cli("verify", "--suite", "all", "--seed", str(seed), "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert len(rows) == 277
+    assert all(r["pass"] == str(float(r["lhs"]) <= float(r["rhs"])).lower() for r in rows)
+
+
 def test_verify_all_same_split_or_on_one_cpu(monkeypatch):
     split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(1))
     assert alone[0] == 0 and json.loads(alone[1])["pass"] is True
@@ -677,7 +712,7 @@ def _fp_warning_as_error(seed=0):
 
 def _stub(name):
     def suite(seed=0):
-        rep = BoundReport(name, 1e-9)
+        rep = BoundReport(name)
         rep.add(f"seed-{seed}", 0.0, 1.0)
         return rep
 
@@ -759,7 +794,7 @@ def test_verify_focus_milin_identity():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     case = data["suites"][0]["cases"][0]
-    assert case["lhs"] == -1.0 and case["rhs"] == 0.0 and case["pass"]
+    assert case["lhs"] == -1.0 and case["rhs"] == 1e-9 and case["pass"]
 
 
 def test_verify_focus_weinstein():

@@ -102,17 +102,18 @@ def test_pointwise_bounds_match_per_point_horner():
         cid = f"z{i:03d}(r={r:.4f})"
         val, dval = ps.evaluate(f.series, z), ps.evaluate(fp, z)
         ddval = ps.evaluate(fpp, z)
+        eps = fn.ROUNDOFF
         want += [
-            (f"{cid}:growth-lo", r / (1 + r) ** 2, abs(val)),
-            (f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2),
-            (f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3, abs(dval)),
-            (f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3),
-            (f"{cid}:zf'/f-lo", (1 - r) / (1 + r), abs(z * dval / val)),
-            (f"{cid}:zf'/f-hi", abs(z * dval / val), (1 + r) / (1 - r)),
+            (f"{cid}:growth-lo", r / (1 + r) ** 2 - eps, abs(val)),
+            (f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2 + eps),
+            (f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3 - eps, abs(dval)),
+            (f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3 + eps),
+            (f"{cid}:zf'/f-lo", (1 - r) / (1 + r) - eps, abs(z * dval / val)),
+            (f"{cid}:zf'/f-hi", abs(z * dval / val), (1 + r) / (1 - r) + eps),
             (
                 f"{cid}:pre-schwarzian",
                 abs(z * ddval / dval - 2 * r**2 / (1 - r**2)),
-                4 * r / (1 - r**2),
+                4 * r / (1 - r**2) + eps,
             ),
         ]
     assert [(c.id, c.lhs, c.rhs) for c in rep.cases] == want

@@ -207,6 +207,19 @@ def test_solver_guards():
         lw.loewner_solve(drv, [0.3], 1.0, 0.5, samples=1)
 
 
+def test_solve_refuses_more_stored_states_than_its_budget(monkeypatch):
+    # 100 steps at samples = 16 take stride 5: 21 stored times per point
+    monkeypatch.setattr(lw, "MAX_STORED_STATES", 42)
+    drv = lw.DrivingFunction.constant(-1.0)
+    assert lw.loewner_solve(drv, [0.3, 0.5], 1.0, 1e-2, samples=16).states.shape == (21, 2)
+    assert lw.loewner_solve(drv, [], 1.0, 1e-2, samples=16).states.shape == (21, 0)
+    with pytest.raises(ParamOutOfRange, match="21 stored times x 3 points exceed 42 states"):
+        lw.loewner_solve(drv, [0.3, 0.5, 0.1j], 1.0, 1e-2, samples=16)
+    # an empty grid still stores its times
+    with pytest.raises(ParamOutOfRange, match="101 stored times x 0 points"):
+        lw.loewner_solve(drv, [], 1.0, 1e-2, samples=100)
+
+
 def test_subordination_monotone():
     drv = lw.DrivingFunction.constant(-1.0)
     ev = lw.loewner_solve(drv, [0.2, 0.6, 0.8j], 4.0, 2e-3, samples=20)
