@@ -27,16 +27,6 @@ def area_sum(g, N):
     return float(np.sum(np.arange(1, N + 1) * np.abs(b) ** 2))
 
 
-def coefficient_report(f, N):
-    """|a_n| against the sharp bound n and Littlewood's e*n, for 2 <= n <= N."""
-    rep = BoundReport("coefficients")
-    a = np.abs(f.coeffs)
-    for n in range(2, N + 1):
-        rep.add(f"n={n:02d}:sharp", a[n], n)
-        rep.add(f"n={n:02d}:littlewood", a[n], math.e * n)
-    return rep
-
-
 def integral_mean(f, p, r):
     """M_p(r, f) by 2048-point trapezoid quadrature over the circle |z| = r."""
     if p <= 0:
@@ -145,9 +135,28 @@ def lebedev_milin_check(alpha, n):
     alpha = list(alpha)
     if n > len(alpha):
         raise ValueError("need at least n alpha coefficients")
-    a = PowerSeries([0.0] + alpha[:n])
-    beta = ps.exp(a)
-    lhs = float(np.sum(np.abs(beta.coeffs) ** 2))
-    expo = _milin_double_sum(np.asarray(alpha[:n])) / (n + 1)
-    rhs = (n + 1) * math.exp(expo)
+    lhs, rhs = lebedev_milin_sides(np.array([alpha[:n]], dtype=complex))
+    return lhs[0], rhs[0]
+
+
+def lebedev_milin_sides(alphas):
+    """`lebedev_milin_check` for every row of a (trials, n) array at once.
+
+    Returns the lists of lhs and rhs.  beta comes from the recurrence of
+    `series.exp`, m beta_m = sum_{k<m} (m-k) alpha_{m-k} beta_k, one
+    vector product per row and degree, so each value is the one-row value
+    bit for bit.
+    """
+    trials, n = alphas.shape
+    wa = np.zeros((trials, n + 1), dtype=complex)
+    wa[:, 1:] = np.arange(1, n + 1) * alphas  # k alpha_k
+    back = np.ascontiguousarray(wa[:, ::-1])  # back[:, n - k] = wa[:, k]
+    beta = np.zeros((trials, n + 1), dtype=complex)
+    beta[:, 0] = 1.0
+    for m in range(1, n + 1):
+        beta[:, m] = (back[:, None, n - m : n] @ beta[:, :m, None])[:, 0, 0] / m
+    lhs = np.sum(np.abs(beta) ** 2, axis=1).tolist()
+    k = np.arange(1, n + 1)
+    double_sums = np.sum(np.cumsum(k * np.abs(alphas) ** 2 - 1.0 / k, axis=1), axis=1)
+    rhs = [(n + 1) * math.exp(d / (n + 1)) for d in double_sums.tolist()]
     return lhs, rhs

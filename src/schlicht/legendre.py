@@ -86,6 +86,16 @@ def _last_column(n, x, k):
     return row[..., k]
 
 
+def seminormalized_table(N, x):
+    """S_n^k(x) for 0 <= k <= n <= N from one recurrence; needs |x| <= 1.
+
+    Shape (N+1,) + x.shape + (N+1,), zeros at k > n.  Column k of the
+    recurrence does not depend on kmax, so entry [n, ..., k] equals
+    `_last_column(n, x, k)` bit for bit, and [n, ..., 0] equals P_n(x).
+    """
+    return np.array(list(_seminormalized_rows(N, x, N)))
+
+
 @lru_cache(maxsize=None)
 def _recurrence_coeffs(n):
     # Bonnet: (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
@@ -104,20 +114,20 @@ def _recurrence_coeffs(n):
 
 
 def _rodrigues_derivative(n, m):
-    """Exact coefficients of d^m/dx^m (x^2-1)^n, for 0 <= m <= 2n."""
+    """Integer coefficients of d^m/dx^m (x^2-1)^n, for 0 <= m <= 2n."""
     # (x^2-1)^n expanded by the binomial theorem
-    p = [Fraction(0)] * (2 * n + 1)
+    p = [0] * (2 * n + 1)
     for j in range(n + 1):
-        p[2 * j] = Fraction((-1) ** (n - j) * math.comb(n, j))
+        p[2 * j] = (-1) ** (n - j) * math.comb(n, j)
     for _ in range(m):
-        p = [Fraction(i) * p[i] for i in range(1, len(p))]
+        p = [i * p[i] for i in range(1, len(p))]
     return p
 
 
 def rodrigues_coeffs(n):
     """Exact coefficients via (1/(2^n n!)) d^n/dx^n (x^2-1)^n."""
-    scale = Fraction(1, 2**n * math.factorial(n))
-    return tuple(c * scale for c in _rodrigues_derivative(n, n))
+    scale = 2**n * math.factorial(n)
+    return tuple(Fraction(c, scale) for c in _rodrigues_derivative(n, n))
 
 
 def explicit_sum_coeffs(n):
@@ -148,10 +158,15 @@ def assoc_legendre(n, m, x):
         raise DegreeTooLarge(f"degree {n} outside 0..{MAX_DEGREE}")
     out = _last_column(n, x, abs(m))
     if m:
-        # P_n^m = (-1)^m sqrt(r/2) S_n^m and P_n^{-m} = S_n^m / sqrt(2r), r = (n+m)!/(n-m)!
-        r = math.factorial(n + abs(m)) / math.factorial(n - abs(m))
-        out = out * ((-1) ** m * math.sqrt(r / 2) if m > 0 else 1 / math.sqrt(2 * r))
+        out = out * assoc_scale(n, m)
     return float(out) if np.isscalar(x) else out
+
+
+def assoc_scale(n, m):
+    """The factor with P_n^m = assoc_scale(n, m) S_n^|m|, for 0 < |m| <= n."""
+    # P_n^m = (-1)^m sqrt(r/2) S_n^m and P_n^{-m} = S_n^m / sqrt(2r), r = (n+m)!/(n-m)!
+    r = math.factorial(n + abs(m)) / math.factorial(n - abs(m))
+    return (-1) ** m * math.sqrt(r / 2) if m > 0 else 1 / math.sqrt(2 * r)
 
 
 def assoc_legendre_direct(n, m, x):
@@ -163,8 +178,9 @@ def assoc_legendre_direct(n, m, x):
     """
     if abs(m) > n:
         raise OrderOutOfRange(f"|m| = {abs(m)} exceeds degree {n}")
-    scale = Fraction(1, 2**n * math.factorial(n))
-    c = np.array([float(scale * q) for q in _rodrigues_derivative(n, n + m)])
+    scale = 2**n * math.factorial(n)
+    # int / int rounds the exact quotient once, as float(Fraction) does
+    c = np.array([q / scale for q in _rodrigues_derivative(n, n + m)])
     base = np.polynomial.polynomial.polyval(x, c)
     xx = np.asarray(x, dtype=float)
     out = (-1.0) ** m * (1.0 - xx**2) ** (m / 2.0) * base
@@ -189,53 +205,65 @@ def schlafli_coeff(n, z):
 
     512-point trapezoid on the unit circle |xi - z| = 1; exact for n < 256
     up to roundoff, computed in extended precision to keep the 2^-n
-    cancellation harmless.  Raises QuadratureUnderresolved when the result
-    strays from `legendre_value` by more than 1e-6.
+    cancellation harmless.  z is a number or an array of them, each on its
+    own circle.  Raises QuadratureUnderresolved when a value at a real z in
+    [-1, 1] strays from `legendre_value` by more than 1e-6.
     """
     if n >= 256:
         raise QuadratureUnderresolved(f"512 nodes are too few for degree {n}")
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     phi = (2.0 * np.pi * np.arange(512) / 512).astype(np.longdouble)
     ring = np.cos(phi) + 1j * np.sin(phi)
-    xi = np.clongdouble(z) + ring
+    xi = z.astype(np.clongdouble)[..., None] + ring
     ring_n = np.cos(n * phi) + 1j * np.sin(n * phi)
     integrand = (xi * xi - 1.0) ** n / (np.longdouble(2.0) ** n * ring_n)
-    val = complex(np.mean(integrand))
-    if z.imag == 0 and abs(z) <= 1:
-        ref = legendre_value(n, z.real)
-        if abs(val - ref) > 1e-6:
+    val = np.mean(integrand, axis=-1).astype(complex)
+    real = (z.imag == 0) & (np.abs(z.real) <= 1)
+    if np.any(real):
+        ref = _last_column(n, z.real[real], 0)
+        bad = np.abs(val[real] - ref) > 1e-6
+        if np.any(bad):
+            i = np.flatnonzero(bad)[0]
             raise QuadratureUnderresolved(
-                f"contour value {val} vs polynomial {ref} at n={n}, z={z}"
+                f"contour value {val[real][i]} vs polynomial {ref[i]} at n={n}, "
+                f"z={z[real][i]}"
             )
-    return val
+    return complex(val) if val.ndim == 0 else val
 
 
 def ode_residual(n, x):
     """(1-x^2) P_n'' - 2x P_n' + n(n+1) P_n at x, in exact arithmetic.
 
     This is the standard Legendre equation; the operator annihilates P_n.
-    Its coefficient of x^j is (j+2)(j+1) a_{j+2} + (n-j)(n+j+1) a_j for
-    P_n = sum a_j x^j, evaluated at the exact rational value of x.
+    Its coefficient of x^j is r_j = (j+2)(j+1) a_{j+2} + (n-j)(n+j+1) a_j
+    for P_n = sum a_j x^j.  In integers: 2^n a_j is an integer, and with
+    x = p/q exactly, Horner's rule gives q^n sum_j 2^n r_j x^j.
     """
-    a = legendre_poly(n).coeffs + (0, 0)
-    x = Fraction(x)
-    terms = ((j + 2) * (j + 1) * a[j + 2] + (n - j) * (n + j + 1) * a[j] for j in range(n + 1))
-    return float(sum(r * x**j for j, r in enumerate(terms)))
+    a = [c.numerator * (2**n // c.denominator) for c in legendre_poly(n).coeffs] + [0, 0]
+    p, q = Fraction(x).as_integer_ratio()
+    acc = 0
+    for j in range(n, -1, -1):
+        r = (j + 2) * (j + 1) * a[j + 2] + (n - j) * (n + j + 1) * a[j]
+        acc = acc * p + r * q ** (n - j)
+    return acc / (2**n * q**n)
 
 
 def addition_theorem_residual(theta1, theta2, phi, n):
-    """|LHS - RHS| of the addition theorem, broadcast over the angles."""
+    """|LHS - RHS| of the addition theorem, broadcast over the angles.
+
+    Every P_n^k(cos t1) and P_n^k(cos t2) comes from one recurrence each.
+    """
     c1, c2 = np.cos(theta1), np.cos(theta2)
     s1, s2 = np.sin(theta1), np.sin(theta2)
-    p = legendre_poly(n)
-    lhs = p(c1 * c2 + s1 * s2 * np.cos(phi))
-    rhs = p(c1) * p(c2)
+    lhs = _last_column(n, c1 * c2 + s1 * s2 * np.cos(phi), 0)
+    row1, row2 = seminormalized_table(n, c1)[n], seminormalized_table(n, c2)[n]
+    rhs = row1[..., 0] * row2[..., 0]
     for k in range(1, n + 1):
         rhs = rhs + (
             2.0
             * (-1) ** k
-            * assoc_legendre(n, -k, c1)
-            * assoc_legendre(n, k, c2)
+            * (row1[..., k] * assoc_scale(n, -k))
+            * (row2[..., k] * assoc_scale(n, k))
             * np.cos(k * phi)
         )
     return np.abs(lhs - rhs)

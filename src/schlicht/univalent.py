@@ -98,44 +98,46 @@ def dilation(f, r):
     return ClassSFunction(PowerSeries(c))
 
 
-def _taylor_shift(coeffs, a):
-    # coefficients of p(z + a) via repeated Ruffini-Horner; O(N^2), stable.
-    # Python complex values: the same products and sums as NumPy's complex
-    # scalars, bit for bit, without the cost of indexing an array
-    d = np.array(coeffs, dtype=complex).tolist()
-    a = complex(a)
-    n = len(d)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            d[j] += a * d[j + 1]
-    return np.array(d, dtype=complex)
+# -- Koebe's function and its transforms in closed form ---------------------
+#
+# Koebe's z/(1-z)^2 and every rotation, dilation, conjugation and Koebe
+# transform of it is f = (z + c z^2)/(1 - w z)^2 (P. Duren, Univalent
+# Functions, 1983, ch. 2): the double pole moves and stays double.  So a
+# composition of these transforms is carried as the pair (c, w), and its
+# series comes from the pair with no truncation error at any order.
+
+KOEBE_CW = (0j, 1 + 0j)
 
 
-def disk_automorphism(f, a):
-    """[f((z+a)/(1+conj(a)z)) - f(a)] / [(1-|a|^2) f'(a)].
+def disk_automorphism(cw, a):
+    """The Koebe transform [f(m(z)) - f(a)] / [(1-|a|^2) f'(a)] as a pair (c, w).
 
-    The Moebius map has constant term a, so the composition runs through
-    the Taylor shift of f to the point a followed by composition with the
-    vanishing part of the Moebius series.
+    f = (z + c z^2)/(1 - w z)^2 and m(z) = (z+a)/(1+conj(a) z).  With
+    P = z + c z^2, P(m) (1 + conj(a) z)^2 = h0 + h1 z + h2 z^2, and
+    (1 - w m)^2 (1 + conj(a) z)^2 = (1 - w a)^2 (1 - w' z)^2; subtracting
+    f(a) times the latter leaves a multiple of z + c' z^2.
     """
     if abs(a) >= 1:
         raise ParamOutOfRange(f"need |a| < 1, got |a| = {abs(a)}")
-    n = f.order
+    c, w = cw
     if a == 0:
-        return f
-    shifted = _taylor_shift(f.coeffs, a)
-    # (z+a)/(1+conj(a)z) - a = (1-|a|^2) z / (1 + conj(a) z)
-    m = np.zeros(n + 1, dtype=complex)
-    ac = np.conj(a)
-    m[1:] = (1.0 - abs(a) ** 2) * (-ac) ** np.arange(n)
-    comp = ps.compose(PowerSeries(shifted), PowerSeries(m))
-    fa = shifted[0]
-    fpa = shifted[1]
-    c = (comp.coeffs - np.concatenate(([fa], np.zeros(n, dtype=complex)))) / (
-        (1.0 - abs(a) ** 2) * fpa
-    )
-    c[0] = 0.0
-    return ClassSFunction(PowerSeries(c))
+        return c, w
+    a = complex(a)
+    b = a.conjugate()
+    h0, h1, h2 = a + c * a * a, 1 + a * b + 2 * a * c, b + c
+    w2 = (w - b) / (1 - w * a)
+    return (h2 - h0 * w2 * w2) / (h1 + 2 * h0 * w2), w2
+
+
+def from_quotient(cw, order):
+    """(z + c z^2)/(1 - w z)^2 to the given order: a_n = n w^{n-1} + c (n-1) w^{n-2}."""
+    c, w = cw
+    n = np.arange(order + 1)
+    powers = w ** n[:-1]  # w^0 .. w^{order-1}
+    a = np.zeros(order + 1, dtype=complex)
+    a[1:] = n[1:] * powers
+    a[2:] += c * (n[2:] - 1) * powers[:-1]
+    return ClassSFunction(PowerSeries(a))
 
 
 # -- inversion to class Sigma and the odd transform ------------------------
@@ -213,21 +215,27 @@ def from_registry(name, order):
 def random_class_s(rng, order):
     """A random composition of two elementary transforms of the Koebe map.
 
-    Used by the randomized suites; every output is a truncation of a
-    genuinely univalent function.  Automorphism centers stay small so the
-    truncated Taylor shift keeps the leading coefficients accurate.
+    Used by the randomized suites.  The transforms act on the pair (c, w)
+    of f = (z + c z^2)/(1 - w z)^2 and the series comes from it at the
+    end, so every coefficient is that of a univalent function up to
+    roundoff, at any order.
     """
-    f = koebe(order)
+    c, w = KOEBE_CW
     for _ in range(2):
         kind = rng.integers(0, 4)
         if kind == 0:
-            f = rotation(f, float(rng.uniform(0, 2 * math.pi)))
+            # e^{-i theta} f(e^{i theta} z)
+            theta = float(rng.uniform(0, 2 * math.pi))
+            u = complex(math.cos(theta), math.sin(theta))
+            c, w = c * u, w * u
         elif kind == 1:
-            f = dilation(f, float(rng.uniform(0.3, 0.95)))
+            # f(rz)/r
+            r = float(rng.uniform(0.3, 0.95))
+            c, w = c * r, w * r
         elif kind == 2:
-            f = conjugation(f)
+            c, w = c.conjugate(), w.conjugate()
         else:
             rad = float(rng.uniform(0, 0.3))
             ang = float(rng.uniform(0, 2 * math.pi))
-            f = disk_automorphism(f, rad * complex(math.cos(ang), math.sin(ang)))
-    return f
+            c, w = disk_automorphism((c, w), rad * complex(math.cos(ang), math.sin(ang)))
+    return from_quotient((c, w), order)

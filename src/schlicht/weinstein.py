@@ -182,24 +182,31 @@ def lambda_legendre_route(t, N, max_k=None):
     """
     max_k = _table_shape(N, max_k)
     ct = math.sqrt(1.0 - math.exp(-t))
-    expansions = lg.equal_angle_expansion(N, ct).tolist()  # row i: degree i
+    expansions = lg.equal_angle_expansion(N, ct)  # row i: degree i
     out = np.zeros((max(max_k, N) + 1, N + 1))
     min_summand = math.inf
     for n in range(N + 1):
-        target = [0.0] * (n + 1)
-        for i in range(n + 1):
-            ai = expansions[i]
-            aj = expansions[n - i]
-            for ka in range(i + 1):
-                if ai[ka] == 0.0:
-                    continue
-                for lb in range(n - i + 1):
-                    s = 0.5 * ai[ka] * aj[lb]
-                    min_summand = min(min_summand, s)
-                    if ka + lb <= n:
-                        target[ka + lb] += s
-                    target[abs(ka - lb)] += s
-        out[: n + 1, n] = target
+        target = np.zeros(n + 2)
+        # every (i, ka, lb) with ka <= i, lb <= n - i, in the order of the
+        # nested loops, 32 values of i at a time; pairs with a_i[ka] = 0 drop out
+        for start in range(0, n + 1, 32):
+            block = np.arange(start, min(start + 32, n + 1))
+            width = n + 1 - block  # lb takes n - i + 1 values
+            counts = (block + 1) * width
+            i = np.repeat(block, counts)
+            r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            ka, lb = np.divmod(r, np.repeat(width, counts))
+            ai = expansions[i, ka]
+            keep = ai != 0.0
+            i, ka, lb, ai = i[keep], ka[keep], lb[keep], ai[keep]
+            s = 0.5 * ai * expansions[n - i, lb]
+            min_summand = min(min_summand, float(s.min(initial=math.inf)))
+            # each summand goes to cos((ka + lb) phi) when ka + lb <= n (else to
+            # the spare slot n + 1), then to cos(|ka - lb| phi); np.add.at adds
+            # in that order, as the scalar loop would
+            slots = np.stack([np.minimum(ka + lb, n + 1), np.abs(ka - lb)], axis=-1)
+            np.add.at(target, slots.ravel(), np.repeat(s, 2))
+        out[: n + 1, n] = target[: n + 1]
         out[1 : n + 1, n] *= 0.5
     return out[: max_k + 1], min_summand
 

@@ -730,10 +730,10 @@ def _stub_suites(monkeypatch, planted):
 _SUITE_FAILURES = {
     "in-child": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
     "in-parent": ({"milin": _raises("planted in milin")}, "planted in milin"),
-    # area runs before milin in one process, so its error is the one reported
+    # bounds runs before milin in one process, so its error is the one reported
     "in-both": (
-        {"area": _raises("planted in area"), "milin": _raises("planted in milin")},
-        "planted in area",
+        {"bounds": _raises("planted in bounds"), "milin": _raises("planted in milin")},
+        "planted in bounds",
     ),
     "warning-in-child": (
         {"weinstein": _fp_warning_as_error}, "planted: divide by zero encountered in log"
@@ -745,7 +745,7 @@ _SUITE_FAILURES = {
 def test_verify_all_failures_give_the_one_process_outcome(monkeypatch, case):
     planted, message = _SUITE_FAILURES[case]
     # the cases name the share each planted suite runs in
-    assert {"loewner", "area", "weinstein"} <= set(suites.CHILD_SUITES)
+    assert {"loewner", "bounds", "weinstein"} <= set(suites.CHILD_SUITES)
     assert "milin" not in suites.CHILD_SUITES
     _stub_suites(monkeypatch, planted)
     split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(3))
@@ -767,6 +767,7 @@ def test_verify_all_warnings_are_the_one_process_warnings(monkeypatch, case):
     # a child suite warns (or calls the error callback) and passes: the
     # warning comes once, from this process, split or not
     divide, plant, expected = _WARNINGS[case]
+    assert "weinstein" in suites.CHILD_SUITES
 
     def warns(seed=0):
         plant()

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schlicht import functionals as fn
+from schlicht import suites
 from schlicht import series as ps
 from schlicht import univalent as uv
+from schlicht.report import BoundReport
+from schlicht.series import PowerSeries
 
 
 def test_area_sum_koebe_equality():
@@ -26,15 +29,25 @@ def test_area_sum_dilation_bounded():
     assert 0.0 <= val <= 1.0 + 1e-9
 
 
+def coefficient_report(f, N):
+    """|a_n| against the sharp bound n and Littlewood's e*n, for 2 <= n <= N."""
+    rep = BoundReport("coefficients")
+    a = np.abs(f.coeffs)
+    for n in range(2, N + 1):
+        rep.add(f"n={n:02d}:sharp", a[n], n)
+        rep.add(f"n={n:02d}:littlewood", a[n], math.e * n)
+    return rep
+
+
 def test_coefficient_report_koebe_equality():
-    rep = fn.coefficient_report(uv.koebe(16), 16)
+    rep = coefficient_report(uv.koebe(16), 16)
     assert rep.all_pass
     sharp = [c for c in rep.cases if c.id.endswith("sharp")]
     assert all(abs(c.lhs - c.rhs) < 1e-12 for c in sharp)
 
 
 def test_coefficient_report_identity():
-    rep = fn.coefficient_report(uv.identity_map(12), 12)
+    rep = coefficient_report(uv.identity_map(12), 12)
     assert rep.all_pass
     assert all(c.lhs == 0.0 for c in rep.cases)
 
@@ -45,7 +58,7 @@ def test_log_coefficients_identity():
 
 
 def test_coefficient_report_dilation_strict():
-    rep = fn.coefficient_report(uv.dilation(uv.koebe(16), 0.5), 16)
+    rep = coefficient_report(uv.dilation(uv.koebe(16), 0.5), 16)
     sharp = [c for c in rep.cases if c.id.endswith("sharp")]
     assert all(c.lhs < c.rhs for c in sharp)
 
@@ -194,3 +207,38 @@ def test_lebedev_milin_random(alpha):
 def test_lebedev_milin_needs_enough_terms():
     with pytest.raises(ValueError):
         fn.lebedev_milin_check([1.0], 3)
+
+
+def _lebedev_milin_by_series_exp(alpha, n):
+    # both sides from series.exp, one trial at a time
+    beta = ps.exp(PowerSeries([0.0] + list(alpha[:n])))
+    lhs = float(np.sum(np.abs(beta.coeffs) ** 2))
+    k = np.arange(1, n + 1)
+    terms = k * np.abs(np.asarray(alpha[:n])) ** 2 - 1.0 / k
+    return lhs, (n + 1) * math.exp(float(np.sum(np.cumsum(terms))) / (n + 1))
+
+
+def _lebedev_milin_trials(seed):
+    # the suite's draws, in its order
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        n = int(rng.integers(1, 17))
+        alpha = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        scale = np.abs(alpha)
+        yield list(np.where(scale > 2.0, alpha * 2.0 / scale, alpha)), n
+
+
+def test_lebedev_milin_batched_worst_case_is_the_one_trial_worst_case():
+    for seed in range(50):
+        worst = max(
+            lhs - rhs for lhs, rhs in (fn.lebedev_milin_check(*t) for t in _lebedev_milin_trials(seed))
+        )
+        rep = suites.suite_lebedev_milin(seed)
+        case = next(c for c in rep.cases if c.id == "random-trials-max-violation")
+        assert case.lhs == worst, seed
+
+
+def test_lebedev_milin_check_is_the_series_exp_value():
+    for seed in (0, 1):
+        for alpha, n in _lebedev_milin_trials(seed):
+            assert fn.lebedev_milin_check(alpha, n) == _lebedev_milin_by_series_exp(alpha, n)

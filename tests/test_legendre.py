@@ -250,3 +250,51 @@ def test_equal_angle_expansion_bitwise_against_table_loop():
             want = _table_loop_expansion(N, c)
             assert got.shape == want.shape == (N + 1, N + 1)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (N, c)
+
+
+def test_seminormalized_table_is_the_one_value_routes_bit_for_bit():
+    xs = np.array([-1.0, -0.95, -0.3, 0.0, 0.3, 0.6, 0.9, 1.0])
+    table = lg.seminormalized_table(20, xs)
+    assert table.shape == (21, xs.size, 21)
+    for n in range(21):
+        assert np.all(table[n, :, n + 1 :] == 0.0)
+        for i, x in enumerate(xs):
+            assert table[n, i, 0] == lg.legendre_value(n, x)
+        for m in range(-n, n + 1):
+            via = table[n, :, abs(m)] * (lg.assoc_scale(n, m) if m else 1.0)
+            assert np.array_equal(via.view(np.uint64), lg.assoc_legendre(n, m, xs).view(np.uint64))
+
+
+def test_addition_theorem_residual_bitwise_against_per_order_values():
+    # the residual as a sum of assoc_legendre values, one recurrence per order
+    def per_order(theta1, theta2, phi, n):
+        c1, c2 = np.cos(theta1), np.cos(theta2)
+        s1, s2 = np.sin(theta1), np.sin(theta2)
+        rhs = lg.legendre_poly(n)(c1) * lg.legendre_poly(n)(c2)
+        for k in range(1, n + 1):
+            rhs = rhs + (
+                2.0 * (-1) ** k * lg.assoc_legendre(n, -k, c1) * lg.assoc_legendre(n, k, c2)
+                * np.cos(k * phi)
+            )
+        return np.abs(lg.legendre_poly(n)(c1 * c2 + s1 * s2 * np.cos(phi)) - rhs)
+
+    t = np.linspace(0.1, math.pi - 0.1, 5)
+    phis = 2 * math.pi * np.arange(8) / 8
+    for n in range(0, 21):
+        got = lg.addition_theorem_residual(t[:, None, None], t[:, None], phis, n)
+        want = per_order(t[:, None, None], t[:, None], phis, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_schlafli_over_an_array_is_the_scalar_value():
+    zs = np.array([-0.95, -0.3, 0.0, 0.5, 0.9, 0.3 + 0.4j, 2.0])
+    for n in (0, 1, 7, 20, 40):
+        got = lg.schlafli_coeff(n, zs)
+        assert got.shape == zs.shape
+        assert got.tolist() == [lg.schlafli_coeff(n, z) for z in zs.tolist()]
+
+
+def test_schlafli_guard_names_the_stray_point():
+    # at degree 59 the trapezoid misses P_59(1) = 1 by more than 1e-6
+    with pytest.raises(QuadratureUnderresolved, match=r"n=59, z=\(1\+0j\)"):
+        lg.schlafli_coeff(59, np.array([0.5, 1.0]))

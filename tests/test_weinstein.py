@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht.errors import (
     ChainUnavailable,
@@ -267,3 +268,36 @@ def test_oracle_triangle_accurate_at_n_40():
     worst, min_summand = ws.oracle_triangle([0.5], 40)
     assert worst <= 1e-12
     assert min_summand >= 0.0
+
+
+def _lambda_legendre_route_loop(t, N):
+    """The squared-Legendre route as four nested scalar loops, the bitwise oracle."""
+    ct = math.sqrt(1.0 - math.exp(-t))
+    expansions = lg.equal_angle_expansion(N, ct).tolist()
+    out = np.zeros((N + 1, N + 1))
+    min_summand = math.inf
+    for n in range(N + 1):
+        target = [0.0] * (n + 1)
+        for i in range(n + 1):
+            ai, aj = expansions[i], expansions[n - i]
+            for ka in range(i + 1):
+                if ai[ka] == 0.0:
+                    continue
+                for lb in range(n - i + 1):
+                    s = 0.5 * ai[ka] * aj[lb]
+                    min_summand = min(min_summand, s)
+                    if ka + lb <= n:
+                        target[ka + lb] += s
+                    target[abs(ka - lb)] += s
+        out[: n + 1, n] = target
+        out[1 : n + 1, n] *= 0.5
+    return out, min_summand
+
+
+def test_legendre_route_bitwise_against_the_scalar_loop():
+    for t in (0.0, 0.05, 0.5, 1.0, 2.0, 3.0):
+        for N in (0, 1, 12, 30):
+            tab, ms = ws.lambda_legendre_route(t, N)
+            want, want_ms = _lambda_legendre_route_loop(t, N)
+            assert np.array_equal(tab.view(np.uint64), want.view(np.uint64)), (t, N)
+            assert ms == want_ms, (t, N)
