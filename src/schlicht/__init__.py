@@ -8,10 +8,12 @@ Modules
     loewner     radial Loewner chains, closed-form and numeric
     weinstein   the nonnegative-kernel Milin decomposition
     suites      named verification suites behind the CLI
-"""
 
-from .series import PowerSeries
+Importing the package loads no submodule and no NumPy, so `schlicht.cli`
+can choose NumPy's BLAS thread count before NumPy loads.  It re-exports
+nothing: power series are `schlicht.series.PowerSeries`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = ["PowerSeries", "__version__"]
+__all__ = ["__version__"]

@@ -57,8 +57,9 @@ def beside(child_fn, here_fn):
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork beside native threads (NumPy's
-            # BLAS pool); the child leaves by os._exit
+            # Python 3.12+ warns on a fork beside native threads: the CLI
+            # runs BLAS on one thread, but a library caller's NumPy may keep
+            # a BLAS pool; the child leaves by os._exit
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:  # no process to be had

@@ -21,6 +21,9 @@ import math
 import os
 import sys
 
+# an idle OpenBLAS worker spins CPU away, and no product here is big enough to use it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import _fork

@@ -390,7 +390,8 @@ class NumericChain:
         if np.any(t0 < 0):
             raise ChainUnavailable(f"t = {t0.min()} is before the chain starts at t = 0")
         w = z0.copy()
-        for begin in np.unique(t0[t0 < self.T0]).tolist():
+        # not np.unique, which imports numpy.ma in NumPy 2.4
+        for begin in sorted(set(t0[t0 < self.T0].tolist())):
             at = t0 == begin
             w[at] = loewner_solve(
                 self.kappa, z0[at], self.T0, self.h, samples=1, t0=begin

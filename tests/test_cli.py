@@ -50,6 +50,47 @@ def test_module_entry_point_in_a_process():
     assert proc.stderr.startswith("numeric error: ") and "Traceback" not in proc.stderr
 
 
+def _fresh_python(code, **env):
+    """stdout of code in a fresh interpreter; OPENBLAS_NUM_THREADS is unset unless given."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _fresh_python("import sys, schlicht; print('numpy' in sys.modules)") == "False"
+
+
+def test_the_cli_sets_one_openblas_thread():
+    code = "import os, schlicht.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code) == "1"
+
+
+def test_the_cli_keeps_the_users_openblas_thread_count():
+    code = "import os, schlicht.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_the_cli_process_runs_one_thread():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("only Linux lists a process's threads in /proc/self/task")
+    code = (
+        "import os, schlicht.cli, numpy\n"
+        "tasks = len(os.listdir('/proc/self/task'))\n"
+        "try:\n"
+        "    blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+        "except Exception:\n"
+        "    blas = 'unknown'\n"
+        "print(tasks, blas)"
+    )
+    tasks, blas = _fresh_python(code).split(maxsplit=1)
+    if "openblas" not in blas.lower():
+        pytest.skip(f"NumPy's BLAS is {blas}, not OpenBLAS, which alone reads OPENBLAS_NUM_THREADS")
+    assert tasks == "1"
+
+
 def test_verify_pass_exit_zero(tmp_path):
     out = tmp_path / "rep.json"
     proc = run_cli("verify", "--suite", "area", "--seed", "7", "--out", str(out))

@@ -99,6 +99,14 @@ def test_negative_order_identity_against_direct_route():
             assert np.max(np.abs(direct - via)) < 1e-10
 
 
+def test_schlafli_accuracy_at_the_ends_of_the_interval():
+    # the docstring's figures: near z = +-1 the trapezoid loses digits as n grows
+    for z in (1.0, -1.0):
+        assert abs(lg.schlafli_coeff(20, z) - lg.legendre_value(20, z)) < 1e-12
+    with pytest.raises(QuadratureUnderresolved):
+        lg.schlafli_coeff(60, 1.0)
+
+
 def test_generating_function_values():
     v = lg.generating_partial_sum(0.3, 0.2, 30)
     assert abs(v - 1.0 / math.sqrt(0.92)) < 1e-10

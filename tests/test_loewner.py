@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -439,3 +441,14 @@ def test_numeric_chain_before_last_break_matches_a_long_solve():
         ev = lw.loewner_solve(drv, z1, S, 2e-3, samples=1, t0=t)
         want = math.exp(S) * ev.states[-1]
         assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-6
+
+
+def test_the_loewner_suite_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma (NumPy 2.4): 15-23 ms in the gate's child process
+    code = (
+        "import sys; from schlicht import suites; suites.run_suite('loewner'); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
