@@ -20,13 +20,13 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 # an idle OpenBLAS worker spins CPU away, and no product here is big enough to use it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import _fork
 from . import functionals as fn
 from . import legendre as lg
 from . import loewner as lw
@@ -38,13 +38,6 @@ from .report import BoundReport
 
 # suites with a single-case report for one function and index (verify --n)
 FOCUS_SUITES = ("milin", "robertson", "area", "lebedev-milin", "weinstein")
-# loewner trace formats the two halves of a grid on two CPUs (_fork.beside)
-# when it stores at least SPLIT_MIN_VALUES states (times x points).  On a
-# 2-core host a fork and reap cost 3-6 ms plus the pickled half of the CSV.
-# A state's line costs 6-7 us, and formatting alone took 53 -> 59 ms at
-# 8,192 states, 114 -> 78 ms at 16,384 and 236 -> 143 ms at 32,768: 2^15
-# states are twice the break-even.
-SPLIT_MIN_VALUES = 2**15
 
 
 def _write_text(path, text):
@@ -207,32 +200,16 @@ def cmd_loewner_trace(args):
     ev = lw.loewner_solve(kappa, grid, args.T, args.step, samples=args.samples)
     times, scaled = ev.times.tolist(), ev.scaled
 
-    def blocks(cols):
-        # one string per stored time: the CSV lines of these grid columns at
-        # that time, each ended by a newline (an empty grid has no lines);
-        # the lines are built column-wise, with repr of every float, and no
-        # field ever needs quoting
-        z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid[cols].tolist()]
-        out = []
-        for t, f, ef in zip(times, ev.states[:, cols], scaled[:, cols]):
-            parts = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
-            rows = map(",".join, zip([f"{t!r},{zt}" for zt in z_text], *parts))
-            out.append("\n".join([*rows, ""]))
-        return out
-
-    # the halves of the grid are formatted apart, and each time's two blocks
-    # join into its lines
-    width = grid.shape[0]
-    halves = None
-    if width >= 2 and ev.states.size >= SPLIT_MIN_VALUES and _fork.can_fork():
-        mid = width // 2
-        halves = _fork.beside(lambda: blocks(slice(mid, None)), lambda: blocks(slice(mid)))
-    if halves is None:
-        chunks = blocks(slice(None))
-    else:
-        back, front = halves
-        chunks = [block for pair in zip(front, back) for block in pair]
-    _write_text(args.out, "".join(["t,z_re,z_im,f_re,f_im,etf_re,etf_im\n", *chunks]))
+    # one block per stored time: its CSV lines, each ended by a newline (an
+    # empty grid has no lines); the lines are built column-wise, with repr
+    # of every float, and no field ever needs quoting
+    z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
+    blocks = ["t,z_re,z_im,f_re,f_im,etf_re,etf_im\n"]
+    for t, f, ef in zip(times, ev.states, scaled):
+        parts = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
+        rows = map(",".join, zip(repeat(repr(t)), z_text, *parts))
+        blocks.append("\n".join([*rows, ""]))
+    _write_text(args.out, "".join(blocks))
     return 0
 
 

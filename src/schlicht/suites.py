@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import _fork, _kernels
+from . import _kernels
 from . import functionals as fn
 from . import legendre as lg
 from . import loewner as lw
@@ -33,7 +33,7 @@ def suite_area(seed=0):
     target = fn.area_sum(g, order - 2)
     rep.add("koebe-equality", abs(target - 1.0), 1e-12)
     rep.add("koebe-bound", target, 1.0)
-    rng = np.random.default_rng(seed)
+    rng = uv.SeededDraws(seed)
     for i in range(50):
         f = uv.koebe(order)
         if rng.integers(0, 2):
@@ -121,8 +121,8 @@ def suite_milin(seed=0):
         m = fn.milin_functional(k, n)
         wf = fn.milin_weighted_form(k, n)
         rep.add(f"weighted-relation-n={n}", abs(wf + 4.0 * m), 1e-10)
-    # M_20 <= 0 up to roundoff: rotated Koebe draws reach +1.1e-13 (seeds < 1000)
-    rng = np.random.default_rng(seed)
+    # M_20 <= 0 up to roundoff: rotated Koebe draws reach +9.5e-14 (seeds < 1000)
+    rng = uv.SeededDraws(seed)
     for i in range(100):
         f = uv.random_class_s(rng, order)
         rep.add(f"random-{i:03d}", fn.milin_functional(f, 20), 1e-12)
@@ -143,7 +143,7 @@ def suite_lebedev_milin(seed=0):
         rep.add(f"equality-case-lhs-n={n}", abs(lhs - (n + 1)), 1e-10)
         rep.add(f"equality-case-gap-n={n}", abs(rhs - lhs), 1e-10)
     # draw every trial in turn, then check the trials of each length together
-    rng = np.random.default_rng(seed)
+    rng = uv.SeededDraws(seed)
     draws = {}
     for _ in range(trials):
         n = int(rng.integers(1, 17))
@@ -328,45 +328,12 @@ SUITES = {
 }
 
 
-# The suites of 'all' that a forked child runs while this process runs the
-# rest.  Warm seconds per suite, seed 1, best of 15 on a 2-core host:
-# loewner 0.049, legendre 0.029, weinstein 0.027, bounds 0.024, milin 0.013,
-# lebedev-milin 0.009, area 0.009, littlewood 0.009, robertson 0.001.  The
-# seeded suites stay together here, because importing numpy.random adds
-# 5.4 MB to a process, and the suites with the largest heaps (bounds,
-# loewner, weinstein) go to the child.  So the child's share is about 0.10 s
-# and this process's 0.07 s; splits closer to even in seconds raised the
-# gate's peak RSS by 0.4-1.3 MB and took no less time.  The whole gate (CLI,
-# seed 1, median of 11) took 0.59 s in one process against 0.49 s split.
-CHILD_SUITES = ("bounds", "loewner", "weinstein")
-
-
 def run_suite(name, seed=0):
-    """Run one named suite (or 'all'); returns a list of reports.
-
-    The suites of 'all' are independent, so on two CPUs a forked child runs
-    CHILD_SUITES while this process runs the others (schlicht._fork).  If
-    either side fails in any way, every suite runs again in this process,
-    whose outcome stands: errors, warnings and reports are always the
-    one-process ones.
-    """
+    """Run one named suite (or 'all', each suite in SUITES order); returns a list of reports."""
     if name == "all":
-        if _fork.can_fork():
-            shares = _fork.beside(
-                lambda: _run_share(CHILD_SUITES, seed),
-                lambda: _run_share([s for s in SUITES if s not in CHILD_SUITES], seed),
-            )
-            if shares is not None:
-                reports = {**shares[0], **shares[1]}
-                return [reports[s] for s in SUITES]
         return [run_suite(s, seed=seed)[0] for s in SUITES]
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if name in ("area", "milin", "lebedev-milin"):
         return [SUITES[name](seed=seed)]
     return [SUITES[name]()]
-
-
-def _run_share(names, seed):
-    # through the module global, as 'all' does in one process
-    return {s: run_suite(s, seed=seed)[0] for s in names}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +211,30 @@ def from_registry(name, order):
     except (ValueError, TypeError, IndexError) as exc:
         raise ParamOutOfRange(f"malformed function {name!r}: {exc}") from None
     raise ParamOutOfRange(f"unknown function name {name!r}")
+
+
+class SeededDraws:
+    """The seeded suites' draws, each from random.Random(seed).random() alone.
+
+    Python keeps that sequence across versions (it makes no such promise
+    for randrange, nor NumPy for its Generator streams), so a seed names the
+    same draws on every Python and NumPy.  The methods take the arguments of
+    NumPy's Generator methods of the same names, so random_class_s takes
+    either.
+    """
+
+    def __init__(self, seed):
+        self._random = random.Random(seed).random
+
+    def integers(self, low, high):
+        """An integer in [low, high)."""
+        return low + int((high - low) * self._random())
+
+    def uniform(self, low, high, size=None):
+        """A float in [low, high), or a list of size of them."""
+        if size is None:
+            return low + (high - low) * self._random()
+        return [low + (high - low) * self._random() for _ in range(size)]
 
 
 def random_class_s(rng, order):

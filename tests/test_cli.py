@@ -6,7 +6,6 @@ import io
 import json
 import os
 import resource
-import signal
 import subprocess
 import sys
 import warnings
@@ -14,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from test_fork import _count_forks, _set_cpus, _split_and_one_process
 
 from schlicht import cli, suites
 from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
@@ -89,6 +87,32 @@ def test_the_cli_process_runs_one_thread():
     if "openblas" not in blas.lower():
         pytest.skip(f"NumPy's BLAS is {blas}, not OpenBLAS, which alone reads OPENBLAS_NUM_THREADS")
     assert tasks == "1"
+
+
+_GATE = "cli.main(['verify', '--suite', 'all', '--seed', '1', '--out', os.devnull])"
+
+
+def test_the_gate_never_imports_numpy_random():
+    # the seeded suites draw from random.Random, whose stream no NumPy release changes
+    code = (
+        f"import os, sys; from schlicht import cli; rc = {_GATE}; "
+        "print(rc, 'numpy.random' in sys.modules)"
+    )
+    assert _fresh_python(code) == "0 False"
+
+
+def test_the_gate_and_a_wide_trace_never_fork():
+    code = (
+        "import os\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "from schlicht import cli\n"
+        f"rc = {_GATE}\n"
+        "trace = ['loewner', 'trace', '--grid', 'polar:64x64', '--T', '1', '--out', os.devnull]\n"
+        "rc += cli.main(trace)\n"
+        "print(rc, len(forks))"
+    )
+    assert _fresh_python(code) == "0 0"
 
 
 def test_verify_pass_exit_zero(tmp_path):
@@ -519,121 +543,18 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
     assert proc.stdout.encode() == expected
 
 
-def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
-    # 2,048 points x 1,000 steps, but its 5 x 2,048 stored states are below
-    # cli.SPLIT_MIN_VALUES: no fork on either affinity
-    forks = _count_forks(monkeypatch)
-    argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
-            "--T", "1", "--step", "1e-3", "--samples", "4")
-    texts = {}
-    for cpus in (2, 1):
-        _set_cpus(monkeypatch, cpus)
-        out = tmp_path / f"trace-{cpus}.csv"
-        assert run_cli(*argv, "--out", str(out)).returncode == 0
-        texts[cpus] = out.read_bytes()
-    assert not forks
-    assert texts[2] == texts[1]
-
-
-def test_wide_trace_with_a_bad_horizon_fails_before_it_forks(monkeypatch):
-    # the solve checks --T, --step and the grid before the CSV is split
-    forks = _count_forks(monkeypatch)
-    _set_cpus(monkeypatch, 2)
+def test_wide_trace_with_a_bad_horizon_is_numeric_error():
+    # the solve refuses the horizon before it steps, whatever the grid's size
     proc = run_cli("loewner", "trace", "--grid", "polar:64x64", "--T", "25", "--step", "1e-2",
                    "--out", "-")
     assert proc.returncode == 3
     assert proc.stderr == "numeric error: horizon must satisfy 0 <= T - t0 <= 20\n"
-    assert not forks
 
 
-# 21 stored times x 2,048 points is above cli.SPLIT_MIN_VALUES: one fork
-# formats the back half of the grid
-_WIDE_TRACE = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
-               "--T", "0.52", "--step", "1e-3", "--samples", "20")
-
-
-def _trace(tmp_path, argv, out):
-    """Exit code, CSV bytes and stderr of a trace, to a file or stdout."""
-    if out == "-":
-        proc = run_cli(*argv, "--out", "-")
-        return proc.returncode, proc.stdout.encode(), proc.stderr
-    path = tmp_path / "trace.csv"
-    proc = run_cli(*argv, "--out", str(path))
-    return proc.returncode, path.read_bytes(), proc.stderr
-
-
-@pytest.mark.parametrize("out", ["file", "-"])
-def test_trace_text_split_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch, out):
-    split, alone = _split_and_one_process(
-        monkeypatch, lambda: _trace(tmp_path, _WIDE_TRACE, out)
-    )
-    assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
-    assert split == alone
-
-
-def test_trace_split_follows_the_real_affinity(tmp_path, monkeypatch):
-    # under `taskset -c 0` this runs the one-CPU path of the real rule
-    forks = _count_forks(monkeypatch)
-    assert _trace(tmp_path, _WIDE_TRACE, "file")[0] == 0
-    assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
-
-
-# the smallest trace the rule splits, and the largest it does not; it
-# splits narrow traces (128 points here) for their CSV alone
-_THRESHOLDS = {
-    "states-rule": ("polar:2x64", "0.255", "255", 1),  # 256 x 128 = 2^15 stored states
-    "states-below": ("polar:2x64", "0.254", "254", 0),
-}
-
-
-@pytest.mark.parametrize("case", list(_THRESHOLDS))
-def test_trace_split_at_the_thresholds_is_bitwise_one_process(tmp_path, monkeypatch, case):
-    grid, horizon, samples, nforks = _THRESHOLDS[case]
-    argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", grid,
-            "--T", horizon, "--step", "1e-3", "--samples", samples)
-    split, alone = _split_and_one_process(
-        monkeypatch, lambda: _trace(tmp_path, argv, "-"), nforks=nforks
-    )
-    assert alone[0] == 0
-    assert split == alone
-
-
-@pytest.mark.parametrize("grid, nforks", [("points:[[0.5,0]]", 0), ("points:[[0.5,0],[0,0.5]]", 1)])
-def test_trace_splits_from_two_points(tmp_path, monkeypatch, grid, nforks):
-    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
-    argv = ("loewner", "trace", "--grid", grid, "--T", "0.1", "--step", "1e-2")
-    split, alone = _split_and_one_process(
-        monkeypatch, lambda: _trace(tmp_path, argv, "-"), nforks=nforks
-    )
-    assert alone[0] == 0
-    assert split == alone
-
-
-@pytest.mark.parametrize("how", ["raises", "killed"])
-def test_trace_text_failure_in_the_child_gives_the_one_process_bytes(tmp_path, monkeypatch, how):
-    parent = os.getpid()
-
-    def planted_repr(value):
-        # the child fails as it formats its half
-        if os.getpid() != parent:
-            if how == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("planted")
-        return repr(value)
-
-    monkeypatch.setattr(cli, "repr", planted_repr, raising=False)
-    split, alone = _split_and_one_process(
-        monkeypatch, lambda: _trace(tmp_path, _WIDE_TRACE, "file")
-    )
-    assert alone[0] == 0 and alone[1].count(b"\n") == 1 + 21 * 2048
-    assert split == alone
-
-
-# A 64-point grid splits into points 0-31 (this process) and 32-63 (the
-# child).  Point 5 (0.999) meets kappa = 1 in front_step, and point 40
-# (0.999i) meets kappa = -1j in back_step: kappa f is then within 1e-3 of 1,
-# where RK4 at h = 1e-2 overshoots the disk.  The exact flow keeps both
-# inside.  Every other step is benign for the whole grid.
+# In a 64-point grid, point 5 (front, 0.999) meets kappa = 1 in front_step,
+# and point 40 (back, 0.999i) meets kappa = -1j in back_step: kappa f is then
+# within 1e-3 of 1, where RK4 at h = 1e-2 overshoots the disk.  The exact
+# flow keeps both inside.  Every other step is benign for the whole grid.
 _BENIGN = [-0.7071067811865476, 0.7071067811865476]  # e^{3 pi i / 4}
 
 
@@ -657,57 +578,45 @@ def _points(front=(0.999, 0.0), back=(0.0, 0.999)):
 
 
 _NAN = (3, "", "numeric error: grid points must satisfy |z| < 1\n")
-_FAILURES = {
-    # each stored state stays in the disk: exit 0, one fork
+_NEAR_THE_BOUNDARY = {
+    # each stored state stays in the disk: exit 0
     "front-only": (_points(), _steps(front_step=5), None),
     "back-only": (_points(), _steps(back_step=3), None),
     "back-first": (_points(), _steps(front_step=5, back_step=2), None),
     "front-first": (_points(), _steps(front_step=2, back_step=5), None),
-    # the NaN grid point fails the solve before the split, whichever half it
-    # is in
+    # the NaN grid point fails the solve before its first step, in front or
+    # in back
     "nan-back-escape-front": (_points(back=(float("nan"), 0.0)), _steps(front_step=3), _NAN),
     "nan-front-escape-back": (_points(front=(float("nan"), 0.0)), _steps(back_step=3), _NAN),
 }
 
 
-@pytest.mark.parametrize("case", list(_FAILURES))
-def test_trace_split_failures_give_the_one_process_outcome(monkeypatch, case):
-    grid, kappa, expected = _FAILURES[case]
-    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
-    argv = ("loewner", "trace", "--kappa", kappa, "--grid", grid,
-            "--T", "0.08", "--step", "1e-2", "--out", "-")
-
-    def run():
-        proc = run_cli(*argv)
-        return proc.returncode, proc.stdout, proc.stderr
-
-    split, alone = _split_and_one_process(monkeypatch, run, nforks=int(expected is None))
+@pytest.mark.parametrize("case", list(_NEAR_THE_BOUNDARY))
+def test_trace_keeps_every_state_where_rk4_would_leave_the_disk(case):
+    grid, kappa, expected = _NEAR_THE_BOUNDARY[case]
+    proc = run_cli("loewner", "trace", "--kappa", kappa, "--grid", grid,
+                   "--T", "0.08", "--step", "1e-2", "--out", "-")
     if expected is None:
-        assert alone[0] == 0 and alone[2] == ""
-        rows = np.array([line.split(",") for line in alone[1].splitlines()[1:]], dtype=float)
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = np.array([line.split(",") for line in proc.stdout.splitlines()[1:]], dtype=float)
         assert rows.shape == (9 * 64, 7)
         assert np.all(np.hypot(rows[:, 3], rows[:, 4]) < 1.0)
     else:
-        assert alone == expected
-    assert split == alone
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
-def test_trace_warnings_are_the_one_process_warnings(monkeypatch):
-    # the tiny point underflows in the child's half; the trace passes
-    monkeypatch.setattr(cli, "SPLIT_MIN_VALUES", 2)
+def test_trace_warnings_are_the_one_process_warnings():
+    # the tiny point underflows; the warning passes through and the trace passes
     argv = ("loewner", "trace", "--kappa", _steps(), "--grid", _points((0.5, 0.0), (1e-300, 0.0)),
             "--T", "0.08", "--step", "1e-2", "--out", "-")
-
-    def run():
-        with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
-            warnings.simplefilter("always")
-            proc = run_cli(*argv)
-        out = proc.returncode, proc.stdout, proc.stderr
-        return out, [(w.category, str(w.message)) for w in caught]
-
-    split, alone = _split_and_one_process(monkeypatch, run)
-    assert alone[0][0] == 0 and alone[1]
-    assert split == alone
+    with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+        warnings.simplefilter("always")
+        proc = run_cli(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert caught and all(
+        w.category is RuntimeWarning and str(w.message).startswith("underflow encountered")
+        for w in caught
+    )
 
 
 def _verify_all(seed):
@@ -728,12 +637,6 @@ def test_verify_all_verdicts_follow_the_printed_numbers(seed):
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 277
     assert all(r["pass"] == str(float(r["lhs"]) <= float(r["rhs"])).lower() for r in rows)
-
-
-def test_verify_all_same_split_or_on_one_cpu(monkeypatch):
-    split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(1))
-    assert alone[0] == 0 and json.loads(alone[1])["pass"] is True
-    assert split == alone
 
 
 def _raises(message):
@@ -761,7 +664,7 @@ def _stub(name):
 
 
 def _stub_suites(monkeypatch, planted):
-    # cheap suites under the real names, so CHILD_SUITES splits them as usual
+    # cheap suites under the real names, in SUITES order
     assert set(planted) <= set(suites.SUITES)
     monkeypatch.setattr(suites, "SUITES", {
         name: planted.get(name, _stub(name)) for name in suites.SUITES
@@ -769,29 +672,24 @@ def _stub_suites(monkeypatch, planted):
 
 
 _SUITE_FAILURES = {
-    "in-child": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
-    "in-parent": ({"milin": _raises("planted in milin")}, "planted in milin"),
-    # bounds runs before milin in one process, so its error is the one reported
-    "in-both": (
+    "loewner": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
+    "milin": ({"milin": _raises("planted in milin")}, "planted in milin"),
+    # bounds runs before milin, so its error is the one reported
+    "bounds-and-milin": (
         {"bounds": _raises("planted in bounds"), "milin": _raises("planted in milin")},
         "planted in bounds",
     ),
-    "warning-in-child": (
+    "warning-as-error": (
         {"weinstein": _fp_warning_as_error}, "planted: divide by zero encountered in log"
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_SUITE_FAILURES))
-def test_verify_all_failures_give_the_one_process_outcome(monkeypatch, case):
+def test_verify_all_exits_3_on_the_first_suite_error(monkeypatch, case):
     planted, message = _SUITE_FAILURES[case]
-    # the cases name the share each planted suite runs in
-    assert {"loewner", "bounds", "weinstein"} <= set(suites.CHILD_SUITES)
-    assert "milin" not in suites.CHILD_SUITES
     _stub_suites(monkeypatch, planted)
-    split, alone = _split_and_one_process(monkeypatch, lambda: _verify_all(3))
-    assert alone == (3, "", f"numeric error: {message}\n")
-    assert split == alone
+    assert _verify_all(3) == (3, "", f"numeric error: {message}\n")
 
 
 _WARNINGS = {
@@ -805,30 +703,23 @@ _WARNINGS = {
 
 @pytest.mark.parametrize("case", list(_WARNINGS))
 def test_verify_all_warnings_are_the_one_process_warnings(monkeypatch, case):
-    # a child suite warns (or calls the error callback) and passes: the
-    # warning comes once, from this process, split or not
+    # a suite warns (or calls the error callback) and passes: the warning
+    # comes once
     divide, plant, expected = _WARNINGS[case]
-    assert "weinstein" in suites.CHILD_SUITES
 
     def warns(seed=0):
         plant()
         return _stub("weinstein")()
 
     _stub_suites(monkeypatch, {"weinstein": warns})
-
-    def run():
-        calls = []
-        with warnings.catch_warnings(record=True) as caught, np.errstate(
-            divide=divide, call=lambda err, flag: calls.append(err)
-        ):
-            warnings.simplefilter("always")
-            out = _verify_all(3)
-        return out, [(w.category, str(w.message)) for w in caught] + calls
-
-    split, alone = _split_and_one_process(monkeypatch, run)
-    assert alone[1] == expected
-    assert alone[0][0] == 0 and json.loads(alone[0][1])["pass"] is True
-    assert split == alone
+    calls = []
+    with warnings.catch_warnings(record=True) as caught, np.errstate(
+        divide=divide, call=lambda err, flag: calls.append(err)
+    ):
+        warnings.simplefilter("always")
+        out = _verify_all(3)
+    assert [(w.category, str(w.message)) for w in caught] + calls == expected
+    assert out[0] == 0 and json.loads(out[1])["pass"] is True
 
 
 def test_verify_focus_milin_identity():

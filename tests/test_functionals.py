@@ -220,10 +220,10 @@ def _lebedev_milin_by_series_exp(alpha, n):
 
 def _lebedev_milin_trials(seed):
     # the suite's draws, in its order
-    rng = np.random.default_rng(seed)
+    rng = uv.SeededDraws(seed)
     for _ in range(1000):
-        n = int(rng.integers(1, 17))
-        alpha = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        n = rng.integers(1, 17)
+        alpha = np.array(rng.uniform(-2, 2, n)) + 1j * np.array(rng.uniform(-2, 2, n))
         scale = np.abs(alpha)
         yield list(np.where(scale > 2.0, alpha * 2.0 / scale, alpha)), n
 

@@ -444,7 +444,7 @@ def test_numeric_chain_before_last_break_matches_a_long_solve():
 
 
 def test_the_loewner_suite_does_not_load_numpy_ma():
-    # np.unique imports numpy.ma (NumPy 2.4): 15-23 ms in the gate's child process
+    # np.unique imports numpy.ma (NumPy 2.4): 15-23 ms in the gate
     code = (
         "import sys; from schlicht import suites; suites.run_suite('loewner'); "
         "print('numpy.ma' in sys.modules)"

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +154,29 @@ def test_random_class_s_normalized():
         f = uv.random_class_s(rng, 24)
         assert abs(f.coeffs[0]) < 1e-12
         assert abs(f.coeffs[1] - 1.0) < 1e-10
+
+
+
+# the first values of random.Random(1).random(), a sequence Python keeps
+# across versions
+_RANDOM_1 = (0.13436424411240122, 0.8474337369372327, 0.763774618976614, 0.2550690257394217,
+             0.49543508709194095)
+
+
+def test_seeded_draws_for_seed_1_are_pinned():
+    # in a fresh interpreter, so that the draws are the first of the stream
+    code = (
+        "from schlicht.univalent import SeededDraws\n"
+        "d = SeededDraws(1)\n"
+        "print(repr((d.integers(1, 17), d.uniform(-2, 2, 2), d.uniform(0.1, 0.95), "
+        "d.integers(0, 4))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    r = _RANDOM_1
+    expected = (3, [-2 + 4 * r[1], -2 + 4 * r[2]], 0.1 + (0.95 - 0.1) * r[3], 1)
+    assert expected[0] == 1 + int(16 * r[0]) and expected[3] == int(4 * r[4])
+    assert proc.stdout.strip() == repr(expected)
 
 
 # -- the Taylor-shift route that random_class_s used before the closed form --
