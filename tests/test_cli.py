@@ -543,12 +543,72 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
     assert proc.stdout.encode() == expected
 
 
-def test_wide_trace_with_a_bad_horizon_is_numeric_error():
-    # the solve refuses the horizon before it steps, whatever the grid's size
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _here_and_on_one_cpu(run):
+    """What run() gives on this process's CPUs, then pinned to one of them."""
+    cpus = os.sched_getaffinity(0)
+    here = run()
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        alone = run()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return here, alone
+
+
+def test_trace_bytes_same_split_or_on_one_cpu(tmp_path, monkeypatch):
+    # 2,048 points x 1,000 steps, formatted in one process on any affinity
+    forks = _count_forks(monkeypatch)
+    argv = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
+            "--T", "1", "--step", "1e-3", "--samples", "4")
+
+    def run():
+        out = tmp_path / "trace.csv"
+        assert run_cli(*argv, "--out", str(out)).returncode == 0
+        return out.read_bytes()
+
+    here, alone = _here_and_on_one_cpu(run)
+    assert not forks
+    assert here.count(b"\n") == 1 + 5 * 2048
+    assert here == alone
+
+
+def test_wide_trace_with_a_bad_horizon_fails_before_it_forks(monkeypatch):
+    # the solve refuses the horizon before it steps, whatever the grid's size,
+    # and the trace never forks
+    forks = _count_forks(monkeypatch)
     proc = run_cli("loewner", "trace", "--grid", "polar:64x64", "--T", "25", "--step", "1e-2",
                    "--out", "-")
     assert proc.returncode == 3
     assert proc.stderr == "numeric error: horizon must satisfy 0 <= T - t0 <= 20\n"
+    assert not forks
+
+
+# 21 stored times x 2,048 points
+_WIDE_TRACE = ("loewner", "trace", "--kappa", "const:(0.6+0.8j)", "--grid", "polar:32x64",
+               "--T", "0.52", "--step", "1e-3", "--samples", "20")
+
+
+def _trace(tmp_path, argv, out):
+    """Exit code, CSV bytes and stderr of a trace, to a file or stdout."""
+    if out == "-":
+        proc = run_cli(*argv, "--out", "-")
+        return proc.returncode, proc.stdout.encode(), proc.stderr
+    path = tmp_path / "trace.csv"
+    proc = run_cli(*argv, "--out", str(path))
+    return proc.returncode, path.read_bytes(), proc.stderr
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+def test_trace_text_split_bytes_same_split_or_on_one_cpu(tmp_path, out):
+    here, alone = _here_and_on_one_cpu(lambda: _trace(tmp_path, _WIDE_TRACE, out))
+    assert here[0] == 0 and here[2] == "" and here[1].count(b"\n") == 1 + 21 * 2048
+    assert here == alone
 
 
 # In a 64-point grid, point 5 (front, 0.999) meets kappa = 1 in front_step,
@@ -591,8 +651,10 @@ _NEAR_THE_BOUNDARY = {
 }
 
 
+# the ids name the half of the grid each planted point was in when the
+# trace split its grid; the one-process outcome is now the only one
 @pytest.mark.parametrize("case", list(_NEAR_THE_BOUNDARY))
-def test_trace_keeps_every_state_where_rk4_would_leave_the_disk(case):
+def test_trace_split_failures_give_the_one_process_outcome(case):
     grid, kappa, expected = _NEAR_THE_BOUNDARY[case]
     proc = run_cli("loewner", "trace", "--kappa", kappa, "--grid", grid,
                    "--T", "0.08", "--step", "1e-2", "--out", "-")
@@ -639,6 +701,14 @@ def test_verify_all_verdicts_follow_the_printed_numbers(seed):
     assert all(r["pass"] == str(float(r["lhs"]) <= float(r["rhs"])).lower() for r in rows)
 
 
+def test_verify_all_same_split_or_on_one_cpu(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    here, alone = _here_and_on_one_cpu(lambda: _verify_all(1))
+    assert not forks
+    assert here[0] == 0 and json.loads(here[1])["pass"] is True
+    assert here == alone
+
+
 def _raises(message):
     def suite(seed=0):
         raise TrajectoryEscaped(message)
@@ -671,22 +741,24 @@ def _stub_suites(monkeypatch, planted):
     })
 
 
+# the ids name the share of the suites each planted one ran in when the gate
+# split them over two processes; all now run in SUITES order in this one
 _SUITE_FAILURES = {
-    "loewner": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
-    "milin": ({"milin": _raises("planted in milin")}, "planted in milin"),
+    "in-child": ({"loewner": _raises("planted in loewner")}, "planted in loewner"),
+    "in-parent": ({"milin": _raises("planted in milin")}, "planted in milin"),
     # bounds runs before milin, so its error is the one reported
-    "bounds-and-milin": (
+    "in-both": (
         {"bounds": _raises("planted in bounds"), "milin": _raises("planted in milin")},
         "planted in bounds",
     ),
-    "warning-as-error": (
+    "warning-in-child": (
         {"weinstein": _fp_warning_as_error}, "planted: divide by zero encountered in log"
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_SUITE_FAILURES))
-def test_verify_all_exits_3_on_the_first_suite_error(monkeypatch, case):
+def test_verify_all_failures_give_the_one_process_outcome(monkeypatch, case):
     planted, message = _SUITE_FAILURES[case]
     _stub_suites(monkeypatch, planted)
     assert _verify_all(3) == (3, "", f"numeric error: {message}\n")
