@@ -209,28 +209,38 @@ def schlafli_coeff(n, z):
     `legendre_value` is 1.1e-13 at n = 20, 4.4e-10 at n = 40 and 3.1e-8 at
     n = 50 (3e-14 at z = -1 and n = 20; below 1e-16 at z = 0 and 0.5 up to
     n = 64).  z is a number or an array of them, each on its own circle.
-    Raises QuadratureUnderresolved when a value at a real z in [-1, 1]
-    strays from `legendre_value` by more than 1e-6, which happens at z = 1
-    from n = 59 and at z = -1 from n = 62, and for every n >= 256.
+    n is a degree or a 1-D array of them; an array gives shape
+    n.shape + z.shape, and each row is the value of its one degree bit for
+    bit.  Raises QuadratureUnderresolved when a value at a real z in
+    [-1, 1] strays from `legendre_value` by more than 1e-6, which happens at
+    z = 1 from n = 59 and at z = -1 from n = 62, and for every n >= 256.
     """
-    if n >= 256:
-        raise QuadratureUnderresolved(f"512 nodes are too few for degree {n}")
+    degrees = np.asarray(n)
+    if np.any(degrees >= 256):
+        raise QuadratureUnderresolved(f"512 nodes are too few for degree {degrees.max()}")
     z = np.asarray(z, dtype=complex)
     phi = (2.0 * np.pi * np.arange(512) / 512).astype(np.longdouble)
     ring = np.cos(phi) + 1j * np.sin(phi)
     xi = z.astype(np.clongdouble)[..., None] + ring
-    ring_n = np.cos(n * phi) + 1j * np.sin(n * phi)
-    integrand = (xi * xi - 1.0) ** n / (np.longdouble(2.0) ** n * ring_n)
-    val = np.mean(integrand, axis=-1).astype(complex)
+    base = xi * xi - 1.0
+    # one degree at a time: every degree at once would hold a
+    # (degrees, points, 512) extended-precision integrand
+    rows = []
+    for k in degrees.ravel().tolist():
+        ring_k = np.cos(k * phi) + 1j * np.sin(k * phi)
+        rows.append(np.mean(base**k / (np.longdouble(2.0) ** k * ring_k), axis=-1))
+    val = np.array(rows).reshape(degrees.shape + z.shape).astype(complex)
     real = (z.imag == 0) & (np.abs(z.real) <= 1)
     if np.any(real):
-        ref = _last_column(n, z.real[real], 0)
-        bad = np.abs(val[real] - ref) > 1e-6
+        got = val[..., real]
+        ref = seminormalized_table(int(degrees.max()), z.real[real])[degrees, ..., 0]
+        bad = np.abs(got - ref) > 1e-6
         if np.any(bad):
-            i = np.flatnonzero(bad)[0]
+            # the first stray degree in n's order, and its first stray point
+            at = tuple(np.argwhere(bad)[0])
             raise QuadratureUnderresolved(
-                f"contour value {val[real][i]} vs polynomial {ref[i]} at n={n}, "
-                f"z={z[real][i]}"
+                f"contour value {got[at]} vs polynomial {ref[at]} at n={degrees[at[:-1]]}, "
+                f"z={z[real][at[-1]]}"
             )
     return complex(val) if val.ndim == 0 else val
 

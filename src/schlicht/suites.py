@@ -66,8 +66,8 @@ def suite_bounds():
     rr = np.linspace(0.05, 0.95, 32)
     th = 2 * np.pi * np.arange(32) / 32
     grid = [r * np.exp(1j * a) for r in rr for a in th]
-    sub = fn.pointwise_bounds_check(kg, grid)
-    rep.add("polar-grid-failures", float(len(sub.failures)), 0.0)
+    failed = fn.pointwise_bounds_check(kg, grid).failed
+    rep.add("polar-grid-failures", float(np.count_nonzero(failed)), 0.0)
     rep.meta["orders"] = {"coeff": 64, "sharp": 160, "grid": 1024}
     return rep
 
@@ -180,9 +180,7 @@ def suite_legendre():
     rep.add("generating-function", worst, 1e-10)
     zs = np.array([-0.95, -0.3, 0.0, 0.5, 0.9])
     pz = lg.seminormalized_table(20, zs)[:, :, 0]
-    worst = max(
-        abs(d) for n in range(21) for d in (lg.schlafli_coeff(n, zs) - pz[n]).tolist()
-    )
+    worst = max(abs(d) for d in (lg.schlafli_coeff(np.arange(21), zs) - pz).ravel().tolist())
     rep.add("schlafli-vs-polynomial", worst, 1e-8)
     worst = max(abs(lg.ode_residual(n, x)) for n in range(1, 21) for x in (-0.7, -0.2, 0.3, 0.9))
     rep.add("ode-residual", worst, 1e-9)
@@ -235,9 +233,10 @@ def suite_loewner():
     for i, z in enumerate(pts):
         gap = abs(np.exp(10.0) * ev.states[5, i] - lw.koebe_map(z))
         rep.add(f"hull-limit-T=10-z={z}", gap, 1e-3)
-    # the RK4 oracle converges at fourth order under step halving
+    # the RK4 oracle converges at fourth order under step halving; at these
+    # steps its error at T = 2 stays 3e4 ulps or more above roundoff
     errs = []
-    for hh in (1e-2, 5e-3, 2.5e-3):
+    for hh in (0.04, 0.02, 0.01):
         nsteps = int(round(2.0 / hh))
         traj, _ = _kernels.rk4_loewner(
             np.array([0.5 + 0j]), np.full(nsteps, -1.0 + 0j), hh, nsteps, False
@@ -245,8 +244,8 @@ def suite_loewner():
         errs.append(abs(traj[-1, 0] - lw.koebe_transition(0.5, 2.0)))
     for i in range(2):
         ratio = errs[i] / errs[i + 1]
-        rep.add(f"h-halving-ratio-low-{i}", 12.0, ratio)
-        rep.add(f"h-halving-ratio-high-{i}", ratio, 20.0)
+        rep.add(f"h-halving-ratio-low-{i}", 15.0, ratio)
+        rep.add(f"h-halving-ratio-high-{i}", ratio, 17.0)
     # Herglotz positivity on the numeric chain
     ch = lw.NumericChain(drv, h=2e-3)
     ts, rs = np.meshgrid((0.5, 1.5), (0.35, 0.7), indexing="ij")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,50 +87,117 @@ def test_integral_mean_parseval():
     assert abs(got - expect) < 1e-8
 
 
+def _per_point_envelopes(f, grid):
+    """The envelopes one point at a time with `series.evaluate`: {(j, envelope): (lhs, rhs)}."""
+    fp = f.series.derivative()
+    fpp = fp.derivative()
+    eps = fn.ROUNDOFF
+    out = {}
+    for j, z in enumerate(grid):
+        r = abs(z)
+        val, dval, ddval = (ps.evaluate(s, z) for s in (f.series, fp, fpp))
+        out[j, "growth-lo"] = (r / (1 + r) ** 2 - eps, abs(val))
+        out[j, "growth-hi"] = (abs(val), r / (1 - r) ** 2 + eps)
+        out[j, "distortion-lo"] = ((1 - r) / (1 + r) ** 3 - eps, abs(dval))
+        out[j, "distortion-hi"] = (abs(dval), (1 + r) / (1 - r) ** 3 + eps)
+        if abs(val) > 0:
+            q = abs(z * dval / val)
+            out[j, "zf'/f-lo"] = ((1 - r) / (1 + r) - eps, q)
+            out[j, "zf'/f-hi"] = (q, (1 + r) / (1 - r) + eps)
+        if abs(dval) > 0:
+            w = z * ddval / dval - 2 * r**2 / (1 - r**2)
+            out[j, "pre-schwarzian"] = (abs(w), 4 * r / (1 - r**2) + eps)
+    return out
+
+
+def _as_cases(res):
+    """{(j, envelope): (lhs, rhs)} of the entries an array check checked."""
+    rows, cols = np.nonzero(res.checked)
+    return {
+        (int(j), fn.ENVELOPES[i]): (float(res.lhs[i, j]), float(res.rhs[i, j]))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    }
+
+
+def _failures(cases):
+    return {key for key, (lhs, rhs) in cases.items() if not lhs <= rhs}
+
+
+def _polar_grid(nr, nangles):
+    rr = np.linspace(0.05, 0.95, nr)
+    return [r * np.exp(1j * a) for r in rr for a in 2 * np.pi * np.arange(nangles) / nangles]
+
+
 def test_pointwise_bounds_sharp_koebe():
     f = uv.koebe(160)
-    rep = fn.pointwise_bounds_check(f, [0.3, 0.5, 0.7])
-    assert rep.all_pass
+    res = fn.pointwise_bounds_check(f, [0.3, 0.5, 0.7])
+    assert res.checked.all() and not res.failed.any()
     # distortion and growth are equalities on the positive axis
-    for c in rep.cases:
-        if "hi" in c.id:
-            assert abs(c.lhs - c.rhs) < 1e-9 * c.rhs
+    for name in ("growth-hi", "distortion-hi", "zf'/f-hi"):
+        i = fn.ENVELOPES.index(name)
+        assert np.all(np.abs(res.lhs[i] - res.rhs[i]) < 1e-9 * res.rhs[i])
 
 
 def test_pointwise_bounds_identity_inside():
-    rep = fn.pointwise_bounds_check(uv.identity_map(16), [0.2, 0.5j, -0.7])
-    assert rep.all_pass
+    res = fn.pointwise_bounds_check(uv.identity_map(16), [0.2, 0.5j, -0.7])
+    assert res.checked.all() and not res.failed.any()
 
 
 def test_pointwise_bounds_match_per_point_horner():
-    # the grid-wide Horner pass gives the same cases as one evaluate per point
+    # the grid-wide Horner pass gives the same cases as one evaluate per
+    # point, bit for bit, except that NumPy's array power may round
+    # (1 -+ r)^3 one ulp away from the C library's pow
     f = uv.koebe(1024)
-    rr = np.linspace(0.05, 0.95, 6)
-    grid = [r * np.exp(1j * a) for r in rr for a in 2 * np.pi * np.arange(7) / 7]
-    rep = fn.pointwise_bounds_check(f, grid)
-    fp = f.series.derivative()
-    fpp = fp.derivative()
-    want = []
-    for i, z in enumerate(grid):
-        r = abs(z)
-        cid = f"z{i:03d}(r={r:.4f})"
-        val, dval = ps.evaluate(f.series, z), ps.evaluate(fp, z)
-        ddval = ps.evaluate(fpp, z)
-        eps = fn.ROUNDOFF
-        want += [
-            (f"{cid}:growth-lo", r / (1 + r) ** 2 - eps, abs(val)),
-            (f"{cid}:growth-hi", abs(val), r / (1 - r) ** 2 + eps),
-            (f"{cid}:distortion-lo", (1 - r) / (1 + r) ** 3 - eps, abs(dval)),
-            (f"{cid}:distortion-hi", abs(dval), (1 + r) / (1 - r) ** 3 + eps),
-            (f"{cid}:zf'/f-lo", (1 - r) / (1 + r) - eps, abs(z * dval / val)),
-            (f"{cid}:zf'/f-hi", abs(z * dval / val), (1 + r) / (1 - r) + eps),
-            (
-                f"{cid}:pre-schwarzian",
-                abs(z * ddval / dval - 2 * r**2 / (1 - r**2)),
-                4 * r / (1 - r**2) + eps,
-            ),
-        ]
-    assert [(c.id, c.lhs, c.rhs) for c in rep.cases] == want
+    grid = _polar_grid(6, 7)
+    got = _as_cases(fn.pointwise_bounds_check(f, grid))
+    want = _per_point_envelopes(f, grid)
+    assert got.keys() == want.keys()
+    for (j, name), (lhs, rhs) in want.items():
+        glhs, grhs = got[j, name]
+        if name == "distortion-lo":
+            assert abs(glhs - lhs) <= np.spacing(lhs)
+            glhs = lhs
+        if name == "distortion-hi":
+            assert abs(grhs - rhs) <= np.spacing(rhs)
+            grhs = rhs
+        assert (glhs, grhs) == (lhs, rhs), (j, name)
+
+
+def test_pointwise_bounds_flag_the_per_point_failures_of_a_non_univalent_map():
+    # z + 0.7 z^2 is not univalent (f' vanishes at -1/1.4): on the bounds
+    # suite's 32 x 32 polar grid the point-by-point check fails 33 pairs
+    c = np.zeros(1025, dtype=complex)
+    c[1], c[2] = 1.0, 0.7
+    f = uv.ClassSFunction(PowerSeries(c))
+    grid = _polar_grid(32, 32)
+    want = _failures(_per_point_envelopes(f, grid))
+    assert len(want) == 33
+    rows, cols = np.nonzero(fn.pointwise_bounds_check(f, grid).failed)
+    assert {(j, fn.ENVELOPES[i]) for i, j in zip(rows.tolist(), cols.tolist())} == want
+
+
+def test_pointwise_bounds_skip_the_envelopes_that_divide_by_zero():
+    # f = 0 at z = 0 skips zf'/f there; f' = 1 + 1.4 z = 0 at z = -1/1.4
+    # skips the pre-Schwarzian; neither division warns
+    c = np.zeros(9, dtype=complex)
+    c[1], c[2] = 1.0, 0.7
+    f = uv.ClassSFunction(PowerSeries(c))
+    grid = [0.0, -1 / 1.4, 0.5j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fn.pointwise_bounds_check(f, grid)
+    skipped = {(j, fn.ENVELOPES[i]) for i, j in zip(*np.nonzero(~res.checked))}
+    assert skipped == {(0, "zf'/f-lo"), (0, "zf'/f-hi"), (1, "pre-schwarzian")}
+    assert np.all(np.isnan(res.lhs[~res.checked])) and not res.failed[~res.checked].any()
+    assert _as_cases(res).keys() == _per_point_envelopes(f, grid).keys()
+
+
+def test_pointwise_bounds_fail_at_nan():
+    # a NaN side fails its envelope, as lhs <= rhs is false
+    res = fn.pointwise_bounds_check(uv.koebe(16), [0.3, 0.5])
+    lhs = res.lhs.copy()
+    lhs[1, 0] = np.nan
+    assert fn.PointwiseBounds(lhs, res.rhs, res.checked).failed.tolist()[1] == [True, False]
 
 
 def test_robertson_sums_koebe():

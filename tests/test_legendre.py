@@ -138,6 +138,8 @@ def test_schlafli_underresolved_guard():
     # the 512-node trapezoid resolves degrees below 256 only
     with pytest.raises(QuadratureUnderresolved):
         lg.schlafli_coeff(256, 0.5)
+    with pytest.raises(QuadratureUnderresolved, match="degree 300"):
+        lg.schlafli_coeff(np.array([3, 300]), 0.5)
 
 
 def test_ode_residual():
@@ -306,3 +308,37 @@ def test_schlafli_guard_names_the_stray_point():
     # at degree 59 the trapezoid misses P_59(1) = 1 by more than 1e-6
     with pytest.raises(QuadratureUnderresolved, match=r"n=59, z=\(1\+0j\)"):
         lg.schlafli_coeff(59, np.array([0.5, 1.0]))
+
+
+def test_schlafli_over_degrees_is_each_degree_value():
+    # one pass over the degrees gives each one-degree call bit for bit
+    zs = np.array([-0.95, -0.3, 0.0, 0.5, 0.9])
+    got = lg.schlafli_coeff(np.arange(21), zs)
+    assert got.shape == (21, 5)
+    assert got.tolist() == [lg.schlafli_coeff(n, zs).tolist() for n in range(21)]
+    odd = np.array([0.3 + 0.4j, 2.0, -1.0])
+    assert lg.schlafli_coeff(np.array([40, 7]), odd).tolist() == [
+        lg.schlafli_coeff(n, odd).tolist() for n in (40, 7)
+    ]
+    assert lg.schlafli_coeff(np.arange(3), 0.5).tolist() == [
+        lg.schlafli_coeff(n, 0.5) for n in range(3)
+    ]
+
+
+def test_schlafli_scalar_degree_values_are_pinned():
+    # a scalar degree gives a complex (an array over an array of points),
+    # and these values, bit for bit, from before degree arrays were taken
+    assert type(lg.schlafli_coeff(2, 0.5)) is complex
+    assert lg.schlafli_coeff(2, 0.5) == complex(-0.12500000000000003, 9.215718466126788e-19)
+    assert lg.schlafli_coeff(20, 1.0) == complex(0.9999999999998908, 9.360567876370851e-15)
+    assert lg.schlafli_coeff(7, 0.3 + 0.4j) == complex(-2.6520740812500008, 1.384099975)
+    assert lg.schlafli_coeff(5, np.array([0.5, -1.0])).tolist() == [
+        complex(0.08984375, -2.9680034471790684e-18),
+        complex(-1, -1.588356182691264e-17),
+    ]
+
+
+def test_schlafli_guard_names_the_stray_degree_of_an_array():
+    # degrees 0..59 at z = 1: the trapezoid first strays at n = 59
+    with pytest.raises(QuadratureUnderresolved, match=r"n=59, z=\(1\+0j\)"):
+        lg.schlafli_coeff(np.arange(60), np.array([0.5, 1.0]))
