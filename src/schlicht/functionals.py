@@ -76,9 +76,10 @@ class PointwiseBounds(NamedTuple):
 
 
 # NumPy's complex array product and absolute value can round the last bit
-# the other way from its complex scalars (seen with NumPy 2.4 on x86-64);
-# these two keep the scalars' arithmetic, so the envelopes over an array
-# are the envelopes point by point
+# the other way from its complex scalars, and its array power the other way
+# from the C library's pow (seen with NumPy 2.4 on x86-64); these three keep
+# the scalars' arithmetic, so the envelopes over an array are the envelopes
+# point by point
 
 
 def _modulus(z):
@@ -90,6 +91,10 @@ def _product(a, b):
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _cube(x):
+    return np.array([v**3 for v in x.tolist()])
 
 
 def pointwise_bounds_check(f, grid):
@@ -110,13 +115,13 @@ def pointwise_bounds_check(f, grid):
     w = _modulus(_product(z, ddval) / np.where(fp_nonzero, dval, 1) - 2 * r**2 / (1 - r**2))
     lhs = np.stack([
         r / (1 + r) ** 2 - ROUNDOFF, aval,
-        (1 - r) / (1 + r) ** 3 - ROUNDOFF, adval,
+        (1 - r) / _cube(1 + r) - ROUNDOFF, adval,
         (1 - r) / (1 + r) - ROUNDOFF, q,
         w,
     ])
     rhs = np.stack([
         aval, r / (1 - r) ** 2 + ROUNDOFF,
-        adval, (1 + r) / (1 - r) ** 3 + ROUNDOFF,
+        adval, (1 + r) / _cube(1 - r) + ROUNDOFF,
         q, (1 + r) / (1 - r) + ROUNDOFF,
         4 * r / (1 - r**2) + ROUNDOFF,
     ])
