@@ -3,12 +3,17 @@
 There is one backend, written in NumPy.  Callers reach the kernels through
 this module's attributes, so a profiler can wrap them here.
 
-Series products, division and composition work on coefficient arrays.
-RK4 is the textbook method, one NumPy expression per stage over every
-trajectory of a solve.  It is the oracle of ``loewner.loewner_solve``,
-which moves each constant piece of the driving by its closed-form flow:
-the suites and tests call RK4 to measure its fourth order and to hold the
-exact flow to it.
+Series products and division work on coefficient arrays.  RK4 is the
+textbook method, one NumPy expression per stage over every trajectory of a
+solve.  It is the oracle of ``loewner.loewner_solve``, which moves each
+constant piece of the driving by its closed-form flow: the suites and tests
+call RK4 to measure its fourth order and to hold the exact flow to it.
+
+No command or suite calls ``compose``, nor ``rk4_loewner``'s ``with_deriv``
+branch and ``_drhs``.  They stay only because the benchmark harness
+(``perfbench/bench_trace.py``) wraps ``compose`` by name and counts
+``rk4_loewner`` calls by its five positional arguments; they go once the
+harness reads its counts from the library instead.
 """
 
 import numpy as np

@@ -18,11 +18,7 @@ class BranchPointAtOrigin(SchlichtError):
     pass
 
 
-class InnerNotVanishing(SchlichtError):
-    pass
-
-
-class NotInvertibleAtOrigin(SchlichtError):
+class NonFiniteCoefficients(SchlichtError):
     pass
 
 
@@ -50,10 +46,6 @@ class QuadratureUnderresolved(SchlichtError):
 
 # loewner
 class BranchSelectionFailure(SchlichtError):
-    pass
-
-
-class PoleAtMinusOne(SchlichtError):
     pass
 
 

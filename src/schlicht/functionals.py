@@ -192,8 +192,8 @@ def lebedev_milin_check(alpha, n):
 def lebedev_milin_sides(alphas):
     """`lebedev_milin_check` for every row of a (trials, n) array at once.
 
-    Returns the lists of lhs and rhs.  beta comes from the recurrence of
-    `series.exp`, m beta_m = sum_{k<m} (m-k) alpha_{m-k} beta_k, one
+    Returns the lists of lhs and rhs.  beta = exp(sum alpha_k z^k) comes
+    from the recurrence m beta_m = sum_{k<m} (m-k) alpha_{m-k} beta_k, one
     vector product per row and degree, so each value is the one-row value
     bit for bit.
     """

@@ -22,7 +22,6 @@ addition theorem reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,15 +30,6 @@ import numpy as np
 from .errors import DegreeTooLarge, OrderOutOfRange, ParamOutOfRange, QuadratureUnderresolved
 
 MAX_DEGREE = 64
-
-
-@dataclass(frozen=True)
-class LegendrePoly:
-    degree: int
-    coeffs: tuple  # exact Fractions, degree 0..n
-
-    def __call__(self, x):
-        return _last_column(self.degree, x, 0)
 
 
 def _seminormalized_rows(N, x, kmax):
@@ -141,25 +131,10 @@ def explicit_sum_coeffs(n):
 
 
 def legendre_poly(n):
+    """The exact coefficients of P_n, degree 0..n, as Fractions."""
     if not 0 <= n <= MAX_DEGREE:
         raise DegreeTooLarge(f"degree {n} outside 0..{MAX_DEGREE}")
-    return LegendrePoly(n, _recurrence_coeffs(n))
-
-
-def legendre_value(n, x):
-    return float(legendre_poly(n)(float(x)))
-
-
-def assoc_legendre(n, m, x):
-    """Associated function P_n^m(x), any |m| <= n; m != 0 needs |x| <= 1."""
-    if abs(m) > n:
-        raise OrderOutOfRange(f"|m| = {abs(m)} exceeds degree {n}")
-    if n > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {n} outside 0..{MAX_DEGREE}")
-    out = _last_column(n, x, abs(m))
-    if m:
-        out = out * assoc_scale(n, m)
-    return float(out) if np.isscalar(x) else out
+    return _recurrence_coeffs(n)
 
 
 def assoc_scale(n, m):
@@ -205,15 +180,16 @@ def schlafli_coeff(n, z):
 
     512-point trapezoid on the unit circle |xi - z| = 1, in extended
     precision.  Near z = +-1 the integrand reaches about (3/2)^n and cancels
-    down to P_n(z), so digits are lost as n grows: at z = 1 the gap to
-    `legendre_value` is 1.1e-13 at n = 20, 4.4e-10 at n = 40 and 3.1e-8 at
+    down to P_n(z), so digits are lost as n grows: at z = 1 the gap to the
+    recurrence's P_n is 1.1e-13 at n = 20, 4.4e-10 at n = 40 and 3.1e-8 at
     n = 50 (3e-14 at z = -1 and n = 20; below 1e-16 at z = 0 and 0.5 up to
     n = 64).  z is a number or an array of them, each on its own circle.
     n is a degree or a 1-D array of them; an array gives shape
     n.shape + z.shape, and each row is the value of its one degree bit for
     bit.  Raises QuadratureUnderresolved when a value at a real z in
-    [-1, 1] strays from `legendre_value` by more than 1e-6, which happens at
-    z = 1 from n = 59 and at z = -1 from n = 62, and for every n >= 256.
+    [-1, 1] strays from the recurrence's P_n by more than 1e-6, which
+    happens at z = 1 from n = 59 and at z = -1 from n = 62, and for every
+    n >= 256.
     """
     degrees = np.asarray(n)
     if np.any(degrees >= 256):
@@ -255,7 +231,7 @@ def ode_residual(n, x):
     for P_n = sum a_j x^j.  In integers: 2^n a_j is an integer, and with
     x = p/q exactly, Horner's rule gives q^n sum_j 2^n r_j x^j.
     """
-    a = [c.numerator * (2**n // c.denominator) for c in legendre_poly(n).coeffs] + [0, 0]
+    a = [c.numerator * (2**n // c.denominator) for c in legendre_poly(n)] + [0, 0]
     p, q = Fraction(x).as_integer_ratio()
     acc = 0
     for j in range(n, -1, -1):
@@ -301,5 +277,5 @@ def coefficient_table(max_degree):
     """Degree-indexed exact coefficient rows (as strings) for the emitters."""
     rows = []
     for n in range(max_degree + 1):
-        rows.append([str(q) for q in legendre_poly(n).coeffs])
+        rows.append([str(q) for q in legendre_poly(n)])
     return rows

@@ -35,7 +35,6 @@ from .errors import (
     ChainUnavailable,
     DerivativeUnderflow,
     ParamOutOfRange,
-    PoleAtMinusOne,
     TrajectoryEscaped,
 )
 from .report import BoundReport
@@ -100,13 +99,6 @@ def _transition_series_cached(t, order):
     return PowerSeries(w)
 
 
-def transition_velocity(w):
-    """dw/dt along the flow: (w^2 - w)/(1 + w)."""
-    if abs(1.0 + w) < 1e-12:
-        raise PoleAtMinusOne("velocity has a pole at w = -1")
-    return (w * w - w) / (1.0 + w)
-
-
 # -- driving functions ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -139,25 +131,14 @@ class DrivingFunction:
     def sampled(cls, times, values):
         return cls(tuple(float(t) for t in times), tuple(complex(v) for v in values))
 
-    def per_step(self, t0, h, nsteps):
-        """Left-endpoint sample per step (discontinuities sit on step edges)."""
-        ts = t0 + h * np.arange(nsteps)
-        idx = np.clip(
-            np.searchsorted(np.asarray(self.times), ts, side="right") - 1,
-            0,
-            len(self.values) - 1,
-        )
-        return np.asarray(self.values, dtype=complex)[idx]
-
     def pieces(self, t0, h, nsteps):
-        """per_step's samples as pieces, without a sample per step.
+        """The driving on the step grid t0 + h*s, s = 0..nsteps-1, as pieces.
 
         Returns the steps where pieces begin (0 first, then increasing and
-        below nsteps) and the value of each.  values[i] holds from the first
-        step s with t0 + h*s >= times[i], the float expression per_step
-        samples at, so each step's piece has that step's sample.  Of values
-        that begin on the same step, the last one holds; consecutive pieces
-        may have equal values.
+        below nsteps) and the value of each.  Step s samples the driving at
+        its left end, the float t0 + h*s, so values[i] holds from the first
+        step s with t0 + h*s >= times[i].  Of values that begin on the same
+        step, the last one holds; consecutive pieces may have equal values.
         """
         begins, idx = [0], [0]
         for i, tau in enumerate(self.times[1:], 1):
@@ -498,13 +479,6 @@ def make_chain(name):
 # -- chain functionals -------------------------------------------------------
 
 _QUAD_CIRCLE = (0.5, 256)  # radius and nodes of the log-coefficient quadrature
-
-
-def herglotz_p(chain, z, t):
-    """p(z, t) = (df_t/dt) / (z df_t/dz) for closed-form chains."""
-    if hasattr(chain, "p_values"):
-        return complex(chain.p_values(np.asarray([z]), t)[0])
-    raise ChainUnavailable("pointwise p needs a closed-form chain; use p_on_circle")
 
 
 def chain_log_coeffs(chain, t, N, cross_check=True):

@@ -164,7 +164,7 @@ def suite_lebedev_milin(seed=0):
 def suite_legendre():
     rep = BoundReport("legendre")
     exact = all(
-        lg.rodrigues_coeffs(n) == lg.legendre_poly(n).coeffs == lg.explicit_sum_coeffs(n)
+        lg.rodrigues_coeffs(n) == lg.legendre_poly(n) == lg.explicit_sum_coeffs(n)
         for n in range(21)
     )
     rep.add("exact-route-agreement", 0.0 if exact else 1.0, 0.0)
@@ -326,6 +326,9 @@ SUITES = {
     "weinstein": suite_weinstein,
 }
 
+# the suites that draw from a seed; the others take no argument
+SEEDED = ("area", "milin", "lebedev-milin")
+
 
 def run_suite(name, seed=0):
     """Run one named suite (or 'all', each suite in SUITES order); returns a list of reports."""
@@ -333,6 +336,6 @@ def run_suite(name, seed=0):
         return [run_suite(s, seed=seed)[0] for s in SUITES]
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    if name in ("area", "milin", "lebedev-milin"):
+    if name in SEEDED:
         return [SUITES[name](seed=seed)]
     return [SUITES[name]()]

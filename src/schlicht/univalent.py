@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series as ps
-from .errors import ParamOutOfRange
+from .errors import NonFiniteCoefficients, ParamOutOfRange
 from .series import PowerSeries
 
 _NORM_TOL = 1e-10
@@ -55,11 +55,6 @@ class SigmaFunction:
     b0: complex
     tail: tuple = field(default_factory=tuple)  # b1, b2, ...
 
-    def coefficient(self, n):
-        if n == 0:
-            return self.b0
-        return self.tail[n - 1] if n - 1 < len(self.tail) else 0.0
-
 
 def koebe(order):
     """z/(1-z)^2 truncated: coefficient n at degree n."""
@@ -74,11 +69,6 @@ def identity_map(order):
 
 
 # -- elementary transformations ------------------------------------------
-
-def conjugation(f):
-    """conj(f(conj(z))): conjugates every coefficient."""
-    return ClassSFunction(f.series.conjugate())
-
 
 def rotation(f, theta):
     """e^{-i theta} f(e^{i theta} z): multiplies a_n by e^{i(n-1) theta}."""
@@ -157,20 +147,6 @@ def to_sigma(f):
     return SigmaFunction(b0=b0, tail=tail)
 
 
-def from_sigma(g, order):
-    """Reconstruct the class-S series from its inversion (tests the round trip)."""
-    R = np.zeros(order, dtype=complex)
-    R[0] = 1.0
-    if order >= 2:
-        R[1] = g.b0
-    m = min(len(g.tail), order - 2)
-    if m > 0:
-        R[2 : 2 + m] = g.tail[:m]
-    F = ps.div(PowerSeries.one(order - 1), PowerSeries(R))
-    c = np.concatenate(([0.0], F.coeffs))
-    return ClassSFunction(PowerSeries(c))
-
-
 def odd_sqrt_transform(f):
     """h(z) = sqrt(f(z^2)), the odd square-root transform.
 
@@ -208,7 +184,7 @@ def from_registry(name, order):
             if len(coeffs) < order + 1:
                 coeffs = coeffs + [0.0] * (order + 1 - len(coeffs))
             return ClassSFunction(PowerSeries(coeffs[: order + 1]))
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, NonFiniteCoefficients) as exc:
         raise ParamOutOfRange(f"malformed function {name!r}: {exc}") from None
     raise ParamOutOfRange(f"unknown function name {name!r}")
 

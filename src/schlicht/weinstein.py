@@ -7,8 +7,7 @@ k = 0..max_k, columns n = 0..N) in one pass from (t, N, max_k=None); the
 last two are oracles for the first, compared by oracle_triangle:
 
 * series route    -- lambda_rows, from closed forms of e^t w/(1 - w^2) and
-  w, then repeated multiplication by w (lambda_series, one k at a time on
-  the fixed-point transition series, is kept as its independent reference);
+  w, then repeated multiplication by w;
 * Fourier route   -- lambda_fourier: with cos(delta) = 1 - e^{-t} + e^{-t}
   cos(phi), the degree-n coefficient family U_n of 1/(1 - 2 x z + z^2)
   satisfies U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a
@@ -45,7 +44,6 @@ import numpy as np
 
 from . import functionals as fn
 from . import legendre as lg
-from . import loewner as lw
 from . import series as ps
 from .errors import (
     ChainUnavailable,
@@ -64,24 +62,6 @@ def _real(vals):
     if resid > 1e-12:
         raise ImaginaryResidue(f"imaginary residue {resid:.2e} in a real quantity")
     return vals.real.copy()
-
-
-def lambda_series(t, k, N):
-    """Coefficients of z^1..z^{N+1} in e^t w^{k+1}/(1 - w^2), reindexed 0..N.
-
-    Real by construction; the imaginary residue is checked below 1e-12.
-    The independent reference for lambda_rows; it divides by 1 - w^2, which
-    loses about two digits near t = 0, so the suites and the CLI use
-    lambda_rows.
-    """
-    if k > N:
-        return np.zeros(N + 1)
-    order = N + 1
-    w = lw.koebe_transition_series(t, order)
-    num = math.exp(t) * _power(w, k + 1)
-    den = PowerSeries.one(order) - w * w
-    S = ps.div(num, den)
-    return _real(S.coeffs[1:])
 
 
 def _table_shape(N, max_k):
@@ -124,17 +104,6 @@ def lambda_rows(t, N, max_k=None):
             S = S * w
         rows[k] = S.coeffs[1:]
     return _real(rows)
-
-
-def _power(w, m):
-    out = PowerSeries.one(w.order)
-    base = w
-    while m:
-        if m & 1:
-            out = out * base
-        base = base * base
-        m >>= 1
-    return out
 
 
 def cos_delta(t, phi):

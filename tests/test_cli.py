@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import inspect
@@ -226,7 +227,8 @@ def test_every_flag_is_read():
 def test_suites_take_only_seed():
     # run_suite passes nothing else, so any other parameter is a knob no caller sets
     for name, fnc in suites.SUITES.items():
-        assert set(inspect.signature(fnc).parameters) <= {"seed"}, name
+        params = set(inspect.signature(fnc).parameters)
+        assert params == ({"seed"} if name in suites.SEEDED else set()), name
     assert list(inspect.signature(suites.run_suite).parameters) == ["name", "seed"]
 
 
@@ -335,6 +337,26 @@ def test_numeric_error_exit_three():
         "--grid", "polar:2x2", "--out", "-",
     )
     assert proc.returncode == 3
+
+
+def test_an_overflowing_subject_is_a_numeric_error():
+    # a_2 = 1e160 overflows the subject's log, square-root or reciprocal
+    # series: a numeric error (exit 3), not a crash (exit 1)
+    for suite in ("milin", "robertson", "area", "lebedev-milin"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's overflow warnings
+            proc = run_cli(
+                "verify", "--suite", suite, "--n", "3", "--function", "coeffs:[0,1,1e160]",
+                "--out", os.devnull,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            3, "numeric error: coefficients must be finite\n"
+        ), suite
+    # a subject that is not finite to begin with is a malformed name
+    proc = run_cli("table", "--kind", "coefficients", "--function", "coeffs:[0,1,1e400]")
+    assert (proc.returncode, proc.stderr) == (
+        3, "numeric error: malformed function 'coeffs:[0,1,1e400]': coefficients must be finite\n"
+    )
 
 
 def test_trace_nan_grid_point_is_numeric_error(tmp_path):
@@ -826,3 +848,86 @@ def test_weinstein_lambda_oracle_gaps():
     assert data["fourier_max_gap"] < 1e-8
     assert data["legendre_max_gap"] < 1e-8
     assert abs(data["values"][3] - 0.22313016014842982) < 1e-10
+
+
+# -- every function in src/ runs under some command -----------------------------
+
+# every command once: the gate, each single-case report, each table, a trace
+# (with --step, so that its parser runs) and both weinstein subcommands
+_EVERY_COMMAND = (
+    ("verify", "--suite", "all", "--seed", "1"),
+    *(("verify", "--suite", suite, "--n", "20") for suite in cli.FOCUS_SUITES),
+    *(("table", "--kind", kind) for kind in ("legendre", "lambda", "coefficients")),
+    ("loewner", "trace", "--step", "1e-2", "--T", "1", "--grid", "polar:2x2", "--out", "-"),
+    ("weinstein", "lambda", "--t", "0.5", "--k", "3", "--oracle", "all"),
+    ("weinstein", "decompose", "--function", "koebe", "--n", "20"),
+    ("weinstein", "decompose", "--function", "identity", "--n", "20"),
+)
+
+# the functions none of those commands runs, each with the reason it stays
+_A_K_ROW = "chain interface: _a_k_row calls it on KoebeChain"
+_LIPSCHITZ = "chain interface: lipschitz_bound_check calls it on KoebeChain"
+_NEVER_RUN = {
+    "_kernels.compose": "the benchmark harness wraps it by name",
+    "_kernels._drhs": "rk4_loewner's with_deriv branch, kept for the harness's 5-argument call",
+    "loewner.koebe_transition_series": "the entry to the cache below",
+    "loewner._transition_series_cached": "the benchmark harness reads its cache_info()",
+    "series.PowerSeries.__repr__": "a series printed while debugging",
+    "loewner.TrivialChain.boundary_values": _A_K_ROW,
+    "loewner.TrivialChain.p_values": _A_K_ROW,
+    "loewner.NumericChain.log_coeff": _A_K_ROW,
+    "loewner.TrivialChain.eval_at": _LIPSCHITZ,
+    "loewner.NumericChain.eval_at": _LIPSCHITZ,
+    "loewner.TrivialChain.transition": _LIPSCHITZ,
+}
+
+
+def _defined_functions():
+    """{(file, first line of its code): name} for every function in src/schlicht."""
+    root = os.path.dirname(os.path.realpath(cli.__file__))
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                # a decorated function's code starts at its first decorator
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                found[(path, line)] = prefix + child.name
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                walk(ast.parse(fh.read()), path, name[:-3] + ".")
+    return found
+
+
+def test_every_function_in_src_runs_under_a_command():
+    # a function stays in src/ only when a command or a suite calls it;
+    # test-only references live in the tests
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    # a cached call that an earlier test made would not run again
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("schlicht."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    rcs = []
+    sys.setprofile(profile)
+    try:
+        for argv in _EVERY_COMMAND:
+            rcs.append(run_cli(*argv).returncode)
+    finally:
+        sys.setprofile(None)
+    assert rcs == [0] * len(_EVERY_COMMAND)
+    called = {(os.path.realpath(path), line) for path, line in called}
+    never_run = {name for key, name in _defined_functions().items() if key not in called}
+    assert never_run == set(_NEVER_RUN)

@@ -16,9 +16,20 @@ from schlicht.errors import (
 X, SX = Fraction(3, 5), Fraction(4, 5)
 
 
+def _p(n, x):
+    """P_n(x) as the suites read it: entry [n, ..., 0] of the table; |x| <= 1."""
+    return lg.seminormalized_table(n, x)[n, ..., 0]
+
+
+def _assoc(n, m, x):
+    """P_n^m(x) as the suites read it: S_n^|m|(x), times assoc_scale(n, m) for m != 0."""
+    s = lg.seminormalized_table(n, x)[n, ..., abs(m)]
+    return s * lg.assoc_scale(n, m) if m else s
+
+
 def _exact_assoc(n, m):
     """P_n^m(3/5) from the exact coefficients, Condon-Shortley phase."""
-    d = list(lg.legendre_poly(n).coeffs)
+    d = list(lg.legendre_poly(n))
     for _ in range(abs(m)):
         d = [i * q for i, q in enumerate(d)][1:]
     v = (-1) ** abs(m) * SX ** abs(m) * sum(q * X**i for i, q in enumerate(d))
@@ -28,23 +39,23 @@ def _exact_assoc(n, m):
 
 
 def test_first_three_polynomials():
-    assert lg.legendre_poly(0).coeffs == (Fraction(1),)
-    assert lg.legendre_poly(1).coeffs == (Fraction(0), Fraction(1))
-    assert lg.legendre_poly(2).coeffs == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
+    assert lg.legendre_poly(0) == (Fraction(1),)
+    assert lg.legendre_poly(1) == (Fraction(0), Fraction(1))
+    assert lg.legendre_poly(2) == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
 
 
 def test_value_at_one_is_exactly_one():
     for n in range(21):
-        assert lg.legendre_value(n, 1.0) == 1.0
+        assert _p(n, 1.0) == 1.0
 
 
 def test_p2_at_half():
-    assert lg.legendre_value(2, 0.5) == -0.125
+    assert _p(2, 0.5) == -0.125
 
 
 def test_parity_exact():
     for n in range(1, 21):
-        coeffs = lg.legendre_poly(n).coeffs
+        coeffs = lg.legendre_poly(n)
         for j in range(n + 1):
             if (n - j) % 2 == 1:
                 assert coeffs[j] == 0
@@ -52,8 +63,8 @@ def test_parity_exact():
 
 def test_rodrigues_equals_recurrence_equals_sum():
     for n in range(21):
-        assert lg.rodrigues_coeffs(n) == lg.legendre_poly(n).coeffs
-        assert lg.explicit_sum_coeffs(n) == lg.legendre_poly(n).coeffs
+        assert lg.rodrigues_coeffs(n) == lg.legendre_poly(n)
+        assert lg.explicit_sum_coeffs(n) == lg.legendre_poly(n)
 
 
 def test_degree_guard():
@@ -62,32 +73,30 @@ def test_degree_guard():
 
 
 def test_assoc_values():
-    assert abs(lg.assoc_legendre(2, 1, 0.6) + 1.44) < 1e-14
-    assert abs(lg.assoc_legendre(2, -1, 0.6) - 0.24) < 1e-14
-    for n in range(6):
-        for x in (-0.8, 0.1, 0.9):
-            assert lg.assoc_legendre(n, 0, x) == lg.legendre_value(n, x)
+    # P_2^1(x) = -3x sqrt(1 - x^2) and P_2^{-1} = P_2^1 / -6
+    assert abs(_assoc(2, 1, 0.6) + 1.44) < 1e-14
+    assert abs(_assoc(2, -1, 0.6) - 0.24) < 1e-14
 
 
 def test_assoc_order_guard():
     with pytest.raises(OrderOutOfRange):
-        lg.assoc_legendre(2, 3, 0.5)
+        lg.assoc_legendre_direct(2, 3, 0.5)
 
 
 def test_assoc_domain_guard():
-    for m in (1, -1, 3):
-        for x in (1.0 + 2**-52, -1.5, math.nan, np.array([0.2, 1.1])):
-            with pytest.raises(ParamOutOfRange):
-                lg.assoc_legendre(3, m, x)
-    assert lg.assoc_legendre(3, 1, 1.0) == 0.0
-    assert lg.assoc_legendre(3, 0, 2.0) == lg.legendre_value(3, 2.0) == 17.0
+    # the associated columns take sqrt(1 - x^2), so the table needs |x| <= 1
+    for x in (1.0 + 2**-52, -1.5, math.nan, np.array([0.2, 1.1])):
+        with pytest.raises(ParamOutOfRange):
+            lg.seminormalized_table(3, x)
+    assert lg.seminormalized_table(3, 1.0)[3, 1] == 0.0
 
 
 def test_value_outside_unit_interval():
-    # Bonnet's recurrence holds for every real x
-    assert lg.legendre_value(2, 1.5) == 2.875
-    assert lg.legendre_value(4, -2.0) == 55.375
-    assert lg.legendre_value(64, 1.0 + 2**-52) >= 1.0
+    # column 0 alone is Bonnet's recurrence, which holds for every real x
+    assert lg._last_column(2, 1.5, 0) == 2.875
+    assert lg._last_column(3, 2.0, 0) == 17.0
+    assert lg._last_column(4, -2.0, 0) == 55.375
+    assert lg._last_column(64, 1.0 + 2**-52, 0) >= 1.0
 
 
 def test_negative_order_identity_against_direct_route():
@@ -95,14 +104,14 @@ def test_negative_order_identity_against_direct_route():
     for n in range(1, 11):
         for m in range(1, n + 1):
             direct = lg.assoc_legendre_direct(n, -m, xs)
-            via = lg.assoc_legendre(n, -m, xs)
+            via = lg.seminormalized_table(n, xs)[n, :, m] * lg.assoc_scale(n, -m)
             assert np.max(np.abs(direct - via)) < 1e-10
 
 
 def test_schlafli_accuracy_at_the_ends_of_the_interval():
     # the docstring's figures: near z = +-1 the trapezoid loses digits as n grows
     for z in (1.0, -1.0):
-        assert abs(lg.schlafli_coeff(20, z) - lg.legendre_value(20, z)) < 1e-12
+        assert abs(lg.schlafli_coeff(20, z) - _p(20, z)) < 1e-12
     with pytest.raises(QuadratureUnderresolved):
         lg.schlafli_coeff(60, 1.0)
 
@@ -119,17 +128,17 @@ def test_schlafli_matches_polynomial():
     assert abs(lg.schlafli_coeff(0, 0.77) - 1.0) < 1e-12
     for n in (5, 12, 20):
         for z in (-0.9, 0.1, 0.9):
-            assert abs(lg.schlafli_coeff(n, z) - lg.legendre_value(n, z)) < 1e-8
+            assert abs(lg.schlafli_coeff(n, z) - _p(n, z)) < 1e-8
 
 
 def test_schlafli_high_degree_matches_recurrence():
     for n in (35, 50, 64):
-        assert abs(lg.schlafli_coeff(n, 0.9) - lg.legendre_value(n, 0.9)) < 1e-8
+        assert abs(lg.schlafli_coeff(n, 0.9) - _p(n, 0.9)) < 1e-8
 
 
 def test_schlafli_complex_argument():
     z = 0.3 + 0.4j
-    coeffs = np.array([float(q) for q in lg.legendre_poly(7).coeffs])
+    coeffs = np.array([float(q) for q in lg.legendre_poly(7)])
     expect = np.polynomial.polynomial.polyval(z, coeffs)
     assert abs(lg.schlafli_coeff(7, z) - expect) < 1e-8
 
@@ -179,8 +188,7 @@ def test_addition_theorem_high_degree():
 def test_values_exact_to_max_degree():
     for n in range(lg.MAX_DEGREE + 1):
         ref = float(_exact_assoc(n, 0))
-        assert abs(lg.legendre_value(n, 0.6) - ref) <= 1e-12 * abs(ref)
-        assert lg.legendre_poly(n)(np.array([0.6]))[0] == lg.legendre_value(n, 0.6)
+        assert abs(_p(n, 0.6) - ref) <= 1e-12 * abs(ref)
 
 
 def test_assoc_values_exact_to_max_degree():
@@ -189,14 +197,14 @@ def test_assoc_values_exact_to_max_degree():
             for sign in (1, -1):
                 ref = float(_exact_assoc(n, sign * m))
                 assert ref != 0.0
-                got = lg.assoc_legendre(n, sign * m, 0.6)
+                got = _assoc(n, sign * m, 0.6)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (n, sign * m)
 
 
 def test_orthogonality():
     # 13-node Gauss-Legendre is exact for these products of degree <= 24
     xs, w = np.polynomial.legendre.leggauss(13)
-    vals = [lg.legendre_poly(n)(xs) for n in range(13)]
+    vals = lg.seminormalized_table(12, xs)[:, :, 0]
     for n in range(13):
         for m in range(n, 13):
             ip = float(np.sum(w * vals[n] * vals[m]))
@@ -214,9 +222,9 @@ def test_equal_angle_expansion_matches_direct():
         assert np.all(w[n + 1 :] == 0.0)
         for k in range(1, n + 1):
             ratio = math.factorial(n - k) / math.factorial(n + k)
-            assert abs(w[k] - 2.0 * ratio * lg.assoc_legendre(n, k, ct) ** 2) < 1e-13
+            assert abs(w[k] - 2.0 * ratio * _assoc(n, k, ct) ** 2) < 1e-13
         for phi in (0.0, 0.9, 2.2):
-            direct = lg.legendre_value(n, ct * ct + (1 - ct * ct) * math.cos(phi))
+            direct = _p(n, ct * ct + (1 - ct * ct) * math.cos(phi))
             via = w[0] + sum(w[k] * math.cos(k * phi) for k in range(1, n + 1))
             assert abs(direct - via) < 1e-12
 
@@ -228,7 +236,7 @@ def test_equal_angle_expansion_exact_at_rational_angle():
     W = lg.equal_angle_expansion(40, 0.6)
     worst = 0.0
     for n in range(41):
-        d = list(lg.legendre_poly(n).coeffs)
+        d = list(lg.legendre_poly(n))
         for k in range(n + 1):
             v = sum(q * x**i for i, q in enumerate(d)) * sx**k
             ref = v * v * (1 if k == 0 else Fraction(2 * math.factorial(n - k), math.factorial(n + k)))
@@ -269,24 +277,26 @@ def test_seminormalized_table_is_the_one_value_routes_bit_for_bit():
     for n in range(21):
         assert np.all(table[n, :, n + 1 :] == 0.0)
         for i, x in enumerate(xs):
-            assert table[n, i, 0] == lg.legendre_value(n, x)
-        for m in range(-n, n + 1):
-            via = table[n, :, abs(m)] * (lg.assoc_scale(n, m) if m else 1.0)
-            assert np.array_equal(via.view(np.uint64), lg.assoc_legendre(n, m, xs).view(np.uint64))
+            assert table[n, i, 0] == lg._last_column(n, x, 0)
+        for k in range(n + 1):
+            one = lg._last_column(n, xs, k)
+            assert np.array_equal(table[n, :, k].view(np.uint64), one.view(np.uint64))
 
 
 def test_addition_theorem_residual_bitwise_against_per_order_values():
-    # the residual as a sum of assoc_legendre values, one recurrence per order
+    # the residual as a sum of P_n^k values, one recurrence per order
+    def assoc(n, m, x):
+        return lg._last_column(n, x, abs(m)) * lg.assoc_scale(n, m)
+
     def per_order(theta1, theta2, phi, n):
         c1, c2 = np.cos(theta1), np.cos(theta2)
         s1, s2 = np.sin(theta1), np.sin(theta2)
-        rhs = lg.legendre_poly(n)(c1) * lg.legendre_poly(n)(c2)
+        rhs = lg._last_column(n, c1, 0) * lg._last_column(n, c2, 0)
         for k in range(1, n + 1):
             rhs = rhs + (
-                2.0 * (-1) ** k * lg.assoc_legendre(n, -k, c1) * lg.assoc_legendre(n, k, c2)
-                * np.cos(k * phi)
+                2.0 * (-1) ** k * assoc(n, -k, c1) * assoc(n, k, c2) * np.cos(k * phi)
             )
-        return np.abs(lg.legendre_poly(n)(c1 * c2 + s1 * s2 * np.cos(phi)) - rhs)
+        return np.abs(lg._last_column(n, c1 * c2 + s1 * s2 * np.cos(phi), 0) - rhs)
 
     t = np.linspace(0.1, math.pi - 0.1, 5)
     phis = 2 * math.pi * np.arange(8) / 8

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import compose, revert
 from schlicht import _kernels
 from schlicht import loewner as lw
-from schlicht import series as ps
 from schlicht.errors import (
     BranchTrackingFailure,
-    ChainUnavailable,
     ParamOutOfRange,
-    PoleAtMinusOne,
     TrajectoryEscaped,
 )
 from schlicht.series import PowerSeries
@@ -53,8 +51,8 @@ def test_transition_series_defining_relation():
     t, N = 0.7, 24
     w = lw.koebe_transition_series(t, N)
     k = PowerSeries(np.arange(N + 1, dtype=complex))
-    resid = ps.compose(k, w) - math.exp(-t) * k
-    assert np.max(np.abs(resid.coeffs)) < 1e-10
+    resid = compose(k, w).coeffs - math.exp(-t) * k.coeffs
+    assert np.max(np.abs(resid)) < 1e-10
     assert abs(w[1] - math.exp(-t)) < 1e-15
 
 
@@ -65,24 +63,18 @@ def test_transition_series_equals_reverted_composition():
     # to roundoff (the defining-relation test above pins that side)
     t, N = 0.4, 16
     k = PowerSeries(np.arange(N + 1, dtype=complex))
-    alt = ps.compose(ps.revert(k), math.exp(-t) * k)
+    alt = compose(revert(k), math.exp(-t) * k)
     got = lw.koebe_transition_series(t, N)
     assert np.max(np.abs(alt.coeffs - got.coeffs)) < 1e-8
 
 
-def test_transition_velocity_values():
-    assert lw.transition_velocity(0.0) == 0.0
-    assert abs(lw.transition_velocity(0.5) + 1.0 / 6.0) < 1e-15
-    with pytest.raises(PoleAtMinusOne):
-        lw.transition_velocity(-1.0)
-
-
 def test_transition_velocity_finite_difference():
+    # along the flow dw/dt = (w^2 - w)/(1 + w)
     h = 1e-5
     for z, t in ((0.5, 0.3), (0.3j, 1.0)):
         fd = (lw.koebe_transition(z, t + h) - lw.koebe_transition(z, t - h)) / (2 * h)
         w = lw.koebe_transition(z, t)
-        assert abs(fd - lw.transition_velocity(w)) < 1e-8
+        assert abs(fd - (w * w - w) / (1.0 + w)) < 1e-8
 
 
 def test_driving_function_validation():
@@ -91,7 +83,8 @@ def test_driving_function_validation():
     with pytest.raises(ParamOutOfRange):
         lw.DrivingFunction.sampled([0.0, 0.0], [1.0, -1.0])
     d = lw.DrivingFunction.sampled([0.0, 1.0], [1.0, -1.0])
-    assert d.per_step(0.5, 0.5, 3).tolist() == [1.0, -1.0, -1.0]
+    begins, values = d.pieces(0.5, 0.5, 3)
+    assert begins == [0, 1] and values.tolist() == [1.0, -1.0]
 
 
 def test_solver_initial_condition():
@@ -142,6 +135,15 @@ def test_rk4_ladder_errors_sit_above_roundoff():
     assert min(_rk4_ladder_errors()) >= 1e4 * ulp
 
 
+def _per_step(drv, t0, h, nsteps):
+    """The driving's left-endpoint sample at each step t0 + h*s, one per step."""
+    ts = t0 + h * np.arange(nsteps)
+    idx = np.clip(
+        np.searchsorted(np.asarray(drv.times), ts, side="right") - 1, 0, len(drv.values) - 1
+    )
+    return np.asarray(drv.values, dtype=complex)[idx]
+
+
 # a driving of four pieces, the first with kappa = 1
 _STEPS = lw.DrivingFunction.sampled([0.0, 0.3, 0.55, 0.8], [1.0, 1j, -1.0, complex(0.6, -0.8)])
 
@@ -155,7 +157,7 @@ def test_solver_matches_rk4_at_a_small_step():
     # toward the singularity kappa z = 1 (2.7e-12 at z = 0.8 under kappa = 1)
     grid = _polar(np.linspace(0.1, 0.7, 7), 16)
     ev = lw.loewner_solve(_STEPS, grid, 1.5, 1e-2, samples=30)
-    traj, _ = _kernels.rk4_loewner(grid, _STEPS.per_step(0.0, 2.5e-4, 6000), 2.5e-4, 200, False)
+    traj, _ = _kernels.rk4_loewner(grid, _per_step(_STEPS, 0.0, 2.5e-4, 6000), 2.5e-4, 200, False)
     assert np.max(np.abs(traj - ev.states)) < 1e-12
 
 
@@ -186,7 +188,7 @@ def test_pieces_are_the_per_step_samples(times, values, t0, h, nsteps):
     begins, vals = drv.pieces(t0, h, nsteps)
     assert begins[0] == 0 and np.all(np.diff(begins) > 0)
     expanded = np.repeat(vals, np.diff([*begins, max(nsteps, begins[-1])]))
-    assert np.array_equal(expanded.view(np.uint64), drv.per_step(t0, h, nsteps).view(np.uint64))
+    assert np.array_equal(expanded.view(np.uint64), _per_step(drv, t0, h, nsteps).view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -244,13 +246,13 @@ def test_subordination_monotone():
 
 def test_koebe_chain_p():
     kc = lw.KoebeChain()
-    assert abs(lw.herglotz_p(kc, 0.5, 1.0) - 1.0 / 3.0) < 1e-14
-    assert abs(lw.herglotz_p(kc, 0.0, 2.0) - 1.0) < 1e-14
+    assert abs(kc.p_values(np.array([0.5]), 1.0)[0] - 1.0 / 3.0) < 1e-14
+    assert abs(kc.p_values(np.array([0.0]), 2.0)[0] - 1.0) < 1e-14
 
 
 def test_trivial_chain():
     tc = lw.TrivialChain()
-    assert lw.herglotz_p(tc, 0.3j, 1.0) == 1.0
+    assert tc.p_values(np.array([0.3j]), 1.0)[0] == 1.0
     assert tc.log_coeff(0.5, 3) == 0.0
     ck = lw.chain_log_coeffs(tc, 0.7, 6)
     assert np.max(np.abs(ck)) < 1e-14
@@ -281,12 +283,6 @@ def test_numeric_chain_matches_koebe():
     pv, z1 = ch.p_on_circle(1.0, 0.6, 64)
     assert np.max(np.abs(pv - (1 - z1) / (1 + z1))) < 1e-3
     assert pv.real.min() > 0
-
-
-def test_herglotz_p_pointwise_needs_closed_form_chain():
-    ch = lw.NumericChain(lw.DrivingFunction.constant(-1.0), h=1e-2)
-    with pytest.raises(ChainUnavailable):
-        lw.herglotz_p(ch, 0.3, 0.5)
 
 
 def test_herglotz_positivity_rotated_driving():
