@@ -194,6 +194,27 @@ def _parse_kappa(desc):
     return lw.DrivingFunction.sampled(times, values)
 
 
+def _float_texts(a):
+    """[repr(x) for x in a.tolist()] for a 1-D float64 array, from orjson's digits.
+
+    orjson writes the shortest round-trip digits, as repr does, and in repr's
+    notation for 1e-4 <= |x| < 1e16 and for +-0.0; the other values (about 5 %
+    of a trace; orjson writes 3e-5 as 0.00003, 1e16 as 1e16 and nan or inf as
+    null) take repr itself.
+    """
+    import orjson  # it imports zoneinfo; only the trace pays for that
+
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if not a.size:
+        return []
+    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(a)
+    odd = np.flatnonzero((a != 0) & ~((size >= 1e-4) & (size < 1e16)))
+    for i, x in zip(odd.tolist(), a[odd].tolist()):
+        texts[i] = repr(x)
+    return texts
+
+
 def cmd_loewner_trace(args):
     kappa = _parse_kappa(args.kappa)
     grid = _parse_grid(args.grid)
@@ -201,13 +222,13 @@ def cmd_loewner_trace(args):
     times, scaled = ev.times.tolist(), ev.scaled
 
     # one block per stored time: its CSV lines, each ended by a newline (an
-    # empty grid has no lines); the lines are built column-wise, with repr
-    # of every float, and no field ever needs quoting
-    z_text = [f"{z.real!r},{z.imag!r}" for z in ev.z_grid.tolist()]
+    # empty grid has no lines); the lines are built column-wise, with repr's
+    # text of every float, and no field ever needs quoting
+    z_parts = [_float_texts(ev.z_grid.real), _float_texts(ev.z_grid.imag)]
     blocks = ["t,z_re,z_im,f_re,f_im,etf_re,etf_im\n"]
     for t, f, ef in zip(times, ev.states, scaled):
-        parts = [map(repr, part.tolist()) for part in (f.real, f.imag, ef.real, ef.imag)]
-        rows = map(",".join, zip(repeat(repr(t)), z_text, *parts))
+        parts = [_float_texts(part) for part in (f.real, f.imag, ef.real, ef.imag)]
+        rows = map(",".join, zip(repeat(repr(t)), *z_parts, *parts))
         blocks.append("\n".join([*rows, ""]))
     _write_text(args.out, "".join(blocks))
     return 0

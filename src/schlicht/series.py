@@ -7,7 +7,9 @@ silent order mixing is the classic bug source in series code, so it is
 simply not allowed.
 
 Coefficients are double-precision complex and finite: a series that
-overflows raises NonFiniteCoefficients, a numeric error.  One near-singular
+overflows raises NonFiniteCoefficients, a numeric error, and the recurrences
+that can overflow (div, log, sqrt) run with NumPy's overflow and invalid-value
+warnings off, so that error is all a caller sees.  One near-singular
 threshold, 1e-12, guards division and the anchored constant terms of log
 and sqrt.
 """
@@ -121,7 +123,9 @@ def div(a, b):
     a._check(b)
     if abs(b[0]) < _EPS_UNIT:
         raise DivisionByNonUnit(f"|b0| = {abs(b[0]):.3e} below threshold {_EPS_UNIT:.1e}")
-    return PowerSeries(_kernels.cauchy_div(a.coeffs, b.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _kernels.cauchy_div(a.coeffs, b.coeffs)
+    return PowerSeries(q)
 
 
 def log(a):
@@ -131,11 +135,12 @@ def log(a):
     n = a.order
     c = a.coeffs
     b = np.zeros(n + 1, dtype=complex)
-    for m in range(1, n + 1):
-        acc = m * c[m]
-        if m > 1:
-            acc -= np.dot(np.arange(1, m) * b[1:m], c[1:m][::-1])
-        b[m] = acc / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            acc = m * c[m]
+            if m > 1:
+                acc -= np.dot(np.arange(1, m) * b[1:m], c[1:m][::-1])
+            b[m] = acc / m
     return PowerSeries(b)
 
 
@@ -147,11 +152,12 @@ def sqrt(a):
     c = a.coeffs
     b = np.zeros(n + 1, dtype=complex)
     b[0] = 1.0
-    for m in range(1, n + 1):
-        acc = c[m]
-        if m > 1:
-            acc -= np.dot(b[1:m], b[1:m][::-1])
-        b[m] = acc / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            acc = c[m]
+            if m > 1:
+                acc -= np.dot(b[1:m], b[1:m][::-1])
+            b[m] = acc / 2.0
     return PowerSeries(b)
 
 

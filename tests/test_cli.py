@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schlicht import cli, suites
 from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
@@ -100,6 +103,19 @@ def test_the_gate_never_imports_numpy_random():
         "print(rc, 'numpy.random' in sys.modules)"
     )
     assert _fresh_python(code) == "0 False"
+
+
+def test_only_the_trace_imports_orjson():
+    # orjson's import (with zoneinfo) costs milliseconds that gate and decompose need not pay
+    code = (
+        "import os, sys; from schlicht import cli; seen = ['orjson' in sys.modules]; "
+        f"rc = {_GATE}; seen.append('orjson' in sys.modules); "
+        "rc += cli.main(['weinstein', 'decompose', '--n', '20', '--out', os.devnull]); "
+        "seen.append('orjson' in sys.modules); "
+        "rc += cli.main(['loewner', 'trace', '--T', '0.1', '--step', '1e-2', '--out', os.devnull]); "
+        "print(rc, *seen, 'orjson' in sys.modules)"
+    )
+    assert _fresh_python(code) == "0 False False False True"
 
 
 def test_the_gate_and_a_wide_trace_never_fork():
@@ -344,7 +360,7 @@ def test_an_overflowing_subject_is_a_numeric_error():
     # series: a numeric error (exit 3), not a crash (exit 1)
     for suite in ("milin", "robertson", "area", "lebedev-milin"):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's overflow warnings
+            warnings.simplefilter("error")  # no NumPy warning comes before the error
             proc = run_cli(
                 "verify", "--suite", suite, "--n", "3", "--function", "coeffs:[0,1,1e160]",
                 "--out", os.devnull,
@@ -543,8 +559,10 @@ def _trace_csv_oracle(ev):
         ("const:(0.6+0.8j)", "polar:3x5"),
         ("steps:[[0,[1,0]],[0.3,[0,1]],[0.55,[-1,0]],[0.8,[0.6,-0.8]]]", "polar:2x3"),
         ("const:-1", "points:[[0,0],[-0.0,0],[0.2,-0.0],[-0.0,-0.3],[0.3,-0.4]]"),
+        # repr writes these in exponent notation, which orjson does not
+        ("const:-1", "points:[[1e-300,0],[3e-5,-0.0],[-2e-5,7e-5],[0.5,-1e-300]]"),
     ],
-    ids=["const-polar", "steps", "points-signed-zeros"],
+    ids=["const-polar", "steps", "points-signed-zeros", "points-exponent-band"],
 )
 def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, grid):
     solve, solves = cli.lw.loewner_solve, []
@@ -563,6 +581,31 @@ def test_trace_csv_bytes_match_csv_writer_oracle(tmp_path, monkeypatch, kappa, g
     expected = _trace_csv_oracle(solves[0]).encode()
     assert out.read_bytes() == expected
     assert proc.stdout.encode() == expected
+
+
+_FLOAT_EDGES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *(x for e in (1e-4, 1e16) for x in (math.nextafter(e, 0), e, math.nextafter(e, math.inf))),
+    1e15, 1e-5, 0.1, 1.0, 123456789012345.6,
+]
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(_FLOAT_EDGES),
+    st.floats(min_value=1e-5, max_value=1e-3),
+    st.floats(min_value=1e15, max_value=1e17),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, max_size=40).map(lambda xs: np.array(xs, dtype=np.float64)))
+@example(np.array([], dtype=np.float64))
+@example(np.array(_FLOAT_EDGES, dtype=np.float64))
+@example(-np.array(_FLOAT_EDGES, dtype=np.float64))
+def test_float_texts_is_repr_of_every_float(a):
+    assert cli._float_texts(a) == [repr(x) for x in a.tolist()]
+    # a strided view, as the real and imaginary parts of a complex array are
+    assert cli._float_texts(a.astype(complex).real) == [repr(x) for x in a.tolist()]
 
 
 def _count_forks(monkeypatch):
