@@ -137,23 +137,31 @@ def cmd_verify(args):
 # -- table ------------------------------------------------------------------
 
 def cmd_table(args):
+    reads = {"legendre": (), "lambda": ("k", "t"), "coefficients": ("function",)}[args.kind]
+    for flag in ("k", "t", "function"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to --kind {args.kind}")
     if args.kind == "legendre":
+        if args.n > lg.MAX_DEGREE:
+            raise UsageError(f"--kind legendre needs --n <= legendre.MAX_DEGREE = {lg.MAX_DEGREE}")
         rows = [[n] + row for n, row in enumerate(lg.coefficient_table(args.n))]
         header = ["degree"] + [f"x^{j}" for j in range(args.n + 1)]
         rows = [r + [""] * (len(header) - len(r)) for r in rows]
         data = {"kind": "legendre", "rows": rows}
     elif args.kind == "lambda":
-        tab = ws.lambda_rows(args.t, args.n, args.k)
+        t = 0.0 if args.t is None else args.t
+        tab = ws.lambda_rows(t, args.n, args.k)
         header = ["k"] + [f"n={n}" for n in range(args.n + 1)]
         rows = [[k] + [repr(float(v)) for v in row] for k, row in enumerate(tab)]
-        data = {"kind": "lambda", "t": args.t, "rows": rows}
+        data = {"kind": "lambda", "t": t, "rows": rows}
     else:  # coefficients
         if args.n < 1:
             raise UsageError("--kind coefficients needs --n >= 1")
-        f = uv.from_registry(args.function, args.n)
+        name = "koebe" if args.function is None else args.function
+        f = uv.from_registry(name, args.n)
         header = ["n", "re", "im"]
         rows = [[n, repr(float(c.real)), repr(float(c.imag))] for n, c in enumerate(f.coeffs)]
-        data = {"kind": "coefficients", "function": args.function, "rows": rows}
+        data = {"kind": "coefficients", "function": name, "rows": rows}
     if args.format == "csv":
         _write_text(args.out, _csv_text(data["rows"], header))
     else:
@@ -244,13 +252,13 @@ def cmd_weinstein_lambda(args):
         "values": [float(v) for v in vals],
     }
     if args.oracle in ("fourier", "all"):
-        four = ws.lambda_fourier(args.t, min(args.N, 20), max_k=args.k)[args.k]
+        four = ws.lambda_fourier(args.t, args.N, max_k=args.k)[args.k]
         payload["fourier"] = [float(v) for v in four]
-        payload["fourier_max_gap"] = float(np.max(np.abs(vals[: len(four)] - four)))
+        payload["fourier_max_gap"] = float(np.max(np.abs(vals - four)))
     if args.oracle == "all":
-        leg = ws.lambda_legendre_route(args.t, min(args.N, 12), max_k=args.k)[0][args.k]
+        leg = ws.lambda_legendre_route(args.t, args.N, max_k=args.k)[0][args.k]
         payload["legendre"] = [float(v) for v in leg]
-        payload["legendre_max_gap"] = float(np.max(np.abs(vals[: len(leg)] - leg)))
+        payload["legendre_max_gap"] = float(np.max(np.abs(vals - leg)))
     _write_text(args.out, _json_dumps(payload))
     gaps = [payload.get("fourier_max_gap", 0.0), payload.get("legendre_max_gap", 0.0)]
     return 0 if max(gaps) < 1e-8 else 1
@@ -317,9 +325,9 @@ def build_parser():
     pt = sub.add_parser("table", help="emit a data table")
     pt.add_argument("--kind", choices=["legendre", "lambda", "coefficients"], required=True)
     pt.add_argument("--n", type=_nonneg_int, default=8)
-    pt.add_argument("--k", type=_nonneg_int, default=None)
-    pt.add_argument("--t", type=_nonneg_float, default=0.0)
-    pt.add_argument("--function", default="koebe")
+    pt.add_argument("--k", type=_nonneg_int, help="lambda only: last row (default n)")
+    pt.add_argument("--t", type=_nonneg_float, help="lambda only: time (default 0)")
+    pt.add_argument("--function", help="coefficients only: subject (default koebe)")
     pt.add_argument("--out", default="-")
     pt.add_argument("--format", choices=["json", "csv"], default="csv")
     pt.set_defaults(func=cmd_table)

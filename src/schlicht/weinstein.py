@@ -49,7 +49,6 @@ from .errors import (
     ChainUnavailable,
     ImaginaryResidue,
     ParamOutOfRange,
-    QuadratureUnderresolved,
     RadiusExceeded,
 )
 from .report import BoundReport
@@ -119,23 +118,20 @@ def lambda_fourier(t, N, max_k=None):
 
     U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come from one pass of
     the three-term recurrence U_{m+1} = 2x U_m - U_{m-1} on the phi grid;
-    entry (k, n) is the mean of U_n cos(k phi).  Rows beyond N vanish, as
-    in lambda_rows, and are not computed.
+    entry (k, n) is the mean of U_n cos(k phi), the real part of one FFT,
+    exact on Q >= 2(N + kmax) + 2 points.  Rows beyond N vanish, as in
+    lambda_rows, and are not computed.
     """
     max_k = _table_shape(N, max_k)
     kmax = min(max_k, N)
-    Q = 1024
-    if Q < 2 * (N + kmax) + 2:
-        raise QuadratureUnderresolved("quadrature grid too coarse for the harmonic content")
-    phi = 2.0 * np.pi * np.arange(Q) / Q
-    x = cos_delta(t, phi)
+    Q = 1 << (2 * (N + kmax) + 1).bit_length()
+    x = cos_delta(t, 2.0 * np.pi * np.arange(Q) / Q)
     U = np.zeros((N + 2, Q))  # the last row stays 0 and serves as U_{-1}
     U[0] = 1.0
     for m in range(1, N + 1):
         U[m] = 2.0 * x * U[m - 1] - U[m - 2]
     out = np.zeros((max_k + 1, N + 1))
-    for k in range(kmax + 1):
-        out[k] = np.mean(U[: N + 1] * np.cos(k * phi), axis=1)
+    out[: kmax + 1] = np.fft.rfft(U[: N + 1], axis=1)[:, : kmax + 1].real.T / Q
     return out
 
 
@@ -143,40 +139,28 @@ def lambda_legendre_route(t, N, max_k=None):
     """The (k, n) table of lambda_rows assembled from squared Legendre data.
 
     U_n(cos delta) = sum_{i+j=n} P_i(cos delta) P_j(cos delta) with each
-    factor expanded at the equal angle cos theta = sqrt(1 - e^{-t}); the
-    product-to-sum rule turns the two squared-weight cosine series into
-    every cos(k phi) coefficient of column n in one pass.  Returns
+    factor expanded at the equal angle cos theta = sqrt(1 - e^{-t}); row i,
+    w[0] + sum_k w[k] cos(k phi), has the e^{ik phi} spectrum w[|k|]/2 (w[0]
+    at k = 0), so column n is the sum over i of the convolutions of the
+    spectra of rows i and n - i.  Takes N <= 500 (3 s there).  Returns
     (table, min_summand); every summand is a product of squares and positive
     weights, so min_summand >= 0 certifies nonnegativity structurally.
     """
     max_k = _table_shape(N, max_k)
-    ct = math.sqrt(1.0 - math.exp(-t))
-    expansions = lg.equal_angle_expansion(N, ct)  # row i: degree i
+    if N > 500:
+        raise ParamOutOfRange(f"the squared-Legendre route takes N in 0..500, got {N}")
+    w = lg.equal_angle_expansion(N, math.sqrt(1.0 - math.exp(-t)))  # row i: degree i
+    spec = [np.r_[0.5 * row[i:0:-1], row[0], 0.5 * row[1 : i + 1]] for i, row in enumerate(w)]
     out = np.zeros((max(max_k, N) + 1, N + 1))
-    min_summand = math.inf
     for n in range(N + 1):
-        target = np.zeros(n + 2)
-        # every (i, ka, lb) with ka <= i, lb <= n - i, in the order of the
-        # nested loops, 32 values of i at a time; pairs with a_i[ka] = 0 drop out
-        for start in range(0, n + 1, 32):
-            block = np.arange(start, min(start + 32, n + 1))
-            width = n + 1 - block  # lb takes n - i + 1 values
-            counts = (block + 1) * width
-            i = np.repeat(block, counts)
-            r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            ka, lb = np.divmod(r, np.repeat(width, counts))
-            ai = expansions[i, ka]
-            keep = ai != 0.0
-            i, ka, lb, ai = i[keep], ka[keep], lb[keep], ai[keep]
-            s = 0.5 * ai * expansions[n - i, lb]
-            min_summand = min(min_summand, float(s.min(initial=math.inf)))
-            # each summand goes to cos((ka + lb) phi) when ka + lb <= n (else to
-            # the spare slot n + 1), then to cos(|ka - lb| phi); np.add.at adds
-            # in that order, as the scalar loop would
-            slots = np.stack([np.minimum(ka + lb, n + 1), np.abs(ka - lb)], axis=-1)
-            np.add.at(target, slots.ravel(), np.repeat(s, 2))
-        out[: n + 1, n] = target[: n + 1]
-        out[1 : n + 1, n] *= 0.5
+        out[: n + 1, n] = sum(np.convolve(spec[i], spec[n - i]) for i in range(n + 1))[n:]
+    # the least summand 0.5 w_i[k] w_j[l] over i + j <= N with w_i[k] != 0:
+    # rounding is monotone, so it is the least of each row's factors
+    on = np.tri(N + 1, dtype=bool)  # k <= i
+    least = np.minimum.accumulate(np.where(on, w, np.inf).min(axis=1))  # rows j <= i
+    least_nonzero = np.where(on & (w != 0.0), w, np.inf).min(axis=1)
+    has = least_nonzero < np.inf  # a row of zeros has no summand
+    min_summand = float((0.5 * least_nonzero[has] * least[::-1][has]).min())
     return out[: max_k + 1], min_summand
 
 

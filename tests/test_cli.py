@@ -322,6 +322,12 @@ def test_verify_focus_weinstein_n_40_passes():
     assert cases["oracle-discrepancy"]["lhs"] <= 1e-12
 
 
+def test_verify_focus_weinstein_past_the_route_range_is_numeric_error():
+    proc = run_cli("verify", "--suite", "weinstein", "--n", "501")
+    assert proc.returncode == 3
+    assert "squared-Legendre route takes N in 0..500, got 501" in proc.stderr
+
+
 def test_verify_milin_n_500_passes():
     # the single-case order grows with --n instead of stopping at 64
     proc = run_cli("verify", "--suite", "milin", "--n", "500")
@@ -410,6 +416,33 @@ def test_table_coefficients_n_zero_is_usage_error():
     assert proc.returncode == 2
     assert "needs --n >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_table_legendre_past_max_degree_is_usage_error():
+    for n in ("65", "100"):
+        proc = run_cli("table", "--kind", "legendre", "--n", n)
+        assert proc.returncode == 2, n
+        assert "needs --n <= legendre.MAX_DEGREE = 64" in proc.stderr
+
+
+def test_table_legendre_rejects_the_flags_it_does_not_read():
+    for flag, value in (("--k", "3"), ("--t", "9"), ("--function", "identity")):
+        proc = run_cli("table", "--kind", "legendre", flag, value)
+        assert proc.returncode == 2, flag
+        assert f"{flag} does not apply to --kind legendre" in proc.stderr
+
+
+def test_table_lambda_rejects_the_flags_it_does_not_read():
+    proc = run_cli("table", "--kind", "lambda", "--function", "identity")
+    assert proc.returncode == 2
+    assert "--function does not apply to --kind lambda" in proc.stderr
+
+
+def test_table_coefficients_rejects_the_flags_it_does_not_read():
+    for flag, value in (("--k", "2"), ("--t", "0.5")):
+        proc = run_cli("table", "--kind", "coefficients", flag, value)
+        assert proc.returncode == 2, flag
+        assert f"{flag} does not apply to --kind coefficients" in proc.stderr
 
 
 def test_table_lambda_negative_t_is_usage_error():
@@ -891,6 +924,13 @@ def test_weinstein_lambda_oracle_gaps():
     assert data["fourier_max_gap"] < 1e-8
     assert data["legendre_max_gap"] < 1e-8
     assert abs(data["values"][3] - 0.22313016014842982) < 1e-10
+
+
+def test_weinstein_lambda_oracles_check_every_column():
+    proc = run_cli("weinstein", "lambda", "--t", "0.5", "--k", "3", "--N", "40")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert len(data["values"]) == len(data["fourier"]) == len(data["legendre"]) == 41
 
 
 # -- every function in src/ runs under some command -----------------------------

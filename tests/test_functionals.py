@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ def test_integral_mean_koebe_poisson_oracle():
         got = fn.integral_mean(f, 1.0, r)
         assert abs(got - r / (1 - r * r)) < 1e-8
         assert got <= r / (1 - r)
+
+
+def test_integral_mean_koebe_at_littlewood_radii():
+    # the FFT lands within 2 ulp of the exact r/(1 - r^2); 2048 Horner
+    # passes were up to 5 ulp off
+    f = uv.koebe(512)
+    for n in (4, 8, 16):
+        r = fn.littlewood_radius(n)
+        exact = r / (1 - r * r)
+        assert abs(fn.integral_mean(f, 1.0, r) - exact) <= 2 * math.ulp(exact), n
+
+
+def test_integral_mean_folds_orders_past_the_grid():
+    # z^k on the 2048-point circle depends on k mod 2048; Horner's values agree
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    f = SimpleNamespace(series=PowerSeries(coeffs))
+    z = 0.999 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+    for p in (1.0, 2.0):
+        want = np.mean(np.abs(ps.evaluate_many(f.series, z)) ** p) ** (1 / p)
+        assert abs(fn.integral_mean(f, p, 0.999) - want) <= 1e-12 * want, p
 
 
 def test_integral_mean_parseval():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from schlicht.errors import (
     ChainUnavailable,
     ImaginaryResidue,
     ParamOutOfRange,
-    QuadratureUnderresolved,
     RadiusExceeded,
 )
 from schlicht import univalent as uv
@@ -90,8 +90,8 @@ def test_generating_identity_radius_guard():
 
 
 def test_guards_raise_taxonomy_errors():
-    with pytest.raises(QuadratureUnderresolved):
-        ws.lambda_fourier(0.5, 600)
+    with pytest.raises(ParamOutOfRange, match="0..500"):
+        ws.lambda_legendre_route(0.5, 501)
     with pytest.raises(ParamOutOfRange):
         ws.cos_delta(-1.0, np.array([np.pi]))
     with pytest.raises(ImaginaryResidue):
@@ -295,10 +295,67 @@ def _lambda_legendre_route_loop(t, N):
     return out, min_summand
 
 
+def _gamma(m):
+    """gamma_m = m u/(1 - m u): a sum of m rounded nonnegative products
+    lies within gamma_m of the exact sum, relative, in any order."""
+    u = 2.0**-53
+    return m * u / (1.0 - m * u)
+
+
+def _column_summands(N):
+    """The number of products per column n = 0..N, a bound on the terms of
+    each entry in either the loop's or the convolution's order."""
+    return np.array(
+        [sum((2 * i + 1) * (2 * (n - i) + 1) for i in range(n + 1)) for n in range(N + 1)]
+    )
+
+
+def _lambda_legendre_route_exact(t, N):
+    """The squared-Legendre route's sums in exact rational arithmetic over
+    the same float weights: entry (k, n) = sum over i of the e^{ik phi}
+    coefficient of the product of the cosine series of rows i and n - i."""
+    ct = math.sqrt(1.0 - math.exp(-t))
+    rows = lg.equal_angle_expansion(N, ct).tolist()
+    spec = [
+        {k: Fraction(row[abs(k)]) / (1 if k == 0 else 2) for k in range(-i, i + 1)}
+        for i, row in enumerate(rows)
+    ]
+    out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
+    for n in range(N + 1):
+        for i in range(n + 1):
+            for ka, a in spec[i].items():
+                for lb, b in spec[n - i].items():
+                    if ka + lb >= 0:
+                        out[ka + lb][n] += a * b
+    return out
+
+
 def test_legendre_route_bitwise_against_the_scalar_loop():
+    # the least summand is the loop's bit for bit; the entries are sums of
+    # nonnegative products in another order, so each lies within 2 gamma_m
+    # of the loop's, and for N <= 12 within gamma_m of the exact sum
     for t in (0.0, 0.05, 0.5, 1.0, 2.0, 3.0):
         for N in (0, 1, 12, 30):
             tab, ms = ws.lambda_legendre_route(t, N)
             want, want_ms = _lambda_legendre_route_loop(t, N)
-            assert np.array_equal(tab.view(np.uint64), want.view(np.uint64)), (t, N)
+            gam = _gamma(_column_summands(N))
+            assert np.all(np.abs(tab - want) <= 2.0 * gam * want), (t, N)
             assert ms == want_ms, (t, N)
+            if N <= 12:
+                exact = _lambda_legendre_route_exact(t, N)
+                for k in range(N + 1):
+                    for n in range(N + 1):
+                        err = abs(Fraction(tab[k, n]) - exact[k][n])
+                        assert err <= Fraction(gam[n]) * exact[k][n], (t, N, k, n)
+
+
+def test_oracle_triangle_accurate_at_n_200():
+    worst, min_summand = ws.oracle_triangle([0.5], 200)
+    assert worst <= 1e-12
+    assert min_summand >= 0.0
+
+
+def test_fourier_route_accurate_at_n_500():
+    # Q grows with N, so the Fourier route has no largest N
+    gap = np.max(np.abs(ws.lambda_fourier(0.5, 500) - ws.lambda_rows(0.5, 500)))
+    assert gap <= 1e-11
