@@ -7,7 +7,8 @@ Subcommands
     weinstein kernel-coefficient tables with oracle cross-checks, and the
               end-to-end decomposition report
 
-Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numeric error.
+Exit codes: 0 pass, 1 check failure, 2 usage error or an unwritable --out,
+3 numeric error.
 Reports are deterministic: same flags and seed give byte-identical bytes.
 """
 
@@ -50,7 +51,7 @@ def _write_text(path, text):
         with open(full, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_dumps(obj):
@@ -265,9 +266,7 @@ def cmd_weinstein_lambda(args):
 
 
 def cmd_weinstein_decompose(args):
-    f = uv.from_registry(args.function, max(4 * args.n, 32))
-    chain = lw.make_chain(args.function)
-    res = ws.milin_decomposition_check(f, chain, n=args.n)
+    res = ws.milin_decomposition_check(lw.make_chain(args.function), n=args.n)
     payload = res.to_dict()
     scale = max(abs(res.lhs), 1.0)
     payload["pass"] = bool(res.residual <= 1e-10 * scale and res.min_g >= -1e-8)

@@ -79,5 +79,5 @@ class UnknownSuite(UsageError):
     pass
 
 
-class IoFailure(SchlichtError):
-    pass
+class IoFailure(UsageError):
+    """An --out path that cannot be written: the CLI exits 2."""

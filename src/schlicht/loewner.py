@@ -1,10 +1,10 @@
 """Radial Loewner evolution.
 
-Three chain representations share one interface:
+Two chain representations share one interface:
 
-* ``KoebeChain``   -- f_t(z) = e^t z/(1-z)^2 in closed form, with the
-  transition flow w_t(z) solving z/(1-z)^2 = e^t w/(1-w)^2.
-* ``TrivialChain`` -- f_t(z) = e^t z (p identically 1, all c_k = 0).
+* ``KoebeChain``   -- f_t(z) = e^t z/(1-wz)^2 in closed form for |w| <= 1
+  (Koebe's chain at w = 1, the identity's e^t z at w = 0), with the
+  transition flow W_t(z) solving z/(1-z)^2 = e^t W/(1-W)^2.
 * ``NumericChain`` -- driven by a unit-circle-valued control kappa(t),
   piecewise constant on a step grid; trajectories of
   df/dt = -f (1 + kappa f)/(1 - kappa f) come from the closed-form flow
@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _kernels
 from . import series as ps
+from . import univalent as uv
 from .errors import (
     BranchSelectionFailure,
     BranchTrackingFailure,
@@ -43,10 +44,6 @@ from .series import PowerSeries
 
 def koebe_map(z):
     return z / (1.0 - z) ** 2
-
-
-def koebe_deriv(z):
-    return (1.0 + z) / (1.0 - z) ** 3
 
 
 # -- the closed-form transition flow ---------------------------------------
@@ -269,67 +266,48 @@ def loewner_solve(kappa, z_grid, T, h, samples, t0=0.0):
 # -- chain representations --------------------------------------------------
 
 class KoebeChain:
-    """f_t(z) = e^t z/(1-z)^2; the chain generated by constant driving -1."""
+    """f_t(z) = e^t z/(1 - wz)^2, w = rho e^{i theta} with 0 <= rho <= 1.
 
-    label = "koebe"
+    The chain e^t f of the starlike f = z/(1 - wz)^2: Koebe's (constant
+    driving -1) at w = 1, the identity's at w = 0.  In closed form,
+    p = f/(z f') = (1 - wz)/(1 + wz), c_k = 2 w^k/k and f_s = f_t o phi
+    with phi(z) = W_{t-s}(wz)/w, W the koebe_transition flow.
+    """
+
+    def __init__(self, rho=1.0, theta=0.0):
+        if not (0.0 <= rho <= 1.0 and math.isfinite(theta)):
+            raise ParamOutOfRange(f"need 0 <= rho <= 1 and a finite theta, got {rho}, {theta}")
+        self.rho, self.theta = float(rho), float(theta)
+        self.w = self.rho * cmath.exp(1j * self.theta)
 
     def series_at(self, t, order):
-        return PowerSeries(math.exp(t) * np.arange(order + 1, dtype=complex))
+        return PowerSeries(math.exp(t) * uv.koebe_family_coeffs(self.rho, self.theta, order))
 
-    def dt_series_at(self, t, order):
-        return self.series_at(t, order)
+    dt_series_at = series_at  # df/dt = f
 
     def eval_at(self, z, t):
-        return math.exp(t) * koebe_map(z)
+        return math.exp(t) * (z / (1.0 - self.w * z) ** 2)
 
     def boundary_values(self, t, r, Q):
         z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
-        return math.exp(t) * koebe_map(z1), z1
+        return self.eval_at(z1, t), z1
 
     def p_values(self, z, t=0.0):
         z = np.asarray(z, dtype=complex)
+        wz = self.w * z
         # p(0) = 1 by the chain normalization; the origin is removable
-        denom = np.abs(z * koebe_deriv(z))
-        if np.any((denom * math.exp(t) < 1e-14) & (z != 0)):
+        zfz = np.abs(z * (1.0 + wz) / (1.0 - wz) ** 3)
+        if np.any((zfz * math.exp(t) < 1e-14) & (z != 0)):
             raise DerivativeUnderflow("z f'(z) vanished")
-        return np.where(z == 0, 1.0, (1.0 - z) / (1.0 + z))
+        return np.where(z == 0, 1.0, (1.0 - wz) / (1.0 + wz))
 
     def log_coeff(self, t, k):
-        return 2.0 / k
+        return 2.0 * self.rho**k * cmath.exp(1j * self.theta * k) / k
 
     def transition(self, z, s, t):
-        """phi(z, s, t) with f_s = f_t o phi; equals w_{t-s} here."""
-        return koebe_transition(z, t - s)
-
-
-class TrivialChain:
-    """f_t(z) = e^t z, the chain of the identity map."""
-
-    label = "identity"
-
-    def series_at(self, t, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[1] = math.exp(t)
-        return PowerSeries(c)
-
-    def dt_series_at(self, t, order):
-        return self.series_at(t, order)
-
-    def eval_at(self, z, t):
-        return math.exp(t) * z
-
-    def boundary_values(self, t, r, Q):
-        z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
-        return math.exp(t) * z1, z1
-
-    def p_values(self, z, t=0.0):
-        return np.ones_like(np.asarray(z, dtype=complex))
-
-    def log_coeff(self, t, k):
-        return 0.0
-
-    def transition(self, z, s, t):
-        return math.exp(s - t) * z
+        if self.rho == 0.0:
+            return math.exp(s - t) * z
+        return koebe_transition(self.w * z, t - s) / self.w
 
 
 class NumericChain:
@@ -346,8 +324,6 @@ class NumericChain:
     are central differences with spacing 0.01.  Series fits use the circle
     of radius 0.4.
     """
-
-    label = "numeric"
 
     def __init__(self, kappa, h):
         self.kappa = kappa
@@ -469,11 +445,11 @@ class NumericChain:
 
 
 def make_chain(name):
-    if name == "koebe":
-        return KoebeChain()
-    if name == "identity":
-        return TrivialChain()
-    raise ChainUnavailable(f"no chain construction for {name!r}")
+    """The KoebeChain of a registry subject of the family z/(1 - wz)^2."""
+    subject = uv.parse_subject(name)
+    if not isinstance(subject, tuple):
+        raise ChainUnavailable(f"no chain construction for {name!r}")
+    return KoebeChain(*subject)
 
 
 # -- chain functionals -------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series as ps
-from .errors import NonFiniteCoefficients, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .series import PowerSeries
 
 _NORM_TOL = 1e-10
@@ -56,12 +56,21 @@ class SigmaFunction:
     tail: tuple = field(default_factory=tuple)  # b1, b2, ...
 
 
-def koebe(order):
-    """z/(1-z)^2 truncated: coefficient n at degree n."""
+def koebe_family_coeffs(rho, theta, order):
+    """c_0..c_order of z/(1 - w z)^2, w = rho e^{i theta}: c_n = n w^{n-1}.
+
+    In polar form, bit for bit rotation(koebe(order), theta) at rho = 1;
+    the complex power w ** n drifts from that by 1.2e-10 at order 2000.
+    """
     if order < 1:
         raise ParamOutOfRange("order must be >= 1")
-    c = np.arange(order + 1, dtype=complex)
-    return ClassSFunction(PowerSeries(c))
+    m = np.arange(order)
+    return np.r_[0j, np.arange(1, order + 1) * (rho ** m * np.exp(1j * theta * m))]
+
+
+def koebe(order):
+    """z/(1-z)^2 truncated: coefficient n at degree n."""
+    return ClassSFunction(PowerSeries(koebe_family_coeffs(1.0, 0.0, order)))
 
 
 def identity_map(order):
@@ -165,28 +174,40 @@ def odd_sqrt_transform(f):
 
 # -- named-function registry for the CLI -----------------------------------
 
-def from_registry(name, order):
-    """Build a test subject from its registry name.
+def parse_subject(name):
+    """A registry name as (rho, theta) of z/(1 - w z)^2, or as a coefficient list.
 
-    Accepted: "koebe", "identity", "koebe-rot:<theta>", "coeffs:<json>".
-    A malformed payload raises what an unknown name raises.
+    "koebe" is (1, 0), "identity" (0, 0), "koebe-rot:<theta>" (1, theta) and
+    "coeffs:<json>" the list c_0, c_1, ...; an unknown name, a malformed
+    payload or a value that is not finite raises ParamOutOfRange.
     """
     if name == "koebe":
-        return koebe(order)
+        return 1.0, 0.0
     if name == "identity":
-        return identity_map(order)
+        return 0.0, 0.0
     try:
         if name.startswith("koebe-rot:"):
-            return rotation(koebe(order), float(name.split(":", 1)[1]))
+            theta = float(name.split(":", 1)[1])
+            if not math.isfinite(theta):
+                raise ValueError("the angle must be finite")
+            return 1.0, theta
         if name.startswith("coeffs:"):
             data = json.loads(name.split(":", 1)[1])
             coeffs = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in data]
-            if len(coeffs) < order + 1:
-                coeffs = coeffs + [0.0] * (order + 1 - len(coeffs))
-            return ClassSFunction(PowerSeries(coeffs[: order + 1]))
-    except (ValueError, TypeError, IndexError, NonFiniteCoefficients) as exc:
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError("coefficients must be finite")
+            return coeffs
+    except (ValueError, TypeError, IndexError) as exc:
         raise ParamOutOfRange(f"malformed function {name!r}: {exc}") from None
     raise ParamOutOfRange(f"unknown function name {name!r}")
+
+
+def from_registry(name, order):
+    """Build a test subject to the given order from its registry name (parse_subject)."""
+    subject = parse_subject(name)
+    if isinstance(subject, tuple):
+        return ClassSFunction(PowerSeries(koebe_family_coeffs(*subject, order)))
+    return ClassSFunction(PowerSeries((subject + [0.0] * (order + 1))[: order + 1]))
 
 
 class SeededDraws:

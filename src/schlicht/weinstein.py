@@ -247,7 +247,7 @@ def herglotz_coeffs(chain, t, order):
     """
     if not hasattr(chain, "dt_series_at"):
         raise ChainUnavailable(
-            f"{chain.label} chain has no closed-form time derivative; "
+            f"{type(chain).__name__} has no closed-form time derivative; "
             "the exact boundary pairing needs one"
         )
     m = np.arange(order + 2)
@@ -318,9 +318,11 @@ def gauss_legendre_s(m):
     return (1.0 - x) / 2.0, w / 2.0
 
 
-def milin_decomposition_check(f, chain, n):
+def milin_decomposition_check(chain, n):
     """Compare sum_k (4/k - k|c_k(0)|^2)(n-k+1) with Int_0^inf g_n(t) dt.
 
+    The left side reads the chain's own f_0 (series_at at t = 0), so the
+    two sides cannot describe different functions.
     g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with A_k at r = 1 from
     a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
     n//2 + 2 nodes, exact for the closed-form chains.
@@ -328,7 +330,7 @@ def milin_decomposition_check(f, chain, n):
     if n < 1:
         raise ParamOutOfRange(f"n must be >= 1, got {n}")
     nodes = n // 2 + 2
-    lhs = fn.milin_weighted_form(f, n)
+    lhs = fn.milin_weighted_form(chain.series_at(0.0, n + 1), n)
     s, w_s = gauss_legendre_s(nodes)
     times = -np.log(s)  # ascending
     weights = w_s / s  # ds/s = dt

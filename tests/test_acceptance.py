@@ -196,12 +196,12 @@ def test_criterion_09_decomposition():
         # pinned here so the r = 1 pairing is seen to remove it
         ok &= abs(vals[1] - 4.0 * (1.0 - 0.99 ** (2 * k))) <= 1e-8
         ok &= float(np.max(np.abs(pairing[:, k - 1] - vals))) <= 1e-10
-    res = ws.milin_decomposition_check(uv.koebe(32), kc, n=6)
+    res = ws.milin_decomposition_check(kc, n=6)
     ok &= abs(res.lhs) <= 1e-10
     ok &= abs(res.rhs_extrapolated) <= 1e-10
     ok &= res.min_g >= -1e-8
     ok &= res.g.min() >= -1e-8
-    res2 = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=6)
+    res2 = ws.milin_decomposition_check(lw.KoebeChain(rho=0.0), n=6)
     ok &= res2.residual <= 1e-12 * res2.lhs
     ok &= res2.min_g >= -1e-8
     _line(9, "boundary integrals vanish in the limit; decomposition closes end to end", ok)

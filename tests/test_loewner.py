@@ -12,6 +12,7 @@ from schlicht import _kernels
 from schlicht import loewner as lw
 from schlicht.errors import (
     BranchTrackingFailure,
+    ChainUnavailable,
     ParamOutOfRange,
     TrajectoryEscaped,
 )
@@ -251,12 +252,50 @@ def test_koebe_chain_p():
 
 
 def test_trivial_chain():
-    tc = lw.TrivialChain()
+    tc = lw.KoebeChain(rho=0.0)
     assert tc.p_values(np.array([0.3j]), 1.0)[0] == 1.0
     assert tc.log_coeff(0.5, 3) == 0.0
     ck = lw.chain_log_coeffs(tc, 0.7, 6)
     assert np.max(np.abs(ck)) < 1e-14
 
+
+
+@pytest.mark.parametrize("rho, theta", [(1.0, 0.0), (1.0, 2.5), (0.5, 0.0), (0.9, 0.7), (0.0, 0.0)])
+def test_koebe_chain_closed_forms_agree(rho, theta):
+    # one chain e^t z/(1 - wz)^2 for every w = rho e^{i theta} in the closed disk
+    ch = lw.KoebeChain(rho, theta)
+    w = rho * complex(math.cos(theta), math.sin(theta))
+    z, t = 0.3 - 0.2j, 0.7
+    coeffs = ch.series_at(t, 40).coeffs
+    assert abs(np.polyval(coeffs[::-1], z) - ch.eval_at(z, t)) <= 1e-12
+    assert np.max(np.abs(coeffs[1:] - math.exp(t) * np.arange(1, 41) * w ** np.arange(40))) <= 1e-12
+    # p = (df/dt)/(z df/dz) = f/(z f') from the series, against the closed form
+    zdf = np.polyval((coeffs * np.arange(41))[::-1], z)
+    assert abs(ch.eval_at(z, t) / zdf - ch.p_values(np.array([z]), t)[0]) <= 1e-12
+    # c_k(t) of log(f_t/(e^t z)), by the series route and by quadrature
+    ck = lw.chain_log_coeffs(ch, t, 8)
+    assert np.max(np.abs(ck - [ch.log_coeff(t, k) for k in range(1, 9)])) <= 1e-12
+    # f_s = f_t o phi(., s, t)
+    for s in (0.0, 0.4):
+        assert abs(ch.eval_at(ch.transition(z, s, t), t) - ch.eval_at(z, s)) <= 1e-12
+    assert lw.lipschitz_bound_check(ch, z, 0.2, t).all_pass
+
+
+def test_koebe_chain_rejects_a_point_outside_the_closed_disk():
+    for rho, theta in ((1.5, 0.0), (-0.1, 0.0), (math.nan, 0.0), (0.5, math.inf)):
+        with pytest.raises(ParamOutOfRange):
+            lw.KoebeChain(rho, theta)
+
+
+def test_make_chain_reads_the_registry_names():
+    assert (lw.make_chain("koebe").w, lw.make_chain("identity").w) == (1.0, 0.0)
+    rot = lw.make_chain("koebe-rot:2.5")
+    assert (rot.rho, rot.theta) == (1.0, 2.5)
+    with pytest.raises(ChainUnavailable, match="no chain construction"):
+        lw.make_chain("coeffs:[0,1]")
+    for name in ("const:-1", "koebe-rot:inf"):
+        with pytest.raises(ParamOutOfRange):
+            lw.make_chain(name)
 
 def test_chain_log_coeffs_koebe():
     kc = lw.KoebeChain()

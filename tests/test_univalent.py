@@ -168,9 +168,34 @@ def test_registry():
     assert abs(abs(rot.coeffs[2]) - 2.0) < 1e-12
     lit = uv.from_registry('coeffs:[[0,0],[1,0],[0.5,0.25]]', 2)
     assert lit.coeffs[2] == 0.5 + 0.25j
-    for name in ("unknown", "koebe-rot:abc", "koebe-rot:nan", "coeffs:[0,1", "coeffs:[[1]]"):
+    for name in ("unknown", "koebe-rot:abc", "koebe-rot:nan", "koebe-rot:inf", "coeffs:[0,1",
+                 "coeffs:[[1]]"):
         with pytest.raises(ParamOutOfRange):
             uv.from_registry(name, 5)
+
+
+def test_parse_subject_names_a_point_of_the_family_or_coefficients():
+    assert uv.parse_subject("koebe") == (1.0, 0.0)
+    assert uv.parse_subject("identity") == (0.0, 0.0)
+    assert uv.parse_subject("koebe-rot:2.5") == (1.0, 2.5)
+    assert uv.parse_subject("coeffs:[0,[1,0],0.5]") == [0j, 1 + 0j, 0.5 + 0j]
+    for name in ("koebe-rot:-inf", "coeffs:[0,1,1e400]", "koebe-rot", "const:-1"):
+        with pytest.raises(ParamOutOfRange):
+            uv.parse_subject(name)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 100, 2000])
+def test_family_coefficients_are_the_transforms_bit_for_bit(order):
+    assert np.array_equal(uv.koebe_family_coeffs(1.0, 0.0, order), uv.koebe(order).coeffs)
+    assert np.array_equal(uv.koebe_family_coeffs(0.0, 0.0, order), uv.identity_map(order).coeffs)
+    for theta in (2.5, 3.14159, 0.7, -1.0, 1e-300, 100.0):
+        rot = uv.rotation(uv.koebe(order), theta).coeffs
+        assert np.array_equal(uv.koebe_family_coeffs(1.0, theta, order), rot)
+    got = uv.koebe_family_coeffs(0.5, 0.7, order)
+    want = uv.rotation(uv.dilation(uv.koebe(order), 0.5), 0.7).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-15
+    with pytest.raises(ParamOutOfRange):
+        uv.koebe_family_coeffs(1.0, 0.0, 0)
 
 
 def test_random_class_s_normalized():

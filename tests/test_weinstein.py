@@ -97,7 +97,7 @@ def test_guards_raise_taxonomy_errors():
     with pytest.raises(ImaginaryResidue):
         ws._real(np.array([1.0 + 1e-9j]))
     with pytest.raises(ParamOutOfRange):
-        ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=0)
+        ws.milin_decomposition_check(lw.KoebeChain(), n=0)
     for t in (-0.5, math.nan):
         with pytest.raises(ParamOutOfRange):
             ws.lambda_rows(t, 4)
@@ -128,7 +128,8 @@ def test_herglotz_coeffs_koebe():
 
 
 def test_pairing_matches_quadrature_oracle():
-    for chain in (lw.KoebeChain(), lw.TrivialChain()):
+    chains = (lw.KoebeChain(), lw.KoebeChain(rho=0.0), lw.KoebeChain(0.5), lw.KoebeChain(0.9, 0.7))
+    for chain in chains:
         for t in (0.5, 1.7):
             for r in (0.9, 0.99, 0.999):
                 quad = ws._a_k_row(chain, t, r, 2048, 12)
@@ -137,14 +138,19 @@ def test_pairing_matches_quadrature_oracle():
 
 
 def test_pairing_limits_at_r_one():
-    kc, tc = lw.KoebeChain(), lw.TrivialChain()
+    kc, tc = lw.KoebeChain(), lw.KoebeChain(rho=0.0)
     for t in (0.0, 0.5, 1.7, 4.0):
         assert np.max(np.abs(ws.a_k_pairing(kc, t, 12))) <= 1e-12
         assert np.max(np.abs(ws.a_k_pairing(tc, t, 12) - 4.0)) <= 1e-12
+        # a dilated Koebe chain: A_k = 4(1 - rho^{2k}), neither 0 nor 4
+        for rho, theta in ((0.5, 0.0), (0.9, 0.7)):
+            want = 4.0 * (1.0 - rho ** (2 * np.arange(1, 13)))
+            got = ws.a_k_pairing(lw.KoebeChain(rho, theta), t, 12)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_a_k_trivial_chain_is_four():
-    tc = lw.TrivialChain()
+    tc = lw.KoebeChain(rho=0.0)
     for r in (0.9, 0.99):
         assert np.max(np.abs(ws._a_k_row(tc, 0.7, r, 512, 5) - 4.0)) < 1e-12
 
@@ -176,7 +182,7 @@ def test_a_k_nonnegative_pointwise():
 
 def test_decomposition_koebe():
     n = 6
-    res = ws.milin_decomposition_check(uv.koebe(32), lw.KoebeChain(), n=n)
+    res = ws.milin_decomposition_check(lw.KoebeChain(), n=n)
     assert abs(res.lhs) < 1e-10
     assert abs(res.rhs_extrapolated) <= 1e-10
     assert res.min_g >= -1e-8
@@ -192,19 +198,32 @@ def test_decomposition_koebe():
 
 def test_decomposition_identity_chain():
     n = 6
-    res = ws.milin_decomposition_check(uv.identity_map(32), lw.TrivialChain(), n=n)
+    res = ws.milin_decomposition_check(lw.KoebeChain(rho=0.0), n=n)
     kk = np.arange(1, n + 1)
     assert abs(res.lhs - float(np.sum(4.0 / kk * (n - kk + 1)))) < 1e-12
     assert res.residual / res.lhs <= 1e-12
     assert res.min_g >= -1e-8
 
 
+
+@pytest.mark.parametrize("rho, theta", [(0.5, 0.0), (0.9, 0.7)])
+def test_decomposition_of_a_dilated_koebe_chain(rho, theta):
+    # A_k = 4(1 - rho^{2k}) is neither 0 nor 4, so every term of both sides
+    # has content; the left side reads c_k(0) = 2 w^k/k from the chain
+    chain = lw.KoebeChain(rho, theta)
+    for n in (6, 20):
+        res = ws.milin_decomposition_check(chain, n=n)
+        k = np.arange(1, n + 1)
+        want = float(np.sum(4.0 / k * (1.0 - rho ** (2 * k)) * (n - k + 1)))
+        assert abs(res.lhs - want) <= 1e-12 * want
+        assert res.residual <= 1e-12 * max(abs(res.lhs), 1.0)
+        assert res.min_g > 0.0
+
 @pytest.mark.parametrize("n", [6, 20, 40])
 def test_decomposition_exact_at_large_n(n):
-    order = max(4 * n, 32)
-    res = ws.milin_decomposition_check(uv.koebe(order), lw.KoebeChain(), n=n)
+    res = ws.milin_decomposition_check(lw.KoebeChain(), n=n)
     assert abs(res.rhs_extrapolated) <= 1e-10
-    res = ws.milin_decomposition_check(uv.identity_map(order), lw.TrivialChain(), n=n)
+    res = ws.milin_decomposition_check(lw.KoebeChain(rho=0.0), n=n)
     assert res.residual / res.lhs <= 1e-12
     assert res.nodes == n // 2 + 2
 
@@ -215,8 +234,8 @@ def test_decomposition_node_doubling():
     # 40 that roundoff exceeds 1e-13 (up to 2.9e-11 on terms summing to
     # 542), so the absolute bound is checked where it holds
     n = 6
-    for f, chain in ((uv.koebe(32), lw.KoebeChain()), (uv.identity_map(32), lw.TrivialChain())):
-        res = ws.milin_decomposition_check(f, chain, n=n)
+    for chain in (lw.KoebeChain(), lw.KoebeChain(rho=0.0)):
+        res = ws.milin_decomposition_check(chain, n=n)
         s, w = ws.gauss_legendre_s(2 * res.nodes)
         g = [ws.lambda_rows(t, n)[1:, n] @ ws.a_k_pairing(chain, t, n) for t in -np.log(s)]
         assert abs(res.rhs_extrapolated - (w / s) @ g) <= 1e-13
@@ -231,7 +250,7 @@ def test_gauss_legendre_s_integrates_monomials():
 
 def test_decomposition_g_nonnegative_everywhere():
     kc, n = lw.KoebeChain(), 4
-    tc = lw.TrivialChain()
+    tc = lw.KoebeChain(rho=0.0)
     for t in np.linspace(0.0, 8.0, 41):
         lam = ws.lambda_rows(t, n)[1:, n]
         assert lam @ ws.a_k_pairing(kc, t, n) >= -1e-8
@@ -248,7 +267,7 @@ def test_decomposition_numeric_chain_smoke():
     assert np.max(np.abs(got - want)) < 5e-3
     # the exact route needs closed-form series in t, which numeric chains lack
     with pytest.raises(ChainUnavailable):
-        ws.milin_decomposition_check(uv.koebe(32), ch, n=2)
+        ws.milin_decomposition_check(ch, n=2)
 
 
 def test_routes_return_the_lambda_rows_table():
