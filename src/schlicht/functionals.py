@@ -19,12 +19,11 @@ from . import univalent as uv
 from .series import PowerSeries
 
 
-def area_sum(g, N):
-    """sum_{n<=N} n |b_n|^2 for an exterior map; bounded by 1."""
-    if N > len(g.tail):
-        raise ValueError(f"only {len(g.tail)} tail coefficients available")
-    b = np.asarray(g.tail[:N])
-    return float(np.sum(np.arange(1, N + 1) * np.abs(b) ** 2))
+def area_sum(b, N):
+    """sum_{n<=N} n |b_n|^2 for an exterior map's b_0, b_1, ... (to_sigma); bounded by 1."""
+    if N >= len(b):
+        raise ValueError(f"only {len(b) - 1} tail coefficients available")
+    return float(np.sum(np.arange(1, N + 1) * np.abs(b[1 : N + 1]) ** 2))
 
 
 def integral_mean(f, p, r):

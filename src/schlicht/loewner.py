@@ -281,7 +281,7 @@ class KoebeChain:
         self.w = self.rho * cmath.exp(1j * self.theta)
 
     def series_at(self, t, order):
-        return PowerSeries(math.exp(t) * uv.koebe_family_coeffs(self.rho, self.theta, order))
+        return PowerSeries(math.exp(t) * uv.from_quotient(0, self.rho, self.theta, order).coeffs)
 
     dt_series_at = series_at  # df/dt = f
 

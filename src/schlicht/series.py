@@ -53,13 +53,6 @@ class PowerSeries:
         c[0] = 1.0
         return cls(c)
 
-    @classmethod
-    def identity(cls, order):
-        """The series of z itself."""
-        c = np.zeros(order + 1, dtype=complex)
-        c[1] = 1.0
-        return cls(c)
-
     # -- basic accessors -------------------------------------------------
     @property
     def coeffs(self):

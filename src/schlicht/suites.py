@@ -35,10 +35,8 @@ def suite_area(seed=0):
     rep.add("koebe-bound", target, 1.0)
     rng = uv.SeededDraws(seed)
     for i in range(50):
-        f = uv.koebe(order)
-        if rng.integers(0, 2):
-            f = uv.rotation(f, float(rng.uniform(0, 2 * math.pi)))
-        f = uv.dilation(f, float(rng.uniform(0.1, 0.95)))
+        theta = float(rng.uniform(0, 2 * math.pi)) if rng.integers(0, 2) else 0.0
+        f = uv.from_quotient(0, float(rng.uniform(0.1, 0.95)), theta, order)
         rep.add(f"random-{i:02d}", fn.area_sum(uv.to_sigma(f), order - 2), 1.0)
     rep.meta["order"] = order
     return rep
@@ -103,7 +101,7 @@ def suite_robertson():
         rep.add(f"koebe-equality-n={n}", abs(sums[n - 1] - n), 1e-10)
     ident = fn.robertson_sums(uv.identity_map(order), 10)
     rep.add("identity-sums", float(np.max(np.abs(ident - 1.0))), 0.0)
-    dil = fn.robertson_sums(uv.dilation(uv.koebe(order), 0.8), 10)
+    dil = fn.robertson_sums(uv.from_quotient(0, 0.8, 0.0, order), 10)
     for n in (2, 10):
         rep.add(f"dilation-strict-n={n}", dil[n - 1], n - 1e-6)
     return rep

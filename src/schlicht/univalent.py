@@ -8,10 +8,11 @@ not univalence (which finitely many coefficients cannot certify).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,63 +49,43 @@ class ClassSFunction:
         return ps.evaluate(self.series, z, r_max=_EVAL_RADIUS)
 
 
-@dataclass(frozen=True)
-class SigmaFunction:
-    """g(z) = z + b0 + b1/z + ... + bM/z^M, analytic and univalent in |z| > 1."""
-
-    b0: complex
-    tail: tuple = field(default_factory=tuple)  # b1, b2, ...
-
-
-def koebe_family_coeffs(rho, theta, order):
-    """c_0..c_order of z/(1 - w z)^2, w = rho e^{i theta}: c_n = n w^{n-1}.
-
-    In polar form, bit for bit rotation(koebe(order), theta) at rho = 1;
-    the complex power w ** n drifts from that by 1.2e-10 at order 2000.
-    """
-    if order < 1:
-        raise ParamOutOfRange("order must be >= 1")
-    m = np.arange(order)
-    return np.r_[0j, np.arange(1, order + 1) * (rho ** m * np.exp(1j * theta * m))]
-
-
-def koebe(order):
-    """z/(1-z)^2 truncated: coefficient n at degree n."""
-    return ClassSFunction(PowerSeries(koebe_family_coeffs(1.0, 0.0, order)))
-
-
-def identity_map(order):
-    return ClassSFunction(PowerSeries.identity(order))
-
-
-# -- elementary transformations ------------------------------------------
-
-def rotation(f, theta):
-    """e^{-i theta} f(e^{i theta} z): multiplies a_n by e^{i(n-1) theta}."""
-    n = np.arange(f.order + 1)
-    phase = np.exp(1j * theta * (n - 1))
-    c = f.coeffs * phase
-    c[0] = 0.0
-    return ClassSFunction(PowerSeries(c))
-
-
-def dilation(f, r):
-    """f(rz)/r: multiplies a_n by r^{n-1}."""
-    if not 0 < r < 1:
-        raise ParamOutOfRange(f"dilation needs 0 < r < 1, got {r}")
-    n = np.arange(f.order + 1)
-    c = f.coeffs * r ** (n - 1.0)
-    c[0] = 0.0
-    return ClassSFunction(PowerSeries(c))
-
-
 # -- Koebe's function and its transforms in closed form ---------------------
 #
 # Koebe's z/(1-z)^2 and every rotation, dilation, conjugation and Koebe
 # transform of it is f = (z + c z^2)/(1 - w z)^2 (P. Duren, Univalent
 # Functions, 1983, ch. 2): the double pole moves and stays double.  So a
-# composition of these transforms is carried as the pair (c, w), and its
-# series comes from the pair with no truncation error at any order.
+# composition of these transforms is carried as the pair (c, w), and every
+# such subject's series comes from one formula with no truncation error at
+# any order.
+
+def from_quotient(c, rho, theta, order):
+    """(z + c z^2)/(1 - w z)^2, w = rho e^{i theta}, to the given order.
+
+    a_n = n w^{n-1} + c (n-1) w^{n-2}, with w^m = rho^m e^{i m theta} in
+    polar form; the complex power w ** m drifts from that by 1.2e-10 at
+    order 2000.  At c = 0 the c-term is skipped, so z/(1 - w z)^2 takes no
+    rounding from it.  An angle so large that m theta overflows leaves NaN
+    coefficients, which PowerSeries rejects as a numeric error.
+    """
+    if order < 1:
+        raise ParamOutOfRange("order must be >= 1")
+    m = np.arange(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = rho ** m * np.exp(1j * theta * m)  # w^0 .. w^{order-1}
+        a = np.r_[0j, np.arange(1, order + 1) * powers]
+        if c != 0:
+            a[2:] += c * m[1:] * powers[:-1]
+    return ClassSFunction(PowerSeries(a))
+
+
+def koebe(order):
+    """z/(1-z)^2 truncated: coefficient n at degree n."""
+    return from_quotient(0, 1.0, 0.0, order)
+
+
+def identity_map(order):
+    return from_quotient(0, 0.0, 0.0, order)
+
 
 KOEBE_CW = (0j, 1 + 0j)
 
@@ -129,31 +110,16 @@ def disk_automorphism(cw, a):
     return (h2 - h0 * w2 * w2) / (h1 + 2 * h0 * w2), w2
 
 
-def from_quotient(cw, order):
-    """(z + c z^2)/(1 - w z)^2 to the given order: a_n = n w^{n-1} + c (n-1) w^{n-2}."""
-    c, w = cw
-    n = np.arange(order + 1)
-    powers = w ** n[:-1]  # w^0 .. w^{order-1}
-    a = np.zeros(order + 1, dtype=complex)
-    a[1:] = n[1:] * powers
-    a[2:] += c * (n[2:] - 1) * powers[:-1]
-    return ClassSFunction(PowerSeries(a))
-
-
 # -- inversion to class Sigma and the odd transform ------------------------
 
 def to_sigma(f):
-    """g(z) = 1/f(1/z) = z + b0 + b1/z + ...
+    """The coefficients b_0, b_1, ... of g(z) = 1/f(1/z) = z + b0 + b1/z + ...
 
     With F(u) = f(u)/u (unit constant term), 1/f(1/z) = z / F(1/z), so the
     reciprocal series R = 1/F carries the coefficients: b_n = R_{n+1}.
     """
-    n = f.order
     F = PowerSeries(f.coeffs[1:])  # f(u)/u, order n-1
-    R = ps.div(PowerSeries.one(n - 1), F)
-    b0 = complex(R[1]) if n >= 2 else 0.0
-    tail = tuple(complex(x) for x in R.coeffs[2:])
-    return SigmaFunction(b0=b0, tail=tail)
+    return ps.div(PowerSeries.one(F.order), F).coeffs[1:]
 
 
 def odd_sqrt_transform(f):
@@ -206,7 +172,7 @@ def from_registry(name, order):
     """Build a test subject to the given order from its registry name (parse_subject)."""
     subject = parse_subject(name)
     if isinstance(subject, tuple):
-        return ClassSFunction(PowerSeries(koebe_family_coeffs(*subject, order)))
+        return from_quotient(0, *subject, order)
     return ClassSFunction(PowerSeries((subject + [0.0] * (order + 1))[: order + 1]))
 
 
@@ -260,4 +226,6 @@ def random_class_s(rng, order):
             rad = float(rng.uniform(0, 0.3))
             ang = float(rng.uniform(0, 2 * math.pi))
             c, w = disk_automorphism((c, w), rad * complex(math.cos(ang), math.sin(ang)))
-    return from_quotient((c, w), order)
+    # every transform keeps |w| <= 1, and a float |w| one ulp above 1
+    # would grow to rho^1999 - 1 = 4.4e-13 at order 2000
+    return from_quotient(c, min(abs(w), 1.0), cmath.phase(w), order)

@@ -1,9 +1,10 @@
 """Reference routes that the tests hold the library to.
 
-No command or suite calls these, so they live with the tests: series exp,
-composition and compositional reversion, and the kernel coefficients one
-row at a time on the fixed-point transition series.  ``coeffs_close``
-compares two series.
+No command or suite calls these, so they live with the tests: the series
+of z, rotation and dilation of a series (the route that
+``univalent.from_quotient`` is held to), series exp, composition and
+compositional reversion, and the kernel coefficients one row at a time on
+the fixed-point transition series.  ``coeffs_close`` compares two series.
 """
 
 import math
@@ -13,8 +14,9 @@ import numpy as np
 from schlicht import _kernels
 from schlicht import loewner as lw
 from schlicht import series as ps
+from schlicht import univalent as uv
 from schlicht import weinstein as ws
-from schlicht.errors import BranchPointAtOrigin, SchlichtError
+from schlicht.errors import BranchPointAtOrigin, ParamOutOfRange, SchlichtError
 from schlicht.series import PowerSeries
 
 
@@ -30,6 +32,32 @@ def coeffs_close(a, b, tol=1e-12):
     """Whether two series of one order agree to tol in every coefficient."""
     assert a.order == b.order
     return float(np.max(np.abs(a.coeffs - b.coeffs))) <= tol
+
+
+def identity(order):
+    """The series of z itself."""
+    c = np.zeros(order + 1, dtype=complex)
+    c[1] = 1.0
+    return PowerSeries(c)
+
+
+def rotation(f, theta):
+    """e^{-i theta} f(e^{i theta} z): multiplies a_n by e^{i(n-1) theta}."""
+    n = np.arange(f.order + 1)
+    phase = np.exp(1j * theta * (n - 1))
+    c = f.coeffs * phase
+    c[0] = 0.0
+    return uv.ClassSFunction(PowerSeries(c))
+
+
+def dilation(f, r):
+    """f(rz)/r: multiplies a_n by r^{n-1}."""
+    if not 0 < r < 1:
+        raise ParamOutOfRange(f"dilation needs 0 < r < 1, got {r}")
+    n = np.arange(f.order + 1)
+    c = f.coeffs * r ** (n - 1.0)
+    c[0] = 0.0
+    return uv.ClassSFunction(PowerSeries(c))
 
 
 def exp(a):

@@ -48,10 +48,8 @@ def test_criterion_02_area_theorem():
     ok = abs(fn.area_sum(g, 62) - 1.0) <= 1e-12
     rng = np.random.default_rng(SEED)
     for _ in range(50):
-        f = uv.koebe(64)
-        if rng.integers(0, 2):
-            f = uv.rotation(f, float(rng.uniform(0, 2 * math.pi)))
-        f = uv.dilation(f, float(rng.uniform(0.1, 0.95)))
+        theta = float(rng.uniform(0, 2 * math.pi)) if rng.integers(0, 2) else 0.0
+        f = uv.from_quotient(0, float(rng.uniform(0.1, 0.95)), theta, 64)
         ok &= fn.area_sum(uv.to_sigma(f), 62) <= 1.0 + 1e-9
     _line(2, "area sum: koebe equality at 1e-12, 50 random transforms bounded", ok)
 

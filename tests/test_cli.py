@@ -411,6 +411,19 @@ def test_an_overflowing_subject_is_a_numeric_error():
         assert (proc.returncode, proc.stderr) == (
             3, "numeric error: coefficients must be finite\n"
         ), suite
+    # an angle so large that m theta overflows: the series is not finite,
+    # with no NumPy warning before the error, under each command
+    for argv in (
+        ("verify", "--suite", "milin", "--n", "3", "--out", os.devnull),
+        ("weinstein", "decompose", "--n", "20", "--out", os.devnull),
+        ("table", "--kind", "coefficients", "--out", os.devnull),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = run_cli(*argv, "--function", "koebe-rot:1e308")
+        assert (proc.returncode, proc.stderr) == (
+            3, "numeric error: coefficients must be finite\n"
+        ), argv
     # a subject that is not finite to begin with is a malformed name
     proc = run_cli("table", "--kind", "coefficients", "--function", "coeffs:[0,1,1e400]")
     assert (proc.returncode, proc.stderr) == (

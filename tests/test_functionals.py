@@ -27,7 +27,7 @@ def test_area_sum_identity_zero():
 
 
 def test_area_sum_dilation_bounded():
-    g = uv.to_sigma(uv.dilation(uv.koebe(64), 0.9))
+    g = uv.to_sigma(uv.from_quotient(0, 0.9, 0.0, 64))
     val = fn.area_sum(g, 62)
     assert 0.0 <= val <= 1.0 + 1e-9
 
@@ -61,7 +61,7 @@ def test_log_coefficients_identity():
 
 
 def test_coefficient_report_dilation_strict():
-    rep = coefficient_report(uv.dilation(uv.koebe(16), 0.5), 16)
+    rep = coefficient_report(uv.from_quotient(0, 0.5, 0.0, 16), 16)
     sharp = [c for c in rep.cases if c.id.endswith("sharp")]
     assert all(c.lhs < c.rhs for c in sharp)
 
@@ -222,7 +222,7 @@ def test_robertson_sums_identity():
 
 
 def test_robertson_sums_dilation_strict():
-    s = fn.robertson_sums(uv.dilation(uv.koebe(64), 0.8), 10)
+    s = fn.robertson_sums(uv.from_quotient(0, 0.8, 0.0, 64), 10)
     assert all(s[n - 1] < n for n in range(2, 11))
 
 
@@ -234,7 +234,7 @@ def test_log_coefficients_koebe():
 
 def test_log_coefficients_rotation():
     th = 0.8
-    lc = fn.log_coefficients(uv.rotation(uv.koebe(24), th))
+    lc = fn.log_coefficients(uv.from_quotient(0, 1.0, th, 24))
     expect = np.array([np.exp(1j * k * th) / k for k in range(1, 24)])
     assert np.max(np.abs(lc - expect)) < 1e-12
 
@@ -250,7 +250,7 @@ def test_milin_functional_identity():
 
 
 def test_milin_functional_dilation_negative():
-    assert fn.milin_functional(uv.dilation(uv.koebe(32), 0.9), 10) < 0
+    assert fn.milin_functional(uv.from_quotient(0, 0.9, 0.0, 32), 10) < 0
 
 
 def test_milin_weighted_relation():

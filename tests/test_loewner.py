@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import compose, revert
+from references import compose, identity, revert
 from schlicht import _kernels
 from schlicht import loewner as lw
 from schlicht.errors import (
@@ -45,7 +45,7 @@ def test_transition_satisfies_defining_relation():
 
 def test_transition_series_identity_at_zero():
     w = lw.koebe_transition_series(0.0, 16)
-    assert np.array_equal(w.coeffs, PowerSeries.identity(16).coeffs)
+    assert np.array_equal(w.coeffs, identity(16).coeffs)
 
 
 def test_transition_series_defining_relation():

@@ -1,11 +1,14 @@
+import cmath
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from references import coeffs_close, compose
+from references import coeffs_close, compose, dilation, identity, rotation
 from schlicht import series as ps
 from schlicht import univalent as uv
 from schlicht.errors import ParamOutOfRange
@@ -31,20 +34,20 @@ def test_normalization_enforced():
 
 
 def test_rotation_by_pi():
-    f = uv.rotation(uv.koebe(6), math.pi)
+    f = uv.from_quotient(0, 1.0, math.pi, 6)
     expect = [(-1) ** (n - 1) * n for n in range(7)]
     expect[0] = 0
     assert np.max(np.abs(f.coeffs - np.array(expect))) < 1e-12
 
 
 def test_dilation_fixes_identity():
-    f = uv.dilation(uv.identity_map(5), 0.37)
-    assert coeffs_close(f.series, PowerSeries.identity(5), tol=1e-15)
+    f = dilation(uv.identity_map(5), 0.37)
+    assert coeffs_close(f.series, identity(5), tol=1e-15)
 
 
 def test_dilation_koebe_closed_form():
     r = 0.5
-    f = uv.dilation(uv.koebe(6), r)
+    f = uv.from_quotient(0, r, 0.0, 6)
     expect = np.array([n * r ** (n - 1) for n in range(7)], dtype=complex)
     expect[0] = 0
     assert np.max(np.abs(f.coeffs - expect)) < 1e-14
@@ -55,20 +58,26 @@ def _conjugation(f):
     return uv.ClassSFunction(PowerSeries(np.conj(f.coeffs)))
 
 
+def _from_pair(cw, order):
+    """The series of (z + c z^2)/(1 - w z)^2 from the pair (c, w)."""
+    c, w = cw
+    return uv.from_quotient(c, abs(w), cmath.phase(w), order)
+
+
 def test_conjugation():
-    f = uv.rotation(uv.koebe(5), 0.7)
+    f = uv.from_quotient(0, 1.0, 0.7, 5)
     g = _conjugation(f)
     assert np.max(np.abs(g.coeffs - np.conj(f.coeffs))) == 0
     # random_class_s conjugates the pair (c, w): the same map
     c, w = 0.3 - 0.2j, 0.5 + 0.4j
-    pair = uv.from_quotient((c.conjugate(), w.conjugate()), 12)
-    series = _conjugation(uv.from_quotient((c, w), 12))
+    pair = _from_pair((c.conjugate(), w.conjugate()), 12)
+    series = _conjugation(_from_pair((c, w), 12))
     assert np.max(np.abs(pair.coeffs - series.coeffs)) < 1e-14
 
 
 def test_disk_automorphism_zero_is_identity():
     assert uv.disk_automorphism(uv.KOEBE_CW, 0) == uv.KOEBE_CW
-    f = uv.from_quotient(uv.KOEBE_CW, 8)
+    f = _from_pair(uv.KOEBE_CW, 8)
     assert coeffs_close(f.series, uv.koebe(8).series, tol=0)
 
 
@@ -77,7 +86,7 @@ def test_disk_automorphism_pointwise_oracle():
     # on Koebe and on a member (z + c z^2)/(1 - w z)^2 with c != 0, |w| < 1
     a = 0.2 + 0.1j
     for c, w in (uv.KOEBE_CW, (0.3 - 0.2j, 0.5 + 0.4j)):
-        f = uv.from_quotient(uv.disk_automorphism((c, w), a), 64)
+        f = _from_pair(uv.disk_automorphism((c, w), a), 64)
         kk = lambda z: (z + c * z * z) / (1 - w * z) ** 2
         kp = lambda z: ((1 + 2 * c * z) * (1 - w * z) + 2 * w * (z + c * z * z)) / (1 - w * z) ** 3
         for z0 in (0.25, -0.3j, 0.1 + 0.2j):
@@ -93,36 +102,33 @@ def test_disk_automorphism_param_guard():
 
 def test_to_sigma_koebe():
     # 1/k(1/z) = z(1 - 1/z)^2 = z - 2 + 1/z
-    g = uv.to_sigma(uv.koebe(10))
-    assert abs(g.b0 + 2.0) < 1e-14
-    assert abs(g.tail[0] - 1.0) < 1e-14
-    assert max(abs(b) for b in g.tail[1:8]) < 1e-12
+    b = uv.to_sigma(uv.koebe(10))
+    assert abs(b[0] + 2.0) < 1e-14
+    assert abs(b[1] - 1.0) < 1e-14
+    assert np.max(np.abs(b[2:9])) < 1e-12
 
 
 def test_to_sigma_identity():
-    g = uv.to_sigma(uv.identity_map(8))
-    assert g.b0 == 0
-    assert max(abs(b) for b in g.tail) == 0
+    b = uv.to_sigma(uv.identity_map(8))
+    assert b[0] == 0
+    assert np.max(np.abs(b[1:])) == 0
 
 
 def test_to_sigma_quadratic_coefficients():
     # f = z + c z^3 has a2 = 0, a3 = c: b0 = -a2 = 0, b1 = a2^2 - a3 = -c
     c = 0.3 - 0.2j
     f = uv.ClassSFunction(PowerSeries([0, 1, 0, c, 0, 0, 0, 0, 0]))
-    g = uv.to_sigma(f)
-    assert abs(g.b0) < 1e-14
-    assert abs(g.tail[0] + c) < 1e-14
+    b = uv.to_sigma(f)
+    assert abs(b[0]) < 1e-14
+    assert abs(b[1] + c) < 1e-14
 
 
-def _from_sigma(g, order):
-    """The class-S series whose inversion is g, to the given order."""
+def _from_sigma(b, order):
+    """The class-S series whose inversion has the coefficients b_0, b_1, ..., to the given order."""
     R = np.zeros(order, dtype=complex)
     R[0] = 1.0
-    if order >= 2:
-        R[1] = g.b0
-    m = min(len(g.tail), order - 2)
-    if m > 0:
-        R[2 : 2 + m] = g.tail[:m]
+    m = min(len(b), order - 1)
+    R[1 : 1 + m] = b[:m]
     F = ps.div(PowerSeries.one(order - 1), PowerSeries(R))
     c = np.concatenate(([0.0], F.coeffs))
     return uv.ClassSFunction(PowerSeries(c))
@@ -144,7 +150,7 @@ def test_odd_sqrt_transform_koebe():
 
 def test_odd_sqrt_transform_identity():
     h = uv.odd_sqrt_transform(uv.identity_map(7))
-    assert coeffs_close(h.series, PowerSeries.identity(7), tol=1e-14)
+    assert coeffs_close(h.series, identity(7), tol=1e-14)
 
 
 def test_odd_sqrt_square_back():
@@ -186,16 +192,43 @@ def test_parse_subject_names_a_point_of_the_family_or_coefficients():
 
 @pytest.mark.parametrize("order", [1, 2, 7, 100, 2000])
 def test_family_coefficients_are_the_transforms_bit_for_bit(order):
-    assert np.array_equal(uv.koebe_family_coeffs(1.0, 0.0, order), uv.koebe(order).coeffs)
-    assert np.array_equal(uv.koebe_family_coeffs(0.0, 0.0, order), uv.identity_map(order).coeffs)
+    # at c = 0 the formula is Koebe's family: the integers n, the series of
+    # z, and the reference rotations and dilations of Koebe's map
+    assert np.array_equal(uv.koebe(order).coeffs, np.arange(order + 1))
+    assert np.array_equal(uv.from_quotient(0, 0.0, 0.0, order).coeffs, identity(order).coeffs)
     for theta in (2.5, 3.14159, 0.7, -1.0, 1e-300, 100.0):
-        rot = uv.rotation(uv.koebe(order), theta).coeffs
-        assert np.array_equal(uv.koebe_family_coeffs(1.0, theta, order), rot)
-    got = uv.koebe_family_coeffs(0.5, 0.7, order)
-    want = uv.rotation(uv.dilation(uv.koebe(order), 0.5), 0.7).coeffs
+        rot = rotation(uv.koebe(order), theta).coeffs
+        assert np.array_equal(uv.from_quotient(0, 1.0, theta, order).coeffs, rot)
+    for r in (0.5, 0.8):
+        dil = dilation(uv.koebe(order), r).coeffs
+        assert np.array_equal(uv.from_quotient(0, r, 0.0, order).coeffs, dil)
+    got = uv.from_quotient(0, 0.5, 0.7, order).coeffs
+    want = rotation(dilation(uv.koebe(order), 0.5), 0.7).coeffs
     assert np.max(np.abs(got - want)) <= 1e-15
     with pytest.raises(ParamOutOfRange):
-        uv.koebe_family_coeffs(1.0, 0.0, 0)
+        uv.from_quotient(0, 1.0, 0.0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+)
+def test_from_quotient_is_the_series_quotient(c_abs, c_arg, rho, theta):
+    # coefficient n of (z + c z^2)/(1 - w z)^2 against the division of the
+    # two series, for c != 0; the gap reached 9.6e-14 n over 3,000 seeded draws
+    order = 64
+    c, w = cmath.rect(c_abs, c_arg), cmath.rect(rho, theta)
+    num = np.zeros(order + 1, dtype=complex)
+    num[1:3] = 1.0, c
+    den = np.zeros(order + 1, dtype=complex)
+    den[:3] = 1.0, -2.0 * w, w * w
+    want = ps.div(PowerSeries(num), PowerSeries(den)).coeffs
+    got = uv.from_quotient(c, rho, theta, order).coeffs
+    n = np.arange(order + 1)
+    assert np.all(np.abs(got - want) <= 1e-12 * n)
 
 
 def test_random_class_s_normalized():
@@ -263,9 +296,9 @@ def _random_class_s_by_taylor_shift(rng, order):
     for _ in range(2):
         kind = rng.integers(0, 4)
         if kind == 0:
-            f = uv.rotation(f, float(rng.uniform(0, 2 * math.pi)))
+            f = rotation(f, float(rng.uniform(0, 2 * math.pi)))
         elif kind == 1:
-            f = uv.dilation(f, float(rng.uniform(0.3, 0.95)))
+            f = dilation(f, float(rng.uniform(0.3, 0.95)))
         elif kind == 2:
             f = _conjugation(f)
         else:
@@ -302,9 +335,13 @@ def test_random_class_s_is_the_same_draw_at_twice_the_order():
 
 def test_random_class_s_obeys_the_coefficient_bound():
     # |a_n| <= n, up to the roundoff of the equality draws (rotated Koebe,
-    # |a_n| = n): 4.3e-12 at n <= 200 over these draws
-    rng = np.random.default_rng(0)
-    n = np.arange(1, 201)
-    for _ in range(100):
-        f = uv.random_class_s(rng, 200)
-        assert np.all(np.abs(f.coeffs[1:]) <= n * (1 + 1e-13))
+    # |a_n| = n): 4.3e-12 at n <= 200 over the seed-0 draws; at order 2000
+    # the complex power w ** n broke this bound by up to 2.4e-13 on 19 of
+    # the 1,000 draws of seeds 0-9
+    for order, seeds in ((200, [0]), (2000, range(10))):
+        n = np.arange(1, order + 1)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                f = uv.random_class_s(rng, order)
+                assert np.all(np.abs(f.coeffs[1:]) <= n * (1 + 1e-13)), (order, seed)
