@@ -28,13 +28,26 @@ def cauchy_mul(a, b):
 
 
 def cauchy_div(a, b):
-    # long division, b[0] != 0 guaranteed by the caller
-    n = a.shape[0]
-    q = np.empty(n, dtype=complex)
-    b0 = b[0]
-    q[0] = a[0] / b0
+    """Long division of a by b, b[..., 0] != 0 guaranteed by the caller.
+
+    a and b are coefficient rows, or stacks of them of one shape; every row
+    is divided in the same pass.  A stack takes one matrix product per step
+    with contiguous operands, which NumPy hands to the BLAS dot that np.dot
+    calls, so a row of a stack equals the 1-D quotient of that row bit for
+    bit.  One row calls np.dot itself, at half the cost per step.
+    """
+    n = a.shape[-1]
+    q = np.empty(a.shape, dtype=complex)
+    back = np.ascontiguousarray(b[..., :0:-1])  # back[..., n - 1 - j] = b[..., j]
+    b0 = b[..., 0]
+    q[..., 0] = a[..., 0] / b0
+    if q.ndim == 1:
+        for i in range(1, n):
+            q[i] = (a[i] - np.dot(q[:i], back[n - 1 - i :])) / b0
+        return q
+    rows, cols = q[..., None, :], back[..., None]  # 1 x n and (n - 1) x 1 matrices
     for i in range(1, n):
-        q[i] = (a[i] - np.dot(q[:i], b[i:0:-1])) / b0
+        q[..., i] = (a[..., i] - (rows[..., :i] @ cols[..., n - 1 - i :, :])[..., 0, 0]) / b0
     return q
 
 

@@ -87,9 +87,10 @@ def _focus_report(suite, name, n, t):
         lhs, rhs = fn.lebedev_milin_check(list(fn.log_coefficients(f, n)), n)
         rep.add(f"lebedev-milin_{n}({name})", lhs, rhs + 1e-9)
     else:  # weinstein
-        worst, min_summand = ws.oracle_triangle([t], n)
+        table = ws.lambda_rows(t, n)
+        worst, min_summand = ws.oracle_triangle([t], [table])
         rep.add("oracle-discrepancy", worst, 1e-8)
-        rep.add("min-lambda", -1e-12, float(ws.lambda_rows(t, n).min()))
+        rep.add("min-lambda", -1e-12, float(table.min()))
         rep.add("min-summand", 0.0, min_summand)
     return rep
 
@@ -179,7 +180,7 @@ def _parse_grid(desc):
             nr, na = int(nr), int(na)
             radii = np.linspace(0.1, 0.8, nr)
             angles = 2 * np.pi * np.arange(na) / na
-            return np.array([r * np.exp(1j * a) for r in radii for a in angles])
+            return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()  # radius-major
         if desc.startswith("points:"):
             pts = json.loads(desc.split(":", 1)[1])
             return np.array([complex(p[0], p[1]) for p in pts])

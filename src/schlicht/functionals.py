@@ -152,31 +152,58 @@ def log_coefficients(f, N=None):
     return 0.5 * ps.log(F).coeffs[1:]
 
 
-def _milin_double_sum(g):
-    """sum_{m<=n} sum_{k<=m} (k |g_k|^2 - 1/k) for g = g_1..g_n."""
-    k = np.arange(1, len(g) + 1)
-    terms = k * np.abs(g) ** 2 - 1.0 / k
-    return float(np.sum(np.cumsum(terms)))
+def pair_log_coefficients(c, rho, theta, N):
+    """gamma_1..gamma_N of (z + c z^2)/(1 - w z)^2, w = rho e^{i theta}, in closed form.
+
+    log(f(z)/z) = log(1 + c z) - 2 log(1 - w z), so
+    gamma_k = ((-1)^{k+1} c^k + 2 w^k)/(2k), with w^k = rho^k e^{ik theta}
+    in polar form as from_quotient takes it.  c, rho and theta are numbers
+    or sequences of one length, one pair each; a sequence gives one row of
+    gamma per pair.
+    """
+    c, rho, theta = (np.asarray(v)[..., None] for v in (c, rho, theta))
+    k = np.arange(1, N + 1)
+    return (2 * rho**k * np.exp(1j * theta * k) - (-c) ** k) / (2 * k)
+
+
+def milin_double_sum(gamma):
+    """M_n = sum_{m<=n} sum_{k<=m} (k |gamma_k|^2 - 1/k) for gamma = gamma_1..gamma_n.
+
+    A stack of gamma rows gives the array of their sums, each the one-row
+    value bit for bit.
+    """
+    k = np.arange(1, gamma.shape[-1] + 1)
+    terms = k * np.abs(gamma) ** 2 - 1.0 / k
+    return np.sum(np.cumsum(terms, axis=-1), axis=-1)
+
+
+def milin_weighted_sum(gamma):
+    """sum_k (4/k - k |c_k|^2)(n - k + 1) with c_k = 2 gamma_k, for gamma = gamma_1..gamma_n.
+
+    Equals -4 times milin_double_sum; nonnegative exactly when the Milin
+    functional is nonpositive.
+    """
+    n = len(gamma)
+    k = np.arange(1, n + 1)
+    c = 2.0 * gamma
+    return float(np.sum((4.0 / k - k * np.abs(c) ** 2) * (n - k + 1)))
+
+
+def _first_log_coefficients(f, n):
+    gamma = log_coefficients(f, n)
+    if n > len(gamma):
+        raise ValueError(f"only {len(gamma)} logarithmic coefficients available")
+    return gamma
 
 
 def milin_functional(f, n):
     """The double sum M_n = sum_{m<=n} sum_{k<=m} (k |gamma_k|^2 - 1/k)."""
-    gamma = log_coefficients(f, n)
-    if n > len(gamma):
-        raise ValueError(f"only {len(gamma)} logarithmic coefficients available")
-    return _milin_double_sum(gamma[:n])
+    return float(milin_double_sum(_first_log_coefficients(f, n)))
 
 
 def milin_weighted_form(f, n):
-    """sum_k (4/k - k |c_k|^2)(n - k + 1) with c_k = 2 gamma_k.
-
-    Equals -4 times the double-sum form; nonnegative exactly when the
-    Milin functional is nonpositive.
-    """
-    gamma = log_coefficients(f, n)
-    k = np.arange(1, n + 1)
-    c = 2.0 * gamma[:n]
-    return float(np.sum((4.0 / k - k * np.abs(c) ** 2) * (n - k + 1)))
+    """milin_weighted_sum of the first n logarithmic coefficients of f."""
+    return milin_weighted_sum(_first_log_coefficients(f, n))
 
 
 def lebedev_milin_check(alpha, n):

@@ -69,19 +69,13 @@ def _seminormalized_rows(N, x, kmax):
         yield row
 
 
-def _last_column(n, x, k):
-    """S_n^k(x), the entry k of the last row."""
-    for row in _seminormalized_rows(n, x, k):
-        pass
-    return row[..., k]
-
-
 def seminormalized_table(N, x):
     """S_n^k(x) for 0 <= k <= n <= N from one recurrence; needs |x| <= 1.
 
     Shape (N+1,) + x.shape + (N+1,), zeros at k > n.  Column k of the
-    recurrence does not depend on kmax, so entry [n, ..., k] equals
-    `_last_column(n, x, k)` bit for bit, and [n, ..., 0] equals P_n(x).
+    recurrence does not depend on kmax, so entry [n, ..., k] equals entry k
+    of row n of `_seminormalized_rows(n, x, k)` bit for bit, and [n, ..., 0]
+    equals P_n(x).
     """
     return np.array(list(_seminormalized_rows(N, x, N)))
 
@@ -243,22 +237,37 @@ def ode_residual(n, x):
 def addition_theorem_residual(theta1, theta2, phi, n):
     """|LHS - RHS| of the addition theorem, broadcast over the angles.
 
-    Every P_n^k(cos t1) and P_n^k(cos t2) comes from one recurrence each.
+    n is a degree or a 1-D array of them; an array gives shape n.shape +
+    the angles' shape, and each row is the value of its one degree bit for
+    bit (the orders k > n add exact zeros).  Every P_n^k(cos t1) and
+    P_n^k(cos t2), for all the degrees, comes from one recurrence each.
     """
+    degrees = np.asarray(n)
+    deg = degrees.ravel()
+    N = int(deg.max())
     c1, c2 = np.cos(theta1), np.cos(theta2)
     s1, s2 = np.sin(theta1), np.sin(theta2)
-    lhs = _last_column(n, c1 * c2 + s1 * s2 * np.cos(phi), 0)
-    row1, row2 = seminormalized_table(n, c1)[n], seminormalized_table(n, c2)[n]
+    # the degrees run along a trailing axis, which broadcasts past the angles'
+    x = c1 * c2 + s1 * s2 * np.cos(phi)
+    lhs = np.moveaxis(np.array([row[..., 0] for row in _seminormalized_rows(N, x, 0)])[deg], 0, -1)
+    row1 = np.moveaxis(seminormalized_table(N, c1)[deg], 0, -2)
+    row2 = np.moveaxis(seminormalized_table(N, c2)[deg], 0, -2)
+    phi = np.asarray(phi)[..., None]
     rhs = row1[..., 0] * row2[..., 0]
-    for k in range(1, n + 1):
+    for k in range(1, N + 1):
+        # assoc_scale(m, -k) and assoc_scale(m, k) for each degree m; 0 for k > m
+        lo, hi = np.array([
+            (assoc_scale(m, -k), assoc_scale(m, k)) if k <= m else (0.0, 0.0) for m in deg.tolist()
+        ]).T
         rhs = rhs + (
             2.0
             * (-1) ** k
-            * (row1[..., k] * assoc_scale(n, -k))
-            * (row2[..., k] * assoc_scale(n, k))
+            * (row1[..., k] * lo)
+            * (row2[..., k] * hi)
             * np.cos(k * phi)
         )
-    return np.abs(lhs - rhs)
+    out = np.moveaxis(np.abs(lhs - rhs), -1, 0)
+    return out.reshape(degrees.shape + out.shape[1:])
 
 
 def equal_angle_expansion(N, cos_theta):

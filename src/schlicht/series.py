@@ -46,13 +46,6 @@ class PowerSeries:
         c.flags.writeable = False
         self._c = c
 
-    # -- construction helpers -------------------------------------------
-    @classmethod
-    def one(cls, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = 1.0
-        return cls(c)
-
     # -- basic accessors -------------------------------------------------
     @property
     def coeffs(self):
@@ -79,18 +72,6 @@ class PowerSeries:
         if other.order != self.order:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
-    def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            self._check(other)
-            return PowerSeries(self._c + other._c)
-        if isinstance(other, numbers.Number):
-            c = self._c.copy()
-            c[0] += other
-            return PowerSeries(c)
-        return NotImplemented
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             self._check(other)
@@ -100,13 +81,6 @@ class PowerSeries:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PowerSeries):
-            return div(self, other)
-        if isinstance(other, numbers.Number):
-            return PowerSeries(self._c / other)
-        return NotImplemented
 
 
 # -- module-level operations ---------------------------------------------

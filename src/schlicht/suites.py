@@ -34,10 +34,13 @@ def suite_area(seed=0):
     rep.add("koebe-equality", abs(target - 1.0), 1e-12)
     rep.add("koebe-bound", target, 1.0)
     rng = uv.SeededDraws(seed)
-    for i in range(50):
+    rows = []
+    for _ in range(50):
         theta = float(rng.uniform(0, 2 * math.pi)) if rng.integers(0, 2) else 0.0
-        f = uv.from_quotient(0, float(rng.uniform(0.1, 0.95)), theta, order)
-        rep.add(f"random-{i:02d}", fn.area_sum(uv.to_sigma(f), order - 2), 1.0)
+        rows.append(uv.from_quotient(0, float(rng.uniform(0.1, 0.95)), theta, order).coeffs)
+    # every reciprocal in one long division
+    for i, b in enumerate(uv.to_sigma(np.array(rows))):
+        rep.add(f"random-{i:02d}", fn.area_sum(b, order - 2), 1.0)
     rep.meta["order"] = order
     return rep
 
@@ -110,22 +113,48 @@ def suite_robertson():
 def suite_milin(seed=0):
     order = 96
     rep = BoundReport("milin")
-    k = uv.koebe(order)
+    # one log series: gamma_k depends on the coefficients up to degree k only,
+    # so gamma_1..gamma_n of the series to N = 30 are those of the series to n
+    gk = fn.log_coefficients(uv.koebe(order), 30)
     for n in (1, 10, 30):
-        rep.add(f"koebe-zero-n={n}", abs(fn.milin_functional(k, n)), 1e-10)
+        rep.add(f"koebe-zero-n={n}", abs(fn.milin_double_sum(gk[:n])), 1e-10)
     rep.add("identity-n=1", abs(fn.milin_functional(uv.identity_map(order), 1) + 1.0), 1e-12)
     # the weighted form is -4 times the double sum
     for n in (5, 20):
-        m = fn.milin_functional(k, n)
-        wf = fn.milin_weighted_form(k, n)
+        m = fn.milin_double_sum(gk[:n])
+        wf = fn.milin_weighted_sum(gk[:n])
         rep.add(f"weighted-relation-n={n}", abs(wf + 4.0 * m), 1e-10)
-    # M_20 <= 0 up to roundoff: rotated Koebe draws reach +9.5e-14 (seeds < 1000)
+    # M_20 <= 0 up to roundoff: rotated Koebe draws reach +1.7e-14 (seeds < 1000);
+    # every draw's gamma_k in closed form from its pair, all sums in one pass
     rng = uv.SeededDraws(seed)
-    for i in range(100):
-        f = uv.random_class_s(rng, order)
-        rep.add(f"random-{i:03d}", fn.milin_functional(f, 20), 1e-12)
+    c, rho, theta = zip(*(uv.random_pair(rng) for _ in range(100)))
+    sums = fn.milin_double_sum(fn.pair_log_coefficients(c, rho, theta, 20))
+    for i, m in enumerate(sums.tolist()):
+        rep.add(f"random-{i:03d}", m, 1e-12)
     rep.meta["order"] = order
     return rep
+
+
+def _lebedev_milin_alphas(seed, trials):
+    """The seeded trials' alpha rows, as {n: (trials of length n, n) array}.
+
+    A trial is n = integers(1, 17), then uniform(-2, 2, n) for the real
+    parts and again for the imaginary parts; alpha is clamped to |alpha| <= 2.
+    Each trial's 2n values come as one array of raw draws r, and -2 + 4 r is
+    uniform's float, so the rows are the per-draw values bit for bit.
+    """
+    rng = uv.SeededDraws(seed)
+    draws = {}
+    for _ in range(trials):
+        n = int(rng.integers(1, 17))
+        draws.setdefault(n, []).append(rng.random(2 * n))
+    alphas = {}
+    for n, rows in draws.items():
+        x = -2 + 4 * np.array(rows)
+        alpha = x[:, :n] + 1j * x[:, n:]
+        scale = np.abs(alpha)
+        alphas[n] = np.where(scale > 2.0, alpha * 2.0 / scale, alpha)
+    return alphas
 
 
 def suite_lebedev_milin(seed=0):
@@ -140,18 +169,8 @@ def suite_lebedev_milin(seed=0):
         lhs, rhs = fn.lebedev_milin_check(alpha, n)
         rep.add(f"equality-case-lhs-n={n}", abs(lhs - (n + 1)), 1e-10)
         rep.add(f"equality-case-gap-n={n}", abs(rhs - lhs), 1e-10)
-    # draw every trial in turn, then check the trials of each length together
-    rng = uv.SeededDraws(seed)
-    draws = {}
-    for _ in range(trials):
-        n = int(rng.integers(1, 17))
-        draws.setdefault(n, []).append((rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)))
     worst = -math.inf
-    for parts in draws.values():
-        re, im = np.array(parts).transpose(1, 0, 2)
-        alpha = re + 1j * im
-        scale = np.abs(alpha)
-        alpha = np.where(scale > 2.0, alpha * 2.0 / scale, alpha)
+    for alpha in _lebedev_milin_alphas(seed, trials).values():
         lhs, rhs = fn.lebedev_milin_sides(alpha)
         worst = max(worst, *(a - b for a, b in zip(lhs, rhs)))
     rep.add("random-trials-max-violation", worst, 0.0)
@@ -184,10 +203,8 @@ def suite_legendre():
     rep.add("ode-residual", worst, 1e-9)
     t1s = np.linspace(0.1, math.pi - 0.1, 5)
     phis = 2 * math.pi * np.arange(8) / 8
-    worst = max(
-        np.max(lg.addition_theorem_residual(t1s[:, None, None], t1s[:, None], phis, n))
-        for n in range(1, 11)
-    )
+    degrees = np.arange(1, 11)
+    worst = np.max(lg.addition_theorem_residual(t1s[:, None, None], t1s[:, None], phis, degrees))
     rep.add("addition-theorem", worst, 1e-9)
     # orthogonality by 13-node Gauss-Legendre, exact for the products of
     # degree <= 24, so the case measures P_n and not its quadrature
@@ -270,11 +287,12 @@ def suite_loewner():
 
 def suite_weinstein():
     rep = BoundReport("weinstein")
-    worst, min_summand = ws.oracle_triangle([0.0, 0.5, 1.0, 2.0], 12)
+    times = (0.0, 0.5, 1.0, 2.0)
+    tables = [ws.lambda_rows(t, 12) for t in times]
+    worst, min_summand = ws.oracle_triangle(times, tables)
     rep.add("oracle-triangle", worst, 1e-8)
     rep.add("route-min-summand", 0.0, min_summand)
-    for t in (0.0, 0.5, 1.0, 2.0):
-        tab = ws.lambda_rows(t, 12)
+    for t, tab in zip(times, tables):
         nonneg = tab.min() >= -1e-12
         tri = np.all(np.abs(np.tril(tab, -1)) <= 1e-12)
         rep.add(f"lambda-nonneg-t={t}", 0.0 if nonneg else 1.0, 0.0)

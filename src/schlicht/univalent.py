@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from . import series as ps
-from .errors import ParamOutOfRange
+from .errors import NonFiniteCoefficients, ParamOutOfRange
 from .series import PowerSeries
 
 _NORM_TOL = 1e-10
@@ -72,7 +73,8 @@ def from_quotient(c, rho, theta, order):
     m = np.arange(order)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = rho ** m * np.exp(1j * theta * m)  # w^0 .. w^{order-1}
-        a = np.r_[0j, np.arange(1, order + 1) * powers]
+        a = np.zeros(order + 1, dtype=complex)
+        a[1:] = np.arange(1, order + 1) * powers
         if c != 0:
             a[2:] += c * m[1:] * powers[:-1]
     return ClassSFunction(PowerSeries(a))
@@ -117,9 +119,19 @@ def to_sigma(f):
 
     With F(u) = f(u)/u (unit constant term), 1/f(1/z) = z / F(1/z), so the
     reciprocal series R = 1/F carries the coefficients: b_n = R_{n+1}.
+    f is a ClassSFunction of order N, or a stack of the coefficient rows
+    c_0..c_N of such functions; a stack gives the stack of their b rows
+    from one long division, each row bit for bit the one-function value.
+    A row that overflows raises NonFiniteCoefficients.
     """
-    F = PowerSeries(f.coeffs[1:])  # f(u)/u, order n-1
-    return ps.div(PowerSeries.one(F.order), F).coeffs[1:]
+    F = np.asarray(getattr(f, "coeffs", f))[..., 1:]  # f(u)/u, order N-1
+    one = np.zeros_like(F)
+    one[..., 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _kernels.cauchy_div(one, F)
+    if not np.all(np.isfinite(R.view(float))):
+        raise NonFiniteCoefficients("coefficients must be finite")
+    return R[..., 1:]
 
 
 def odd_sqrt_transform(f):
@@ -182,12 +194,18 @@ class SeededDraws:
     Python keeps that sequence across versions (it makes no such promise
     for randrange, nor NumPy for its Generator streams), so a seed names the
     same draws on every Python and NumPy.  The methods take the arguments of
-    NumPy's Generator methods of the same names, so random_class_s takes
-    either.
+    NumPy's Generator methods of the same names, so random_pair takes
+    either.  `random(size)` gives the next size values as one array, so a
+    suite can scale a whole block of draws at once: low + (high - low) * r
+    over that array is `uniform(low, high, size)` float for float.
     """
 
     def __init__(self, seed):
         self._random = random.Random(seed).random
+
+    def random(self, size):
+        """The next size values of the sequence, as an array."""
+        return np.fromiter(iter(self._random, None), float, count=size)
 
     def integers(self, low, high):
         """An integer in [low, high)."""
@@ -200,13 +218,13 @@ class SeededDraws:
         return [low + (high - low) * self._random() for _ in range(size)]
 
 
-def random_class_s(rng, order):
+def random_pair(rng):
     """A random composition of two elementary transforms of the Koebe map.
 
-    Used by the randomized suites.  The transforms act on the pair (c, w)
-    of f = (z + c z^2)/(1 - w z)^2 and the series comes from it at the
-    end, so every coefficient is that of a univalent function up to
-    roundoff, at any order.
+    The transforms act on the pair (c, w) of f = (z + c z^2)/(1 - w z)^2,
+    so every coefficient is that of a univalent function up to roundoff, at
+    any order.  Returns (c, rho, theta) with w = rho e^{i theta}, the
+    arguments of from_quotient before the order.
     """
     c, w = KOEBE_CW
     for _ in range(2):
@@ -228,4 +246,9 @@ def random_class_s(rng, order):
             c, w = disk_automorphism((c, w), rad * complex(math.cos(ang), math.sin(ang)))
     # every transform keeps |w| <= 1, and a float |w| one ulp above 1
     # would grow to rho^1999 - 1 = 4.4e-13 at order 2000
-    return from_quotient(c, min(abs(w), 1.0), cmath.phase(w), order)
+    return c, min(abs(w), 1.0), cmath.phase(w)
+
+
+def random_class_s(rng, order):
+    """The series of one random_pair draw, to the given order."""
+    return from_quotient(*random_pair(rng), order)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from . import functionals as fn
 from . import legendre as lg
 from . import series as ps
@@ -94,14 +95,19 @@ def lambda_rows(t, N, max_k=None):
     R = P.copy()  # (1 - 2xz + z^2) / R
     R[1:] -= 2.0 * x * P[:-1]
     R[2:] += P[:-2]
-    D = PowerSeries(R) + PowerSeries(np.r_[1.0, -1.0, np.zeros(order - 1)])
-    w = PowerSeries(np.r_[0.0, 4.0 * s, np.zeros(order - 1)]) / (D * D)
-    S = PowerSeries(np.r_[0.0, np.cumsum(P[:order])])
+    one_minus_z = np.zeros(order + 1)
+    one_minus_z[:2] = 1.0, -1.0
+    D = (R + one_minus_z).astype(complex)  # R + 1 - z
+    four_sz = np.zeros(order + 1, dtype=complex)
+    four_sz[1] = 4.0 * s
+    w = _kernels.cauchy_div(four_sz, _kernels.cauchy_mul(D, D))
+    S = np.zeros(order + 1, dtype=complex)  # z/((1 - z) R)
+    S[1:] = np.cumsum(P[:order])
     rows = np.zeros((max_k + 1, N + 1), dtype=complex)
     for k in range(min(max_k, N) + 1):
         if k:
-            S = S * w
-        rows[k] = S.coeffs[1:]
+            S = _kernels.cauchy_mul(S, w)
+        rows[k] = S[1:]
     return _real(rows)
 
 
@@ -150,7 +156,9 @@ def lambda_legendre_route(t, N, max_k=None):
     if N > 500:
         raise ParamOutOfRange(f"the squared-Legendre route takes N in 0..500, got {N}")
     w = lg.equal_angle_expansion(N, math.sqrt(1.0 - math.exp(-t)))  # row i: degree i
-    spec = [np.r_[0.5 * row[i:0:-1], row[0], 0.5 * row[1 : i + 1]] for i, row in enumerate(w)]
+    spec = [
+        np.concatenate((0.5 * row[i:0:-1], row[:1], 0.5 * row[1 : i + 1])) for i, row in enumerate(w)
+    ]
     out = np.zeros((max(max_k, N) + 1, N + 1))
     for n in range(N + 1):
         out[: n + 1, n] = sum(np.convolve(spec[i], spec[n - i]) for i in range(n + 1))[n:]
@@ -164,15 +172,17 @@ def lambda_legendre_route(t, N, max_k=None):
     return out[: max_k + 1], min_summand
 
 
-def oracle_triangle(t_values, n_max):
-    """Max pairwise gap of the three routes over k <= n <= n_max.
+def oracle_triangle(t_values, tables):
+    """Max pairwise gap of the three routes over k <= n <= N.
 
-    Also returns the least summand of the squared-Legendre route.
+    tables holds lambda_rows(t, N) for each t of t_values, which callers
+    also read, so each is computed once.  Also returns the least summand of
+    the squared-Legendre route.
     """
     worst = 0.0
     min_summand = math.inf
-    for t in t_values:
-        sv = lambda_rows(t, n_max)
+    for t, sv in zip(t_values, tables):
+        n_max = sv.shape[1] - 1
         fv = lambda_fourier(t, n_max)
         lv, ms = lambda_legendre_route(t, n_max)
         gaps = np.maximum.reduce([np.abs(sv - fv), np.abs(sv - lv), np.abs(fv - lv)])

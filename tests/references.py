@@ -1,10 +1,11 @@
 """Reference routes that the tests hold the library to.
 
 No command or suite calls these, so they live with the tests: the series
-of z, rotation and dilation of a series (the route that
+of 1 and of z, rotation and dilation of a series (the route that
 ``univalent.from_quotient`` is held to), series exp, composition and
-compositional reversion, and the kernel coefficients one row at a time on
-the fixed-point transition series.  ``coeffs_close`` compares two series.
+compositional reversion, one entry of the Legendre recurrence, and the
+kernel coefficients one row at a time on the fixed-point transition
+series.  ``coeffs_close`` compares two series.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from schlicht import _kernels
+from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht import series as ps
 from schlicht import univalent as uv
@@ -32,6 +34,13 @@ def coeffs_close(a, b, tol=1e-12):
     """Whether two series of one order agree to tol in every coefficient."""
     assert a.order == b.order
     return float(np.max(np.abs(a.coeffs - b.coeffs))) <= tol
+
+
+def one(order):
+    """The series of 1."""
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = 1.0
+    return PowerSeries(c)
 
 
 def identity(order):
@@ -107,6 +116,13 @@ def revert(a):
     return PowerSeries(b)
 
 
+def last_column(n, x, k):
+    """S_n^k(x) from the recurrence run to degree n and order k only."""
+    for row in lg._seminormalized_rows(n, x, k):
+        pass
+    return row[..., k]
+
+
 def lambda_series(t, k, N):
     """Coefficients of z^1..z^{N+1} in e^t w^{k+1}/(1 - w^2), reindexed 0..N.
 
@@ -120,13 +136,13 @@ def lambda_series(t, k, N):
     order = N + 1
     w = lw.koebe_transition_series(t, order)
     num = math.exp(t) * _power(w, k + 1)
-    den = PowerSeries(PowerSeries.one(order).coeffs - (w * w).coeffs)
+    den = PowerSeries(one(order).coeffs - (w * w).coeffs)
     S = ps.div(num, den)
     return ws._real(S.coeffs[1:])
 
 
 def _power(w, m):
-    out = PowerSeries.one(w.order)
+    out = one(w.order)
     base = w
     while m:
         if m & 1:

@@ -165,10 +165,11 @@ def test_criterion_07_loewner():
 
 
 def test_criterion_08_oracle_triangle():
-    worst, min_summand = ws.oracle_triangle([0.0, 0.5, 1.0, 2.0], 12)
+    times = (0.0, 0.5, 1.0, 2.0)
+    worst, min_summand = ws.oracle_triangle(times, [ws.lambda_rows(t, 12) for t in times])
     ok = worst <= 1e-8 and min_summand >= 0.0
     min_lambda = math.inf
-    for t in (0.0, 0.5, 1.0, 2.0):
+    for t in times:
         min_lambda = min(min_lambda, float(ws.lambda_rows(t, 12).min()))
         ok &= max(
             abs(lambda_series(t, k, 10)[k] - math.exp(-k * t)) for k in range(1, 11)

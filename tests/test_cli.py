@@ -616,6 +616,16 @@ def test_trace_csv(tmp_path):
     assert len(lines) == 1 + 5 * 8  # 5 stored times, 8 grid points
 
 
+@pytest.mark.parametrize("nr, na", [(64, 64), (8, 8), (3, 5), (100, 37), (1, 1), (0, 4)])
+def test_polar_grid_is_radius_major_point_by_point(nr, na):
+    radii = np.linspace(0.1, 0.8, nr)
+    angles = 2 * np.pi * np.arange(na) / na
+    want = np.array([r * np.exp(1j * a) for r in radii for a in angles], dtype=complex)
+    got = cli._parse_grid(f"polar:{nr}x{na}")
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _trace_csv_oracle(ev):
     """The trace CSV as the per-element csv.writer + repr loop wrote it."""
     rows = []
@@ -983,6 +993,23 @@ def test_weinstein_lambda_oracles_check_every_column():
     assert len(data["values"]) == len(data["fourier"]) == len(data["legendre"]) == 41
 
 
+# -- the gate's cases and bounds ------------------------------------------------
+
+def test_gate_cases_and_bounds_are_the_recorded_ones():
+    # every (suite, id, rhs) of the seed-1 gate, as recorded in the fixture: a
+    # vanished, renamed or added case, or a moved bound, fails here
+    path = os.path.join(os.path.dirname(os.path.realpath(__file__)), "gate_bounds_seed1.json")
+    with open(path) as fh:
+        want = [tuple(t) for t in json.load(fh)]
+    got = [
+        (r["suite"], c["id"], c["rhs"])
+        for r in (rep.to_dict() for rep in suites.run_suite("all", seed=1))
+        for c in r["cases"]
+    ]
+    assert len(want) == 277
+    assert got == want
+
+
 # -- every function in src/ runs under some command -----------------------------
 
 # every command once: the gate, each single-case report, each table, a trace
@@ -1006,6 +1033,7 @@ _NEVER_RUN = {
     "loewner.koebe_transition_series": "the entry to the cache below",
     "loewner._transition_series_cached": "the benchmark harness reads its cache_info()",
     "series.PowerSeries.__repr__": "a series printed while debugging",
+    "univalent.random_class_s": "a per-layer benchmark metric reads it by name",
     "loewner.NumericChain.log_coeff": _A_K_ROW,
     "loewner.NumericChain.eval_at": _LIPSCHITZ,
 }

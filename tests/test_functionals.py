@@ -249,6 +249,49 @@ def test_milin_functional_identity():
     assert abs(fn.milin_functional(uv.identity_map(8), 1) + 1.0) < 1e-14
 
 
+def _pairs(seed, count=100):
+    rng = uv.SeededDraws(seed)
+    return [uv.random_pair(rng) for _ in range(count)]
+
+
+def test_pair_log_coefficients_match_the_series_route():
+    # the closed form against the log recurrence on the pair's series
+    worst = 0.0
+    for seed in range(5):
+        pairs = _pairs(seed)
+        gamma = fn.pair_log_coefficients(*zip(*pairs), 23)
+        for pair, row in zip(pairs, gamma):
+            want = fn.log_coefficients(uv.from_quotient(*pair, 24))
+            worst = max(worst, float(np.max(np.abs(row - want))))
+    assert worst <= 1e-12
+
+
+def test_pair_log_coefficients_of_one_pair():
+    # Koebe: gamma_k = 1/k; the identity: 0; z + c z^2: (-1)^{k+1} c^k/(2k)
+    k = np.arange(1, 9)
+    assert np.max(np.abs(fn.pair_log_coefficients(0, 1.0, 0.0, 8) - 1.0 / k)) < 1e-15
+    assert np.all(fn.pair_log_coefficients(0, 0.0, 0.0, 8) == 0)
+    c = 0.4 - 0.3j
+    got = fn.pair_log_coefficients(c, 0.0, 0.0, 8)
+    assert np.max(np.abs(got - (-1.0) ** (k + 1) * c**k / (2 * k))) < 1e-15
+
+
+def test_milin_double_sum_rows_of_a_stack_are_the_one_row_sums():
+    gamma = fn.pair_log_coefficients(*zip(*_pairs(1)), 20)
+    sums = fn.milin_double_sum(gamma)
+    for row, m in zip(gamma, sums.tolist()):
+        assert fn.milin_double_sum(row) == m
+
+
+def test_milin_suite_draws_are_the_pairs_milin_sums():
+    # the suite's batched lhs against milin_functional on each draw's series
+    rep = suites.suite_milin(seed=1)
+    got = [c.lhs for c in sorted(rep.cases, key=lambda c: c.id) if c.id.startswith("random-")]
+    want = [fn.milin_functional(uv.from_quotient(*pair, 96), 20) for pair in _pairs(1)]
+    assert len(got) == 100
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+
+
 def test_milin_functional_dilation_negative():
     assert fn.milin_functional(uv.from_quotient(0, 0.9, 0.0, 32), 10) < 0
 
@@ -315,6 +358,17 @@ def test_lebedev_milin_batched_worst_case_is_the_one_trial_worst_case():
         rep = suites.suite_lebedev_milin(seed)
         case = next(c for c in rep.cases if c.id == "random-trials-max-violation")
         assert case.lhs == worst, seed
+
+
+def test_lebedev_milin_alphas_are_the_per_draw_values():
+    for seed in range(5):
+        want = {}
+        for alpha, n in _lebedev_milin_trials(seed):
+            want.setdefault(n, []).append(alpha)
+        got = suites._lebedev_milin_alphas(seed, 1000)
+        assert list(got) == list(want)
+        for n, rows in want.items():
+            assert np.array_equal(np.array(rows).view(float), got[n].view(float)), (seed, n)
 
 
 def test_lebedev_milin_check_is_the_series_exp_value():

@@ -152,3 +152,37 @@ def _outcome(z0, kappa, h, stride, with_deriv):
     except Exception as exc:
         return type(exc), str(exc)
     return _bits(traj).tobytes(), None if dtraj is None else _bits(dtraj).tobytes()
+
+
+def _division_by_dot(a, b):
+    """Long division of one row, one np.dot per coefficient."""
+    q = np.empty(len(a), dtype=complex)
+    q[0] = a[0] / b[0]
+    for i in range(1, len(a)):
+        q[i] = (a[i] - np.dot(q[:i], b[i:0:-1])) / b[0]
+    return q
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows, n", [(50, 64), (7, 200), (3, 5), (4, 2), (2, 1)])
+def test_cauchy_div_rows_of_a_stack_are_the_one_row_quotients(rows, n):
+    rng = np.random.default_rng(rows * 1000 + n)
+    a = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    stacked = _kernels.cauchy_div(a, b)
+    for i in range(rows):
+        one = _kernels.cauchy_div(a[i], b[i])
+        assert np.array_equal(_bits(stacked[i]), _bits(one)), i
+        assert np.array_equal(_bits(one), _bits(_division_by_dot(a[i], b[i]))), i
+
+
+def test_cauchy_div_of_a_stack_divides_every_row():
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+    b[:, 0] += 4.0  # well away from a vanishing constant term
+    q = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+    a = np.array([_kernels.cauchy_mul(q[i], b[i]) for i in range(6)])
+    assert np.max(np.abs(_kernels.cauchy_div(a, b) - q)) < 1e-12

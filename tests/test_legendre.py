@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from references import last_column
 from schlicht import legendre as lg
 from schlicht.errors import (
     DegreeTooLarge,
@@ -93,10 +94,10 @@ def test_assoc_domain_guard():
 
 def test_value_outside_unit_interval():
     # column 0 alone is Bonnet's recurrence, which holds for every real x
-    assert lg._last_column(2, 1.5, 0) == 2.875
-    assert lg._last_column(3, 2.0, 0) == 17.0
-    assert lg._last_column(4, -2.0, 0) == 55.375
-    assert lg._last_column(64, 1.0 + 2**-52, 0) >= 1.0
+    assert last_column(2, 1.5, 0) == 2.875
+    assert last_column(3, 2.0, 0) == 17.0
+    assert last_column(4, -2.0, 0) == 55.375
+    assert last_column(64, 1.0 + 2**-52, 0) >= 1.0
 
 
 def test_negative_order_identity_against_direct_route():
@@ -277,26 +278,26 @@ def test_seminormalized_table_is_the_one_value_routes_bit_for_bit():
     for n in range(21):
         assert np.all(table[n, :, n + 1 :] == 0.0)
         for i, x in enumerate(xs):
-            assert table[n, i, 0] == lg._last_column(n, x, 0)
+            assert table[n, i, 0] == last_column(n, x, 0)
         for k in range(n + 1):
-            one = lg._last_column(n, xs, k)
+            one = last_column(n, xs, k)
             assert np.array_equal(table[n, :, k].view(np.uint64), one.view(np.uint64))
 
 
 def test_addition_theorem_residual_bitwise_against_per_order_values():
     # the residual as a sum of P_n^k values, one recurrence per order
     def assoc(n, m, x):
-        return lg._last_column(n, x, abs(m)) * lg.assoc_scale(n, m)
+        return last_column(n, x, abs(m)) * lg.assoc_scale(n, m)
 
     def per_order(theta1, theta2, phi, n):
         c1, c2 = np.cos(theta1), np.cos(theta2)
         s1, s2 = np.sin(theta1), np.sin(theta2)
-        rhs = lg._last_column(n, c1, 0) * lg._last_column(n, c2, 0)
+        rhs = last_column(n, c1, 0) * last_column(n, c2, 0)
         for k in range(1, n + 1):
             rhs = rhs + (
                 2.0 * (-1) ** k * assoc(n, -k, c1) * assoc(n, k, c2) * np.cos(k * phi)
             )
-        return np.abs(lg._last_column(n, c1 * c2 + s1 * s2 * np.cos(phi), 0) - rhs)
+        return np.abs(last_column(n, c1 * c2 + s1 * s2 * np.cos(phi), 0) - rhs)
 
     t = np.linspace(0.1, math.pi - 0.1, 5)
     phis = 2 * math.pi * np.arange(8) / 8
@@ -304,6 +305,21 @@ def test_addition_theorem_residual_bitwise_against_per_order_values():
         got = lg.addition_theorem_residual(t[:, None, None], t[:, None], phis, n)
         want = per_order(t[:, None, None], t[:, None], phis, n)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_addition_theorem_residual_over_degrees_is_the_one_degree_value():
+    t = np.linspace(0.1, math.pi - 0.1, 5)
+    phis = 2 * math.pi * np.arange(8) / 8
+    for degrees in (np.arange(1, 11), np.array([7, 0, 3, 20, 3]), np.array([5])):
+        got = lg.addition_theorem_residual(t[:, None, None], t[:, None], phis, degrees)
+        assert got.shape == degrees.shape + (5, 5, 8)
+        for n, row in zip(degrees.tolist(), got):
+            one = lg.addition_theorem_residual(t[:, None, None], t[:, None], phis, n)
+            assert np.array_equal(row.view(np.uint64), one.view(np.uint64)), n
+    # scalar angles broadcast too
+    got = lg.addition_theorem_residual(0.4, 1.2, 2.5, np.arange(8))
+    assert got.shape == (8,)
+    assert np.all(got < 1e-9)
 
 
 def test_schlafli_over_an_array_is_the_scalar_value():

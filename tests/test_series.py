@@ -10,6 +10,7 @@ from references import (
     compose,
     exp,
     identity,
+    one,
     revert,
 )
 from schlicht import series as ps
@@ -49,7 +50,7 @@ def test_div_recovers_koebe():
 def test_div_near_zero_unit_raises():
     b = PowerSeries([1e-15, 1.0, 0.0])
     with pytest.raises(DivisionByNonUnit):
-        ps.div(PowerSeries.one(2), b)
+        ps.div(one(2), b)
 
 
 def test_non_finite_coefficients_are_a_numeric_error():
@@ -67,7 +68,7 @@ def test_order_mismatch_raises():
 
 def test_exp_of_zero():
     e = exp(PowerSeries(np.zeros(6)))
-    assert coeffs_close(e, PowerSeries.one(5))
+    assert coeffs_close(e, one(5))
 
 
 def test_log_of_koebe_over_z():
@@ -85,7 +86,7 @@ def test_sqrt_perfect_square():
 
 def test_branch_point_errors():
     with pytest.raises(BranchPointAtOrigin):
-        exp(PowerSeries.one(3))
+        exp(one(3))
     with pytest.raises(BranchPointAtOrigin):
         ps.log(PowerSeries(np.zeros(4)))
     with pytest.raises(BranchPointAtOrigin):
@@ -117,7 +118,7 @@ def test_compose_log_with_half_z():
 
 def test_compose_inner_constant_raises():
     with pytest.raises(InnerNotVanishing):
-        compose(PowerSeries.one(2), PowerSeries.one(2))
+        compose(one(2), one(2))
 
 
 def test_revert_identity():
@@ -168,7 +169,10 @@ def test_ring_axioms(xs, ys, zs):
     assert coeffs_close(a * b, b * a, tol=1e-12 * scale)
     scale3 = max(scale * np.max(np.abs(c.coeffs)), 1.0)
     assert coeffs_close((a * b) * c, a * (b * c), tol=1e-12 * scale3)
-    assert coeffs_close(a * (b + c), a * b + a * c, tol=1e-12 * scale3)
+    def plus(p, q):
+        return PowerSeries(p.coeffs + q.coeffs)
+
+    assert coeffs_close(a * plus(b, c), plus(a * b, a * c), tol=1e-12 * scale3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,16 +2,17 @@ import cmath
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import coeffs_close, compose, dilation, identity, rotation
+from references import coeffs_close, compose, dilation, identity, one, rotation
 from schlicht import series as ps
 from schlicht import univalent as uv
-from schlicht.errors import ParamOutOfRange
+from schlicht.errors import NonFiniteCoefficients, ParamOutOfRange
 from schlicht.series import PowerSeries
 
 
@@ -123,13 +124,36 @@ def test_to_sigma_quadratic_coefficients():
     assert abs(b[1] + c) < 1e-14
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_to_sigma_rows_of_a_stack_are_the_one_function_values():
+    rng = uv.SeededDraws(4)
+    fs = [uv.random_class_s(rng, 40) for _ in range(30)]
+    stacked = uv.to_sigma(np.array([f.coeffs for f in fs]))
+    assert stacked.shape == (30, 39)  # b_0..b_38 from c_0..c_40
+    for f, b in zip(fs, stacked):
+        assert np.array_equal(_bits(b), _bits(uv.to_sigma(f)))
+
+
+def test_to_sigma_of_an_overflowing_row_is_a_numeric_error():
+    rows = np.zeros((2, 4), dtype=complex)
+    rows[:, 1] = 1.0
+    rows[1, 2] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCoefficients, match="coefficients must be finite"):
+            uv.to_sigma(rows)
+
+
 def _from_sigma(b, order):
     """The class-S series whose inversion has the coefficients b_0, b_1, ..., to the given order."""
     R = np.zeros(order, dtype=complex)
     R[0] = 1.0
     m = min(len(b), order - 1)
     R[1 : 1 + m] = b[:m]
-    F = ps.div(PowerSeries.one(order - 1), PowerSeries(R))
+    F = ps.div(one(order - 1), PowerSeries(R))
     c = np.concatenate(([0.0], F.coeffs))
     return uv.ClassSFunction(PowerSeries(c))
 
@@ -260,6 +284,27 @@ def test_seeded_draws_for_seed_1_are_pinned():
     expected = (3, [-2 + 4 * r[1], -2 + 4 * r[2]], 0.1 + (0.95 - 0.1) * r[3], 1)
     assert expected[0] == 1 + int(16 * r[0]) and expected[3] == int(4 * r[4])
     assert proc.stdout.strip() == repr(expected)
+
+
+def test_random_class_s_is_the_series_of_its_pair():
+    # the same draws in the same order: the generators stay in step
+    for make in (uv.SeededDraws, np.random.default_rng):
+        for seed in range(3):
+            one, two = make(seed), make(seed)
+            for _ in range(100):
+                f = uv.random_class_s(one, 96)
+                g = uv.from_quotient(*uv.random_pair(two), 96)
+                assert np.array_equal(_bits(f.coeffs), _bits(g.coeffs))
+            assert one.uniform(0, 1) == two.uniform(0, 1)
+
+
+def test_seeded_draws_random_scales_to_uniform():
+    for low, high in ((-2, 2), (0.1, 0.95), (0, 2 * math.pi), (0.3, 0.95)):
+        for size in (1, 2, 17):
+            one, two = uv.SeededDraws(size), uv.SeededDraws(size)
+            got = (low + (high - low) * one.random(size)).tolist()
+            assert got == two.uniform(low, high, size)
+            assert one.integers(0, 4) == two.integers(0, 4)
 
 
 # -- the Taylor-shift route that random_class_s used before the closed form --

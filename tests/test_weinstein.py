@@ -60,7 +60,8 @@ def test_legendre_route_values():
 
 
 def test_oracle_triangle_grid():
-    worst, min_summand = ws.oracle_triangle([0.0, 0.5, 1.0, 2.0], 8)
+    times = (0.0, 0.5, 1.0, 2.0)
+    worst, min_summand = ws.oracle_triangle(times, [ws.lambda_rows(t, 8) for t in times])
     assert worst < 1e-8
     assert min_summand >= 0.0
 
@@ -285,7 +286,7 @@ def test_routes_return_the_lambda_rows_table():
 
 def test_oracle_triangle_accurate_at_n_40():
     # the squared-Legendre route keeps roundoff accuracy at large n
-    worst, min_summand = ws.oracle_triangle([0.5], 40)
+    worst, min_summand = ws.oracle_triangle([0.5], [ws.lambda_rows(0.5, 40)])
     assert worst <= 1e-12
     assert min_summand >= 0.0
 
@@ -369,7 +370,7 @@ def test_legendre_route_bitwise_against_the_scalar_loop():
 
 
 def test_oracle_triangle_accurate_at_n_200():
-    worst, min_summand = ws.oracle_triangle([0.5], 200)
+    worst, min_summand = ws.oracle_triangle([0.5], [ws.lambda_rows(0.5, 200)])
     assert worst <= 1e-12
     assert min_summand >= 0.0
 
