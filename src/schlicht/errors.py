@@ -10,10 +10,6 @@ class OrderMismatch(SchlichtError):
     pass
 
 
-class DivisionByNonUnit(SchlichtError):
-    pass
-
-
 class BranchPointAtOrigin(SchlichtError):
     pass
 

@@ -271,7 +271,9 @@ class KoebeChain:
     The chain e^t f of the starlike f = z/(1 - wz)^2: Koebe's (constant
     driving -1) at w = 1, the identity's at w = 0.  In closed form,
     p = f/(z f') = (1 - wz)/(1 + wz), c_k = 2 w^k/k and f_s = f_t o phi
-    with phi(z) = W_{t-s}(wz)/w, W the koebe_transition flow.
+    with phi(z) = W_{t-s}(wz)/w, W the koebe_transition flow.  The Taylor
+    coefficients of p and the c_k come as arrays, w^m in polar form as
+    univalent.from_quotient takes it.
     """
 
     def __init__(self, rho=1.0, theta=0.0):
@@ -282,8 +284,6 @@ class KoebeChain:
 
     def series_at(self, t, order):
         return PowerSeries(math.exp(t) * uv.from_quotient(0, self.rho, self.theta, order).coeffs)
-
-    dt_series_at = series_at  # df/dt = f
 
     def eval_at(self, z, t):
         return math.exp(t) * (z / (1.0 - self.w * z) ** 2)
@@ -301,8 +301,17 @@ class KoebeChain:
             raise DerivativeUnderflow("z f'(z) vanished")
         return np.where(z == 0, 1.0, (1.0 - wz) / (1.0 + wz))
 
-    def log_coeff(self, t, k):
-        return 2.0 * self.rho**k * cmath.exp(1j * self.theta * k) / k
+    def herglotz_coeffs(self, t, order):
+        """p_0..p_order of p = (1 - wz)/(1 + wz): p_0 = 1, p_m = 2(-rho)^m e^{im theta}."""
+        m = np.arange(order + 1)
+        p = 2.0 * (-self.rho) ** m * np.exp(1j * self.theta * m)
+        p[0] = 1.0
+        return p
+
+    def log_coeffs(self, t, N):
+        """c_1..c_N of log(f_t(z)/(e^t z)): c_k = 2 rho^k e^{ik theta}/k."""
+        k = np.arange(1, N + 1)
+        return 2.0 * self.rho**k * np.exp(1j * self.theta * k) / k
 
     def transition(self, z, s, t):
         if self.rho == 0.0:
@@ -390,16 +399,13 @@ class NumericChain:
         """Circle-sampled Fourier fit of f_t (least squares on the circle).
 
         The 1/0.4^k amplification makes high modes meaningless, so
-        the fitted order is capped; use eval_at for pointwise values.
+        the fitted order is capped.
         """
         t, r, Q = self._fit_circle(t, order)
         vals, _ = self._circle(t, r, Q)
         modes = np.fft.fft(vals) / Q
         k = np.arange(order + 1)
         return PowerSeries(modes[: order + 1] / r**k)
-
-    def eval_at(self, z, t):
-        return complex(self._flow_from(np.array([z], dtype=complex), t)[0])
 
     def p_on_circle(self, t, r, Q):
         """p on Q equally spaced points of |z| = r at time t, and the points.
@@ -439,9 +445,8 @@ class NumericChain:
             p[i], z[i] = (dft / zdfz)[::step], z1[::step]
         return p.reshape(t.shape + (Q,)), z.reshape(t.shape + (Q,))
 
-    def log_coeff(self, t, k):
-        c = chain_log_coeffs(self, t, max(k + 2, 12), cross_check=False)
-        return c[k - 1]
+    def log_coeffs(self, t, N):
+        return chain_log_coeffs(self, t, max(N + 2, 12), cross_check=False)[:N]
 
 
 def make_chain(name):

@@ -8,10 +8,10 @@ simply not allowed.
 
 Coefficients are double-precision complex and finite: a series that
 overflows raises NonFiniteCoefficients, a numeric error, and the recurrences
-that can overflow (div, log, sqrt) run with NumPy's overflow and invalid-value
+that can overflow (log, sqrt) run with NumPy's overflow and invalid-value
 warnings off, so that error is all a caller sees.  One near-singular
-threshold, 1e-12, guards division and the anchored constant terms of log
-and sqrt.
+threshold, 1e-12, guards the anchored constant terms of log and sqrt.
+Division works on coefficient arrays (``_kernels.cauchy_div``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     BranchPointAtOrigin,
-    DivisionByNonUnit,
     NonFiniteCoefficients,
     OrderMismatch,
     RadiusExceeded,
@@ -84,16 +83,6 @@ class PowerSeries:
 
 
 # -- module-level operations ---------------------------------------------
-
-def div(a, b):
-    """Quotient d with mul(d, b) == a up to the shared order."""
-    a._check(b)
-    if abs(b[0]) < _EPS_UNIT:
-        raise DivisionByNonUnit(f"|b0| = {abs(b[0]):.3e} below threshold {_EPS_UNIT:.1e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = _kernels.cauchy_div(a.coeffs, b.coeffs)
-    return PowerSeries(q)
-
 
 def log(a):
     """Principal log of a series with a.c0 = 1."""

@@ -310,7 +310,7 @@ def suite_weinstein():
     limit = ws.a_k_pairing(kc, 0.5, 6)
     for k in range(1, 7):
         rep.add(f"a{k}-monotone", float(np.max(np.diff(ladder[:, k - 1]))), 0.0)
-        rep.add(f"a{k}-limit", abs(float(limit[k - 1])), 1e-10)
+        rep.add(f"a{k}-limit", abs(float(limit[k - 1])), 1e-12)
     # generating identity
     sub = ws.milin_generating_identity(uv.koebe(24), 20, [0.0, 0.3, 0.5, 0.2j - 0.1])
     rep.add("generating-identity-koebe", float(len(sub.failures)), 0.0)
@@ -320,11 +320,11 @@ def suite_weinstein():
     n = 20
     res = ws.milin_decomposition_check(kc, n=n)
     rep.add("decomposition-koebe-lhs", abs(res.lhs), 1e-10)
-    rep.add("decomposition-koebe-rhs-limit", abs(res.rhs_extrapolated), 1e-10)
-    rep.add("decomposition-koebe-min-g", -1e-8, res.min_g)
+    rep.add("decomposition-koebe-rhs-limit", abs(res.rhs_extrapolated), 1e-12)
+    rep.add("decomposition-koebe-min-g", -1e-12, res.min_g)
     res2 = ws.milin_decomposition_check(lw.KoebeChain(rho=0.0), n=n)
     rep.add("decomposition-identity-relative", res2.residual / abs(res2.lhs), 1e-12)
-    rep.add("decomposition-identity-min-g", -1e-8, res2.min_g)
+    rep.add("decomposition-identity-min-g", -1e-12, res2.min_g)
     rep.meta["decomposition_koebe"] = res.to_dict()
     rep.meta["decomposition_identity"] = res2.to_dict()
     return rep

@@ -26,7 +26,8 @@ are taken exactly:
 
 * r -> 1: the weight is |X|^2 with X a polynomial of degree k, so the mean
   of Re p |X|^2 pairs the Taylor coefficients p_0..p_k of the Herglotz
-  function with the autocorrelation of X's coefficients (a_k_pairing).
+  function, which the chain gives in closed form, with the autocorrelation
+  of X's coefficients; one convolution serves every k (a_k_pairing).
   That finite sum is a polynomial in r, and its value at r = 1 is the limit.
   The circle quadrature _a_k_row stays as its oracle at r < 1.
 * t -> infinity: L[k][n] is a polynomial in s = e^{-t} of degree <= n with
@@ -242,51 +243,37 @@ def _a_k_row(chain, t, r, Q, kmax):
     rep = p.real
     out = np.empty(kmax)
     C2 = np.full(Q, 2.0, dtype=complex)  # 2 * C0k, grown incrementally
-    for k in range(1, kmax + 1):
-        lc = chain.log_coeff(t, k)
+    for k, lc in enumerate(chain.log_coeffs(t, kmax), 1):
         C2 += 2.0 * k * lc * z1**k
         X = C2 - k * lc * z1**k
         out[k - 1] = np.mean(rep * np.abs(X) ** 2)
     return out
 
 
-def herglotz_coeffs(chain, t, order):
-    """Taylor coefficients p_0..p_order of p = (df/dt)/(z df/dz) at time t.
+def a_k_pairing(chain, t, kmax, r=1.0):
+    """A_k(r) for k = 1..kmax as finite sums; exact at every r <= 1.
 
-    One series division; needs a chain with closed-form series in z and t.
+    On |z| = r the mean of p |X|^2 keeps only the terms p_m r^m conj(a_m),
+    with a_m the autocorrelation of X's coefficients scaled by r^j.  Let
+    z_0 = 2 and z_j = 2 j c_j r^j: X = 2 C0k - k c_k z^k has z_0..z_{k-1},
+    z_k/2.  With pr_m = conj(p_m) r^m (pr_0 real) and conv = pr * conj(z),
+    one convolution for every k,
+    A_k(r) = Re[cumsum(z conv)_k - z_k conv_k/2] - pr_0 |z_k|^2/4.
+    Needs a chain with closed-form Herglotz coefficients.
     """
-    if not hasattr(chain, "dt_series_at"):
+    if not hasattr(chain, "herglotz_coeffs"):
         raise ChainUnavailable(
-            f"{type(chain).__name__} has no closed-form time derivative; "
+            f"{type(chain).__name__} has no closed-form Herglotz function; "
             "the exact boundary pairing needs one"
         )
-    m = np.arange(order + 2)
-    zfz = chain.series_at(t, order + 1).coeffs * m
-    dft = chain.dt_series_at(t, order + 1).coeffs
-    return ps.div(PowerSeries(dft[1:]), PowerSeries(zfz[1:])).coeffs
-
-
-def a_k_pairing(chain, t, kmax, r=1.0):
-    """A_k(r) for k = 1..kmax as a finite sum; exact at every r <= 1.
-
-    X = 2 C0k - k c_k z^k has coefficients x_0..x_k, so on |z| = r the mean
-    of p |X|^2 keeps only the terms p_m r^m conj(a_m) with a_m the
-    autocorrelation sum_j conj(y_j) y_{j+m}, y_j = x_j r^j.  Hence
-    A_k(r) = Re(p_0) a_0 + sum_{m=1..k} Re(conj(p_m) a_m) r^m.
-    """
-    p = herglotz_coeffs(chain, t, kmax)
     rm = r ** np.arange(kmax + 1)
-    pr = np.conj(p) * rm
-    pr[0] = p[0].real
-    y = np.zeros(kmax + 1, dtype=complex)
-    y[0] = 2.0
-    out = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        y[k] = k * chain.log_coeff(t, k) * rm[k]  # 2 k c_k - k c_k
-        a = np.correlate(y[: k + 1], y[: k + 1], "full")[k:]
-        out[k - 1] = float(np.dot(pr[: k + 1], a).real)
-        y[k] *= 2.0  # 2 k c_k, the coefficient in 2 C0k for the next k
-    return out
+    pr = np.conj(chain.herglotz_coeffs(t, kmax)) * rm
+    pr[0] = pr[0].real
+    z = np.empty(kmax + 1, dtype=complex)
+    z[0] = 2.0
+    z[1:] = 2.0 * np.arange(1, kmax + 1) * chain.log_coeffs(t, kmax) * rm[1:]
+    zc = z * np.convolve(pr, np.conj(z))[: kmax + 1]
+    return (np.cumsum(zc) - zc / 2.0 - pr[0] * np.abs(z) ** 2 / 4.0).real[1:]
 
 
 @dataclass

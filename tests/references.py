@@ -2,10 +2,12 @@
 
 No command or suite calls these, so they live with the tests: the series
 of 1 and of z, rotation and dilation of a series (the route that
-``univalent.from_quotient`` is held to), series exp, composition and
-compositional reversion, one entry of the Legendre recurrence, and the
-kernel coefficients one row at a time on the fixed-point transition
-series.  ``coeffs_close`` compares two series.
+``univalent.from_quotient`` is held to), series division, exp,
+composition and compositional reversion, one entry of the Legendre
+recurrence, the kernel coefficients one row at a time on the fixed-point
+transition series, and the Herglotz coefficients from the Loewner PDE
+(the route that ``KoebeChain.herglotz_coeffs`` is held to).
+``coeffs_close`` compares two series.
 """
 
 import math
@@ -20,6 +22,10 @@ from schlicht import univalent as uv
 from schlicht import weinstein as ws
 from schlicht.errors import BranchPointAtOrigin, ParamOutOfRange, SchlichtError
 from schlicht.series import PowerSeries
+
+
+class DivisionByNonUnit(SchlichtError):
+    pass
 
 
 class InnerNotVanishing(SchlichtError):
@@ -67,6 +73,14 @@ def dilation(f, r):
     c = f.coeffs * r ** (n - 1.0)
     c[0] = 0.0
     return uv.ClassSFunction(PowerSeries(c))
+
+
+def div(a, b):
+    """Quotient d with d * b == a up to the shared order."""
+    a._check(b)
+    if abs(b[0]) < ps._EPS_UNIT:
+        raise DivisionByNonUnit(f"|b0| = {abs(b[0]):.3e} below threshold {ps._EPS_UNIT:.1e}")
+    return PowerSeries(_kernels.cauchy_div(a.coeffs, b.coeffs))
 
 
 def exp(a):
@@ -137,8 +151,21 @@ def lambda_series(t, k, N):
     w = lw.koebe_transition_series(t, order)
     num = math.exp(t) * _power(w, k + 1)
     den = PowerSeries(one(order).coeffs - (w * w).coeffs)
-    S = ps.div(num, den)
+    S = div(num, den)
     return ws._real(S.coeffs[1:])
+
+
+def herglotz_coeffs(chain, t, order):
+    """Taylor coefficients p_0..p_order of p = (df/dt)/(z df/dz) at time t.
+
+    The Loewner PDE df/dt = z f' p read as one series division.  Every
+    KoebeChain is e^t f_0, so df/dt is the chain series itself.  The
+    divisor's coefficients grow like m^2 at rho = 1, and so does the error
+    of the quotient.
+    """
+    m = np.arange(order + 2)
+    f = chain.series_at(t, order + 1).coeffs
+    return div(PowerSeries(f[1:]), PowerSeries((f * m)[1:])).coeffs
 
 
 def _power(w, m):

@@ -1026,7 +1026,6 @@ _EVERY_COMMAND = (
 
 # the functions none of those commands runs, each with the reason it stays
 _A_K_ROW = "chain interface: _a_k_row calls it on KoebeChain"
-_LIPSCHITZ = "chain interface: lipschitz_bound_check calls it on KoebeChain"
 _NEVER_RUN = {
     "_kernels.compose": "the benchmark harness wraps it by name",
     "_kernels._drhs": "rk4_loewner's with_deriv branch, kept for the harness's 5-argument call",
@@ -1034,8 +1033,7 @@ _NEVER_RUN = {
     "loewner._transition_series_cached": "the benchmark harness reads its cache_info()",
     "series.PowerSeries.__repr__": "a series printed while debugging",
     "univalent.random_class_s": "a per-layer benchmark metric reads it by name",
-    "loewner.NumericChain.log_coeff": _A_K_ROW,
-    "loewner.NumericChain.eval_at": _LIPSCHITZ,
+    "loewner.NumericChain.log_coeffs": _A_K_ROW,
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import coeffs_close, compose, dilation, identity, one, rotation
+from references import coeffs_close, compose, dilation, div, identity, one, rotation
 from schlicht import series as ps
 from schlicht import univalent as uv
 from schlicht.errors import NonFiniteCoefficients, ParamOutOfRange
@@ -153,7 +153,7 @@ def _from_sigma(b, order):
     R[0] = 1.0
     m = min(len(b), order - 1)
     R[1 : 1 + m] = b[:m]
-    F = ps.div(one(order - 1), PowerSeries(R))
+    F = div(one(order - 1), PowerSeries(R))
     c = np.concatenate(([0.0], F.coeffs))
     return uv.ClassSFunction(PowerSeries(c))
 
@@ -249,7 +249,7 @@ def test_from_quotient_is_the_series_quotient(c_abs, c_arg, rho, theta):
     num[1:3] = 1.0, c
     den = np.zeros(order + 1, dtype=complex)
     den[:3] = 1.0, -2.0 * w, w * w
-    want = ps.div(PowerSeries(num), PowerSeries(den)).coeffs
+    want = div(PowerSeries(num), PowerSeries(den)).coeffs
     got = uv.from_quotient(c, rho, theta, order).coeffs
     n = np.arange(order + 1)
     assert np.all(np.abs(got - want) <= 1e-12 * n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from references import lambda_series
+from references import herglotz_coeffs, lambda_series
 from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht.errors import (
@@ -122,10 +122,22 @@ def test_lambda_rows_at_t_zero_exact():
 
 
 def test_herglotz_coeffs_koebe():
-    # p = (1 - z)/(1 + z) = 1 - 2z + 2z^2 - ...
-    p = ws.herglotz_coeffs(lw.KoebeChain(), 0.8, 8)
+    # p = (1 - z)/(1 + z) = 1 - 2z + 2z^2 - ..., bit for bit
+    p = lw.KoebeChain().herglotz_coeffs(0.8, 8)
     want = np.r_[1.0, -2.0 * (-1.0) ** np.arange(8)]
-    assert np.max(np.abs(p - want)) < 1e-13
+    assert np.array_equal(p, want)
+
+
+@pytest.mark.parametrize("rho, theta", [(1.0, 0.0), (1.0, 2.5), (0.5, 0.0), (0.9, 0.7), (0.0, 0.0)])
+def test_herglotz_coeffs_solve_the_loewner_pde(rho, theta):
+    # the closed form against (df/dt)/(z f') by series division; the
+    # divisor's coefficients grow like m^2 at rho = 1, and the division's
+    # error with them: 7.2e-12 = 1.8e-14 m^2 at m = 20, rho = 1, theta = 2.5
+    chain = lw.KoebeChain(rho, theta)
+    m = np.arange(21)
+    for t in (0.0, 0.7):
+        err = np.abs(herglotz_coeffs(chain, t, 20) - chain.herglotz_coeffs(t, 20))
+        assert np.all(err <= 1e-13 * np.maximum(m, 1) ** 2)
 
 
 def test_pairing_matches_quadrature_oracle():
@@ -148,6 +160,11 @@ def test_pairing_limits_at_r_one():
             want = 4.0 * (1.0 - rho ** (2 * np.arange(1, 13)))
             got = ws.a_k_pairing(lw.KoebeChain(rho, theta), t, 12)
             assert np.max(np.abs(got - want)) <= 1e-12
+    # the closed-form p keeps the limits at kmax = 300
+    for rho, theta in ((1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.9, 0.7)):
+        want = 4.0 * (1.0 - rho ** (2 * np.arange(1, 301)))
+        got = ws.a_k_pairing(lw.KoebeChain(rho, theta), 0.5, 300)
+        assert np.max(np.abs(got - want)) <= 1e-11
 
 
 def test_a_k_trivial_chain_is_four():
@@ -220,10 +237,13 @@ def test_decomposition_of_a_dilated_koebe_chain(rho, theta):
         assert res.residual <= 1e-12 * max(abs(res.lhs), 1.0)
         assert res.min_g > 0.0
 
-@pytest.mark.parametrize("n", [6, 20, 40])
+@pytest.mark.parametrize("n", [6, 20, 40, 100])
 def test_decomposition_exact_at_large_n(n):
+    # Koebe's g_n is exactly 0, and with the closed-form Herglotz
+    # coefficients the right side and min_g stay at roundoff as n grows
     res = ws.milin_decomposition_check(lw.KoebeChain(), n=n)
-    assert abs(res.rhs_extrapolated) <= 1e-10
+    assert abs(res.rhs_extrapolated) <= 1e-12
+    assert res.min_g >= -1e-12
     res = ws.milin_decomposition_check(lw.KoebeChain(rho=0.0), n=n)
     assert res.residual / res.lhs <= 1e-12
     assert res.nodes == n // 2 + 2
@@ -266,7 +286,7 @@ def test_decomposition_numeric_chain_smoke():
     got = ws._a_k_row(ch, 0.5, 0.9, 64, 2)
     want = ws._a_k_row(lw.KoebeChain(), 0.5, 0.9, 64, 2)
     assert np.max(np.abs(got - want)) < 5e-3
-    # the exact route needs closed-form series in t, which numeric chains lack
+    # the exact route needs closed-form Herglotz coefficients, which numeric chains lack
     with pytest.raises(ChainUnavailable):
         ws.milin_decomposition_check(ch, n=2)
 
