@@ -156,14 +156,14 @@ def pair_log_coefficients(c, rho, theta, N):
     """gamma_1..gamma_N of (z + c z^2)/(1 - w z)^2, w = rho e^{i theta}, in closed form.
 
     log(f(z)/z) = log(1 + c z) - 2 log(1 - w z), so
-    gamma_k = ((-1)^{k+1} c^k + 2 w^k)/(2k), with w^k = rho^k e^{ik theta}
-    in polar form as from_quotient takes it.  c, rho and theta are numbers
-    or sequences of one length, one pair each; a sequence gives one row of
-    gamma per pair.
+    gamma_k = ((-1)^{k+1} c^k + 2 w^k)/(2k), with w^k from
+    univalent.polar_powers as from_quotient takes it.  c, rho and theta are
+    numbers or sequences of one length, one pair each; a sequence gives one
+    row of gamma per pair.
     """
     c, rho, theta = (np.asarray(v)[..., None] for v in (c, rho, theta))
     k = np.arange(1, N + 1)
-    return (2 * rho**k * np.exp(1j * theta * k) - (-c) ** k) / (2 * k)
+    return (uv.polar_powers(2, rho, theta, k) - (-c) ** k) / (2 * k)
 
 
 def milin_double_sum(gamma):

@@ -272,8 +272,8 @@ class KoebeChain:
     driving -1) at w = 1, the identity's at w = 0.  In closed form,
     p = f/(z f') = (1 - wz)/(1 + wz), c_k = 2 w^k/k and f_s = f_t o phi
     with phi(z) = W_{t-s}(wz)/w, W the koebe_transition flow.  The Taylor
-    coefficients of p and the c_k come as arrays, w^m in polar form as
-    univalent.from_quotient takes it.
+    coefficients of p and the c_k come as arrays, w^m from
+    univalent.polar_powers as univalent.from_quotient takes it.
     """
 
     def __init__(self, rho=1.0, theta=0.0):
@@ -303,15 +303,14 @@ class KoebeChain:
 
     def herglotz_coeffs(self, t, order):
         """p_0..p_order of p = (1 - wz)/(1 + wz): p_0 = 1, p_m = 2(-rho)^m e^{im theta}."""
-        m = np.arange(order + 1)
-        p = 2.0 * (-self.rho) ** m * np.exp(1j * self.theta * m)
+        p = uv.polar_powers(2.0, -self.rho, self.theta, np.arange(order + 1))
         p[0] = 1.0
         return p
 
     def log_coeffs(self, t, N):
         """c_1..c_N of log(f_t(z)/(e^t z)): c_k = 2 rho^k e^{ik theta}/k."""
         k = np.arange(1, N + 1)
-        return 2.0 * self.rho**k * np.exp(1j * self.theta * k) / k
+        return uv.polar_powers(2.0, self.rho, self.theta, k) / k
 
     def transition(self, z, s, t):
         if self.rho == 0.0:

@@ -59,24 +59,36 @@ class ClassSFunction:
 # such subject's series comes from one formula with no truncation error at
 # any order.
 
+def polar_powers(a, rho, theta, m):
+    """a w^m = (a rho^m) e^{i m theta} for w = rho e^{i theta}, in polar form.
+
+    The complex power w ** m drifts from this by 1.2e-10 at m = 2000.  The
+    real factor a multiplies rho^m before the angle does, so a factor of 2
+    costs no rounding even where rho^m is subnormal.  rho, theta and m
+    broadcast.  An angle so large that m theta overflows has no finite
+    power and raises NonFiniteCoefficients.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = a * rho**m * np.exp(1j * theta * m)
+    if not np.all(np.isfinite(powers.view(float))):
+        raise NonFiniteCoefficients("coefficients must be finite")
+    return powers
+
+
 def from_quotient(c, rho, theta, order):
     """(z + c z^2)/(1 - w z)^2, w = rho e^{i theta}, to the given order.
 
-    a_n = n w^{n-1} + c (n-1) w^{n-2}, with w^m = rho^m e^{i m theta} in
-    polar form; the complex power w ** m drifts from that by 1.2e-10 at
-    order 2000.  At c = 0 the c-term is skipped, so z/(1 - w z)^2 takes no
-    rounding from it.  An angle so large that m theta overflows leaves NaN
-    coefficients, which PowerSeries rejects as a numeric error.
+    a_n = n w^{n-1} + c (n-1) w^{n-2}, with w^m from polar_powers.  At c = 0
+    the c-term is skipped, so z/(1 - w z)^2 takes no rounding from it.
     """
     if order < 1:
         raise ParamOutOfRange("order must be >= 1")
     m = np.arange(order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = rho ** m * np.exp(1j * theta * m)  # w^0 .. w^{order-1}
-        a = np.zeros(order + 1, dtype=complex)
-        a[1:] = np.arange(1, order + 1) * powers
-        if c != 0:
-            a[2:] += c * m[1:] * powers[:-1]
+    powers = polar_powers(1.0, rho, theta, m)  # w^0 .. w^{order-1}
+    a = np.zeros(order + 1, dtype=complex)
+    a[1:] = np.arange(1, order + 1) * powers
+    if c != 0:
+        a[2:] += c * m[1:] * powers[:-1]
     return ClassSFunction(PowerSeries(a))
 
 

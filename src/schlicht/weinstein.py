@@ -7,11 +7,16 @@ k = 0..max_k, columns n = 0..N) in one pass from (t, N, max_k=None); the
 last two are oracles for the first, compared by oracle_triangle:
 
 * series route    -- lambda_rows, from closed forms of e^t w/(1 - w^2) and
-  w, then repeated multiplication by w;
+  w, then repeated multiplication by w.  It feeds every table reader
+  (``table --kind lambda``, ``weinstein lambda``, the suite and
+  ``verify --suite weinstein --n``): at t = 0 it is exact.
 * Fourier route   -- lambda_fourier: with cos(delta) = 1 - e^{-t} + e^{-t}
   cos(phi), the degree-n coefficient family U_n of 1/(1 - 2 x z + z^2)
   satisfies U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a
-  cosine transform in phi of one U_0..U_N recurrence extracts every entry;
+  cosine transform in phi of the closed form U_n(cos delta) =
+  sin((n + 1) delta)/sin(delta) extracts every entry.  The decomposition
+  reads its column L[1..n][n] from the same grid, one transform for all of
+  its nodes, to within 3.2e-14 of the exact values at n = 300.
 * Legendre route  -- lambda_legendre_route: expanding U_n = sum_{i+j=n}
   P_i P_j through the equal-angle addition theorem writes every entry as a
   sum of squares times positive weights, which also certifies
@@ -85,6 +90,13 @@ def lambda_rows(t, N, max_k=None):
     1/R = sum_j P_j(x) z^j, so row 0 holds partial sums of Legendre values.
     No step divides by a series that nearly vanishes on |z| = 1 at small t,
     where dividing by 1 - w^2 loses two digits.  Rows beyond N vanish.
+
+    This is the route of every table reader, because at t = 0 (x = -1,
+    w = z) each entry is exactly 1.0 or 0.0.  Its error grows with the
+    entries as t grows (2e-11 at n = 300, t = 9.7, where they reach 85), and
+    a table costs n series products for every column, so the decomposition,
+    which needs column n alone at each node, reads it from the cosine
+    transform of lambda_fourier's closed form, within 3.2e-14 there.
     """
     if not t >= 0:
         raise ParamOutOfRange(f"t must be >= 0, got {t}")
@@ -112,34 +124,52 @@ def lambda_rows(t, N, max_k=None):
     return _real(rows)
 
 
-def cos_delta(t, phi):
-    """1 - e^{-t} + e^{-t} cos(phi); stays in [1 - 2e^{-t}, 1] subset [-1, 1]."""
-    x = 1.0 - math.exp(-t) * (1.0 - np.cos(phi))
-    if np.any(x < -1 - 1e-12) or np.any(x > 1 + 1e-12):
-        raise ParamOutOfRange(f"cos(delta) left [-1, 1] at t = {t}; t must be >= 0")
-    return x
+def _u_on_grid(t, m, Q):
+    """U_m(cos delta) at phi = 2 pi j/Q, j = 0..Q-1, in closed form.
+
+    U_m(cos delta) = sin((m + 1) delta)/sin(delta), with delta taken from its
+    half angles, sin(delta/2) = sqrt(s) |sin(phi/2)| and cos(delta/2) =
+    sqrt(1 - s + s cos^2(phi/2)), s = e^{-t}, so no arccos cancels near 1.
+    Where delta > pi/2 the complementary angle pi - delta is used with the
+    sign (-1)^m, and where the angle is 0, U = +-(m + 1).  t and m
+    broadcast; the grid is the last axis.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ParamOutOfRange(f"t must be >= 0, got {t}")
+    t, m = t[..., None], np.asarray(m)[..., None]
+    half = np.pi * np.arange(Q) / Q  # phi/2, in [0, pi)
+    s = np.exp(-t)
+    sin_h = np.sqrt(s) * np.sin(half)
+    cos_h = np.sqrt(s * np.cos(half) ** 2 - np.expm1(-t))
+    far = sin_h > cos_h  # delta > pi/2
+    ang = 2.0 * np.arctan2(np.minimum(sin_h, cos_h), np.maximum(sin_h, cos_h))
+    with np.errstate(invalid="ignore"):  # 0/0 where the angle is 0
+        u = np.where(ang == 0.0, m + 1.0, np.sin((m + 1) * ang) / np.sin(ang))
+    return np.where(far & (m % 2 == 1), -u, u)
 
 
 def lambda_fourier(t, N, max_k=None):
     """The (k, n) table of lambda_rows by a cosine transform in phi.
 
-    U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come from one pass of
-    the three-term recurrence U_{m+1} = 2x U_m - U_{m-1} on the phi grid;
-    entry (k, n) is the mean of U_n cos(k phi), the real part of one FFT,
-    exact on Q >= 2(N + kmax) + 2 points.  Rows beyond N vanish, as in
-    lambda_rows, and are not computed.
+    U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come in closed form on
+    the phi grid; entry (k, n) is the mean of U_n cos(k phi), the real part
+    of one FFT, exact on Q >= 2(N + kmax) + 2 points.  Rows beyond N
+    vanish, as in lambda_rows, and are not computed.
     """
     max_k = _table_shape(N, max_k)
     kmax = min(max_k, N)
     Q = 1 << (2 * (N + kmax) + 1).bit_length()
-    x = cos_delta(t, 2.0 * np.pi * np.arange(Q) / Q)
-    U = np.zeros((N + 2, Q))  # the last row stays 0 and serves as U_{-1}
-    U[0] = 1.0
-    for m in range(1, N + 1):
-        U[m] = 2.0 * x * U[m - 1] - U[m - 2]
+    U = _u_on_grid(t, np.arange(N + 1), Q)
     out = np.zeros((max_k + 1, N + 1))
-    out[: kmax + 1] = np.fft.rfft(U[: N + 1], axis=1)[:, : kmax + 1].real.T / Q
+    out[: kmax + 1] = np.fft.rfft(U, axis=1)[:, : kmax + 1].real.T / Q
     return out
+
+
+def _lambda_column(times, n):
+    """L[1..n][n] at each of the times, one row each: lambda_fourier's grid for N = n."""
+    Q = 1 << (4 * n + 1).bit_length()
+    return np.fft.rfft(_u_on_grid(times, n, Q), axis=1)[:, 1 : n + 1].real / Q
 
 
 def lambda_legendre_route(t, N, max_k=None):
@@ -320,7 +350,8 @@ def milin_decomposition_check(chain, n):
 
     The left side reads the chain's own f_0 (series_at at t = 0), so the
     two sides cannot describe different functions.
-    g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with A_k at r = 1 from
+    g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with the column L[1..n][n] of
+    every node from one cosine transform and A_k at r = 1 from
     a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
     n//2 + 2 nodes, exact for the closed-form chains.
     """
@@ -331,9 +362,8 @@ def milin_decomposition_check(chain, n):
     s, w_s = gauss_legendre_s(nodes)
     times = -np.log(s)  # ascending
     weights = w_s / s  # ds/s = dt
-    g = np.array(
-        [lambda_rows(t, n)[1:, n] @ a_k_pairing(chain, t, n) for t in times]
-    )
+    lam = _lambda_column(times, n)
+    g = np.array([row @ a_k_pairing(chain, t, n) for row, t in zip(lam, times)])
     return DecompositionResult(
         n=n,
         lhs=lhs,

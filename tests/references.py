@@ -5,12 +5,14 @@ of 1 and of z, rotation and dilation of a series (the route that
 ``univalent.from_quotient`` is held to), series division, exp,
 composition and compositional reversion, one entry of the Legendre
 recurrence, the kernel coefficients one row at a time on the fixed-point
-transition series, and the Herglotz coefficients from the Loewner PDE
+transition series, one column of them exactly from de Branges' closed
+form in integers, and the Herglotz coefficients from the Loewner PDE
 (the route that ``KoebeChain.herglotz_coeffs`` is held to).
 ``coeffs_close`` compares two series.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -153,6 +155,29 @@ def lambda_series(t, k, N):
     den = PowerSeries(one(order).coeffs - (w * w).coeffs)
     S = div(num, den)
     return ws._real(S.coeffs[1:])
+
+
+def lambda_exact(s, n):
+    """Column n of the kernel table, L[0..n][n], exactly at the dyadic s = e^{-t}.
+
+    de Branges' closed form, L[k][n] = sum_j (-1)^j (2k+j+1)_j
+    (2k+2j+2)_{n-k-j} / (j! (n-k-j)!) s^{k+j}, with both ratios binomials:
+    with m = k + j, L[k][n] = sum_{m=k}^n (-1)^{m-k} C(2m, m-k)
+    C(n+m+1, n-m) s^m.  s is a Fraction of a float, p/2^e, so every term is
+    an integer over 2^{en}; returns Fractions.
+    """
+    p, e = s.numerator, s.denominator.bit_length() - 1
+    if s.denominator != 1 << e:
+        raise ValueError("s must be a dyadic rational, a float taken exactly")
+    scaled = [math.comb(n + m + 1, n - m) * p**m << e * (n - m) for m in range(n + 1)]
+    out = []
+    for k in range(n + 1):
+        acc = 0
+        for m in range(k, n + 1):
+            term = math.comb(2 * m, m - k) * scaled[m]
+            acc += -term if (m - k) & 1 else term
+        out.append(Fraction(acc, 1 << e * n))
+    return out
 
 
 def herglotz_coeffs(chain, t, order):

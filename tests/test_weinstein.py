@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from references import herglotz_coeffs, lambda_series
+from references import herglotz_coeffs, lambda_exact, lambda_series
+from schlicht import functionals as fn
 from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht.errors import (
     ChainUnavailable,
     ImaginaryResidue,
+    NonFiniteCoefficients,
     ParamOutOfRange,
     RadiusExceeded,
 )
@@ -40,14 +42,6 @@ def test_fourier_oracle_values():
     assert tab.shape == (6, 4)
     assert abs(tab[3, 3] - math.exp(-1.5)) < 1e-8
     assert abs(tab[5, 3]) < 1e-10
-
-
-def test_cos_delta_range():
-    phi = np.linspace(0, 2 * np.pi, 64)
-    for t in (0.0, 0.5, 3.0):
-        x = ws.cos_delta(t, phi)
-        assert x.min() >= 1.0 - 2.0 * math.exp(-t) - 1e-12
-        assert x.max() <= 1.0 + 1e-12
 
 
 def test_legendre_route_values():
@@ -93,8 +87,6 @@ def test_generating_identity_radius_guard():
 def test_guards_raise_taxonomy_errors():
     with pytest.raises(ParamOutOfRange, match="0..500"):
         ws.lambda_legendre_route(0.5, 501)
-    with pytest.raises(ParamOutOfRange):
-        ws.cos_delta(-1.0, np.array([np.pi]))
     with pytest.raises(ImaginaryResidue):
         ws._real(np.array([1.0 + 1e-9j]))
     with pytest.raises(ParamOutOfRange):
@@ -102,6 +94,11 @@ def test_guards_raise_taxonomy_errors():
     for t in (-0.5, math.nan):
         with pytest.raises(ParamOutOfRange):
             ws.lambda_rows(t, 4)
+        # the closed form behind the Fourier table and the decomposition's column
+        with pytest.raises(ParamOutOfRange, match="t must be >= 0"):
+            ws.lambda_fourier(t, 2)
+        with pytest.raises(ParamOutOfRange, match="t must be >= 0"):
+            ws._lambda_column(np.array([0.5, t]), 2)
 
 
 def test_lambda_rows_match_lambda_series():
@@ -237,7 +234,7 @@ def test_decomposition_of_a_dilated_koebe_chain(rho, theta):
         assert res.residual <= 1e-12 * max(abs(res.lhs), 1.0)
         assert res.min_g > 0.0
 
-@pytest.mark.parametrize("n", [6, 20, 40, 100])
+@pytest.mark.parametrize("n", [6, 20, 40, 100, 300])
 def test_decomposition_exact_at_large_n(n):
     # Koebe's g_n is exactly 0, and with the closed-form Herglotz
     # coefficients the right side and min_g stay at roundoff as n grows
@@ -258,7 +255,9 @@ def test_decomposition_node_doubling():
     for chain in (lw.KoebeChain(), lw.KoebeChain(rho=0.0)):
         res = ws.milin_decomposition_check(chain, n=n)
         s, w = ws.gauss_legendre_s(2 * res.nodes)
-        g = [ws.lambda_rows(t, n)[1:, n] @ ws.a_k_pairing(chain, t, n) for t in -np.log(s)]
+        times = -np.log(s)
+        lam = ws._lambda_column(times, n)
+        g = [row @ ws.a_k_pairing(chain, t, n) for row, t in zip(lam, times)]
         assert abs(res.rhs_extrapolated - (w / s) @ g) <= 1e-13
 
 
@@ -396,6 +395,49 @@ def test_oracle_triangle_accurate_at_n_200():
 
 
 def test_fourier_route_accurate_at_n_500():
-    # Q grows with N, so the Fourier route has no largest N
+    # Q grows with N, so the Fourier route has no largest N; the closed-form
+    # U_n keeps it within 4.9e-14 of the series route, where the three-term
+    # recurrence drifted to 1.4e-12
     gap = np.max(np.abs(ws.lambda_fourier(0.5, 500) - ws.lambda_rows(0.5, 500)))
-    assert gap <= 1e-11
+    assert gap <= 2e-13
+
+
+def test_lambda_exact_is_the_table():
+    # at t = 0, w = z: L[k][n] = 1 when n - k is even, else 0
+    assert lambda_exact(Fraction(1), 12) == [1 - (12 - k) % 2 for k in range(13)]
+    for t in (0.3, 2.0):
+        exact = lambda_exact(Fraction(math.exp(-t)), 12)
+        assert np.max(np.abs(np.array(exact, dtype=float) - ws.lambda_rows(t, 12)[:, 12])) <= 1e-15
+
+
+def test_decomposition_column_against_de_branges_closed_form():
+    # the column the decomposition reads at n = 300, at its first node
+    # (t = 6e-5), the node nearest t = 0.7 and its last node (t = 9.7),
+    # against exact rationals at the float s = e^{-t}; lambda_rows errs
+    # 2e-11 at the last node
+    n = 300
+    s, _ = ws.gauss_legendre_s(n // 2 + 2)
+    times = -np.log(s)
+    picked = times[[0, int(np.argmin(np.abs(times - 0.7))), -1]]
+    lam = ws._lambda_column(picked, n)
+    for t, col in zip(picked, lam):
+        exact = lambda_exact(Fraction(math.exp(-t)), n)[1:]
+        bound = 1e-13 * max(1.0, max(abs(float(v)) for v in exact))
+        err = max(abs(Fraction(float(v)) - e) for v, e in zip(col, exact))
+        assert err <= bound, (t, float(err))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_angle_raises_without_a_warning():
+    # m theta overflows: each closed-form power w^m is not finite
+    chain = lw.KoebeChain(1.0, 1e308)
+    calls = (
+        lambda: ws.a_k_pairing(chain, 0.5, 4),
+        lambda: chain.herglotz_coeffs(0.5, 4),
+        lambda: chain.log_coeffs(0.5, 4),
+        lambda: fn.pair_log_coefficients(0, 1.0, 1e308, 4),
+        lambda: uv.from_quotient(0, 1.0, 1e308, 4),
+    )
+    for call in calls:
+        with pytest.raises(NonFiniteCoefficients, match="coefficients must be finite"):
+            call()
