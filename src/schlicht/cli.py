@@ -178,12 +178,16 @@ def _parse_grid(desc):
         if desc.startswith("polar:"):
             nr, na = desc.split(":", 1)[1].split("x")
             nr, na = int(nr), int(na)
+            if min(nr, na) < 0:
+                raise ValueError("the counts must be >= 0")
             radii = np.linspace(0.1, 0.8, nr)
             angles = 2 * np.pi * np.arange(na) / na
             return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()  # radius-major
         if desc.startswith("points:"):
             pts = json.loads(desc.split(":", 1)[1])
-            return np.array([complex(p[0], p[1]) for p in pts])
+            if not isinstance(pts, list):
+                raise TypeError("points must be a list of [re, im] pairs")
+            return np.array([complex(re, im) for re, im in pts])
     except (ValueError, TypeError, IndexError) as exc:
         raise UsageError(f"malformed grid {desc!r}: {exc}") from None
     raise UsageError(f"unknown grid format {desc!r}")
@@ -195,8 +199,8 @@ def _parse_kappa(desc):
             times, values = [0.0], [complex(desc.split(":", 1)[1])]
         elif desc.startswith("steps:"):
             data = json.loads(desc.split(":", 1)[1])
-            times = [float(d[0]) for d in data]
-            values = [complex(d[1][0], d[1][1]) for d in data]
+            times = [float(t) for t, _ in data]
+            values = [complex(re, im) for _, (re, im) in data]
         else:
             raise UsageError(f"unknown driving format {desc!r}")
     except (ValueError, TypeError, IndexError) as exc:

@@ -173,8 +173,11 @@ def milin_double_sum(gamma):
     value bit for bit.
     """
     k = np.arange(1, gamma.shape[-1] + 1)
-    terms = k * np.abs(gamma) ** 2 - 1.0 / k
-    return np.sum(np.cumsum(terms, axis=-1), axis=-1)
+    # a sum that overflows reaches its report as a non-finite side, which
+    # BoundReport.add rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = k * np.abs(gamma) ** 2 - 1.0 / k
+        return np.sum(np.cumsum(terms, axis=-1), axis=-1)
 
 
 def milin_weighted_sum(gamma):
@@ -234,10 +237,15 @@ def lebedev_milin_sides(alphas):
     back = np.ascontiguousarray(wa[:, ::-1])  # back[:, n - k] = wa[:, k]
     beta = np.zeros((trials, n + 1), dtype=complex)
     beta[:, 0] = 1.0
-    for m in range(1, n + 1):
-        beta[:, m] = (back[:, None, n - m : n] @ beta[:, :m, None])[:, 0, 0] / m
-    lhs = np.sum(np.abs(beta) ** 2, axis=1).tolist()
-    k = np.arange(1, n + 1)
-    double_sums = np.sum(np.cumsum(k * np.abs(alphas) ** 2 - 1.0 / k, axis=1), axis=1)
-    rhs = [(n + 1) * math.exp(d / (n + 1)) for d in double_sums.tolist()]
+    # values that overflow reach the report as non-finite sides, which
+    # BoundReport.add rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            beta[:, m] = (back[:, None, n - m : n] @ beta[:, :m, None])[:, 0, 0] / m
+        lhs = np.sum(np.abs(beta) ** 2, axis=1).tolist()
+    rhs = [
+        # (n + 1) e^x overflows to inf from x = 709.78 on, where math.exp raises
+        (n + 1) * math.exp(d / (n + 1)) if d / (n + 1) < 709.78 else math.inf
+        for d in milin_double_sum(alphas).tolist()
+    ]
     return lhs, rhs

@@ -327,10 +327,10 @@ class NumericChain:
     grid).  From T0, the last break of kappa rounded up to the step grid,
     the flow conserves e^s w/(1 + kappa w)^2 and w -> 0, so f_t(z) is that
     at s = max(t, T0).
-    Boundary data comes from circle grids of trajectories; z-derivatives
-    are spectral (differentiate the circle Fourier series), t-derivatives
-    are central differences with spacing 0.01.  Series fits use the circle
-    of radius 0.4.
+    Boundary data comes from circle grids of trajectories, each solved
+    where it is read; z-derivatives are spectral (differentiate the circle
+    Fourier series), t-derivatives are central differences with spacing
+    0.01.  Series fits use the circle of radius 0.4.
     """
 
     def __init__(self, kappa, h):
@@ -338,58 +338,28 @@ class NumericChain:
         self.h = float(h)
         # every step from T0 on samples the last driving value
         self.T0 = math.ceil(kappa.times[-1] / self.h - 1e-9) * self.h
-        self._circle_cache = {}
 
     def _snap(self, t):
         return round(t / self.h) * self.h
 
     def _flow_from(self, z0, t0):
-        """f_t(z0) for an array of start states z0 at times t0.
+        """f_t0(z0) for an array of start states z0 at the one time t0.
 
-        t0 is one start time or one per state.  The states of each start
-        time before T0 take one solve from that time to T0, so every value
-        is the one a solve from its own start would give, bit for bit.
+        Before T0 the states take one solve from t0 to T0.
         """
         z0 = np.asarray(z0, dtype=complex).ravel()
-        t0 = np.array([self._snap(t) for t in np.broadcast_to(t0, z0.shape)])
-        if np.any(t0 < 0):
-            raise ChainUnavailable(f"t = {t0.min()} is before the chain starts at t = 0")
-        w = z0.copy()
-        # not np.unique, which imports numpy.ma in NumPy 2.4
-        for begin in sorted(set(t0[t0 < self.T0].tolist())):
-            at = t0 == begin
-            w[at] = loewner_solve(
-                self.kappa, z0[at], self.T0, self.h, samples=1, t0=begin
-            ).states[-1]
-        return np.exp(np.maximum(t0, self.T0)) * w / (1.0 + self.kappa.values[-1] * w) ** 2
-
-    def _circles(self, specs):
-        """Flow values and points on each (t, r, Q) circle of specs.
-
-        Circles not yet cached come from one _flow_from call.
-        """
-        keys = [(self._snap(t), float(r), int(Q)) for t, r, Q in specs]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._circle_cache]
-        if missing:
-            grids = [r * np.exp(2j * np.pi * np.arange(Q) / Q) for _, r, Q in missing]
-            sizes = [Q for _, _, Q in missing]
-            flows = self._flow_from(
-                np.concatenate(grids), np.repeat([t for t, _, _ in missing], sizes)
-            )
-            for key, z1, vals in zip(missing, grids, np.split(flows, np.cumsum(sizes)[:-1])):
-                self._circle_cache[key] = (vals, z1)
-        return [self._circle_cache[key] for key in keys]
+        t0 = self._snap(t0)
+        if t0 < 0:
+            raise ChainUnavailable(f"t = {t0} is before the chain starts at t = 0")
+        w = z0
+        if t0 < self.T0:
+            w = loewner_solve(self.kappa, z0, self.T0, self.h, samples=1, t0=t0).states[-1]
+        return np.exp(max(t0, self.T0)) * w / (1.0 + self.kappa.values[-1] * w) ** 2
 
     def _circle(self, t, r, Q):
-        return self._circles([(t, r, Q)])[0]
-
-    def _fit_circle(self, t, order):
-        """The (t, r, Q) circle that series_at fits a series of this order on."""
-        if order > 16:
-            raise ChainUnavailable(
-                f"numeric-chain series fits are only trusted to order 16, got {order}"
-            )
-        return t, 0.4, max(4 * (order + 1), 64)
+        """f_t on Q equally spaced points of |z| = r, and the points."""
+        z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
+        return self._flow_from(z1, t), z1
 
     def boundary_values(self, t, r, Q):
         return self._circle(t, r, Q)
@@ -400,7 +370,11 @@ class NumericChain:
         The 1/0.4^k amplification makes high modes meaningless, so
         the fitted order is capped.
         """
-        t, r, Q = self._fit_circle(t, order)
+        if order > 16:
+            raise ChainUnavailable(
+                f"numeric-chain series fits are only trusted to order 16, got {order}"
+            )
+        r, Q = 0.4, max(4 * (order + 1), 64)
         vals, _ = self._circle(t, r, Q)
         modes = np.fft.fft(vals) / Q
         k = np.arange(order + 1)
@@ -410,13 +384,13 @@ class NumericChain:
         """p on Q equally spaced points of |z| = r at time t, and the points.
 
         t and r broadcast against each other; both results then carry that
-        shape in front of the Q axis.  All the circles the finite-difference
-        stencils need come from one _flow_from call.
+        shape in front of the Q axis.
         """
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
         dt = 0.01
-        plan = []
-        for ti, ri in zip(t.ravel().tolist(), r.ravel().tolist()):
+        p = np.empty((t.size, Q), dtype=complex)
+        z = np.empty((t.size, Q), dtype=complex)
+        for i, (ti, ri) in enumerate(zip(t.ravel().tolist(), r.ravel().tolist())):
             # shift the stencil, not the scheme, near t = 0
             ti = max(self._snap(ti), dt)
             # oversample until the aliased Fourier tail (modes beyond Qe at
@@ -426,14 +400,9 @@ class NumericChain:
             need = 30.0 / max(1.0 - ri, 1e-3)
             while Qe < need:
                 Qe *= 2
-            plan.append((ti, ri, Qe))
-        circles = self._circles(
-            [(ti + shift, ri, Qe) for ti, ri, Qe in plan for shift in (0.0, dt, -dt)]
-        )
-        p = np.empty((len(plan), Q), dtype=complex)
-        z = np.empty((len(plan), Q), dtype=complex)
-        for i, (_, _, Qe) in enumerate(plan):
-            (f_mid, z1), (f_plus, _), (f_minus, _) = circles[3 * i : 3 * i + 3]
+            f_mid, z1 = self._circle(ti, ri, Qe)
+            f_plus, _ = self._circle(ti + dt, ri, Qe)
+            f_minus, _ = self._circle(ti - dt, ri, Qe)
             dft = (f_plus - f_minus) / (2.0 * dt)
             modes = np.fft.fft(f_mid)
             # one-sided spectrum: f is analytic, every bin is a true mode m >= 0
@@ -443,9 +412,6 @@ class NumericChain:
             step = Qe // Q
             p[i], z[i] = (dft / zdfz)[::step], z1[::step]
         return p.reshape(t.shape + (Q,)), z.reshape(t.shape + (Q,))
-
-    def log_coeffs(self, t, N):
-        return chain_log_coeffs(self, t, max(N + 2, 12), cross_check=False)[:N]
 
 
 def make_chain(name):
@@ -461,16 +427,15 @@ def make_chain(name):
 _QUAD_CIRCLE = (0.5, 256)  # radius and nodes of the log-coefficient quadrature
 
 
-def chain_log_coeffs(chain, t, N, cross_check=True):
-    """c_k(t) of log(f_t(z)/(e^t z)), k = 1..N.
+def chain_log_coeffs(chain, t, N):
+    """c_k(t) of log(f_t(z)/(e^t z)), k = 1..N, by two routes that must agree.
 
     Series route: log of the chain series with the e^t z factor removed.
     Cross-check route: 256-point circle quadrature of log(f_t(z)/(e^t z))
     z^{-k-1} on |z| = 0.5, with branch continuity enforced along the contour.
+    A drifted normalization or a disagreement of more than 1e-8 raises
+    BranchTrackingFailure.
     """
-    if cross_check and isinstance(chain, NumericChain):
-        # the fit circle and the quadrature circle in one _flow_from call
-        chain._circles([chain._fit_circle(t, N + 1), (t, *_QUAD_CIRCLE)])
     s = chain.series_at(t, N + 1)
     F = PowerSeries(s.coeffs[1:] * math.exp(-t))
     F0 = F[0]
@@ -478,13 +443,12 @@ def chain_log_coeffs(chain, t, N, cross_check=True):
         raise BranchTrackingFailure(f"chain normalization drifted: {F0}")
     L = ps.log(PowerSeries(F.coeffs / F0))
     ck = L.coeffs[1 : N + 1].copy()
-    if cross_check:
-        cq = _log_coeffs_quadrature(chain, t, N, *_QUAD_CIRCLE)
-        err = float(np.max(np.abs(ck - cq)))
-        if err > 1e-8:
-            raise BranchTrackingFailure(
-                f"series and quadrature log-coefficients disagree by {err:.2e}"
-            )
+    cq = _log_coeffs_quadrature(chain, t, N, *_QUAD_CIRCLE)
+    err = float(np.max(np.abs(ck - cq)))
+    if err > 1e-8:
+        raise BranchTrackingFailure(
+            f"series and quadrature log-coefficients disagree by {err:.2e}"
+        )
     return ck
 
 
@@ -511,7 +475,7 @@ def lipschitz_bound_check(chain, z, s, t):
 
     Chain bound:      |f(z,t) - f(z,s)|     <= 8|z| (e^t - e^s)/(1-|z|)^4
     Transition bound: |phi(z,t,u)-phi(z,s,u)| <= 2|z| (1-e^{s-t})/(1-|z|)^2
-    evaluated at u = t, where available.  Failures land in the report.
+    evaluated at u = t.  Failures land in the report.
     """
     if not 0 <= s <= t:
         raise ParamOutOfRange("need 0 <= s <= t")
@@ -526,12 +490,11 @@ def lipschitz_bound_check(chain, z, s, t):
         abs(ft - fs),
         8.0 * az * (math.exp(t) - math.exp(s)) / (1.0 - az) ** 4,
     )
-    if hasattr(chain, "transition"):
-        phi_t = chain.transition(z, t, t)
-        phi_s = chain.transition(z, s, t)
-        rep.add(
-            f"transition(z={z:.3g},s={s:.3g},t={t:.3g})",
-            abs(phi_t - phi_s),
-            2.0 * az * (1.0 - math.exp(s - t)) / (1.0 - az) ** 2,
-        )
+    phi_t = chain.transition(z, t, t)
+    phi_s = chain.transition(z, s, t)
+    rep.add(
+        f"transition(z={z:.3g},s={s:.3g},t={t:.3g})",
+        abs(phi_t - phi_s),
+        2.0 * az * (1.0 - math.exp(s - t)) / (1.0 - az) ** 2,
+    )
     return rep

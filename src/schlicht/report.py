@@ -1,13 +1,18 @@
 """Pass/fail bookkeeping for inequality checks.
 
 A case passes exactly when lhs <= rhs; any allowance is part of the printed
-bound.  Reports serialize to the JSON schema {"suite": ..., "tolerance": 0.0
-(a constant), "cases": [{"id", "lhs", "rhs", "pass"}]}, cases sorted by id.
+bound.  Both sides are finite: a NaN or an infinity has no verdict, and JSON
+has no text for it, so adding one raises NonFiniteCoefficients.  Reports
+serialize to the JSON schema {"suite": ..., "tolerance": 0.0 (a constant),
+"cases": [{"id", "lhs", "rhs", "pass"}]}, cases sorted by id.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import NonFiniteCoefficients
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,12 @@ class BoundReport:
     meta: dict = field(default_factory=dict)
 
     def add(self, case_id, lhs, rhs):
-        self.cases.append(Case(str(case_id), float(lhs), float(rhs)))
+        case = Case(str(case_id), float(lhs), float(rhs))
+        if not (math.isfinite(case.lhs) and math.isfinite(case.rhs)):
+            raise NonFiniteCoefficients(
+                f"case {case.id} is not finite: lhs = {case.lhs}, rhs = {case.rhs}"
+            )
+        self.cases.append(case)
 
     @property
     def all_pass(self):

@@ -263,14 +263,10 @@ def _a_k_row(chain, t, r, Q, kmax):
     C0k = 1 + sum_{l<=k} l c_l(t) z1^l; all k share one set of boundary
     data.  Nonnegative up to quadrature noise since Re p > 0 and the weight
     is a squared modulus.  This is the oracle for a_k_pairing; it needs
-    r < 1 and works for numeric chains too.
+    r < 1 and a chain with closed-form p_values and log_coeffs.
     """
-    if hasattr(chain, "p_on_circle"):
-        p, z1 = chain.p_on_circle(t, r, Q)
-    else:
-        _, z1 = chain.boundary_values(t, r, Q)
-        p = chain.p_values(z1, t)
-    rep = p.real
+    z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
+    rep = chain.p_values(z1, t).real
     out = np.empty(kmax)
     C2 = np.full(Q, 2.0, dtype=complex)  # 2 * C0k, grown incrementally
     for k, lc in enumerate(chain.log_coeffs(t, kmax), 1):

@@ -292,6 +292,10 @@ def test_malformed_text_exits_without_traceback():
         (2, trace + ("--grid", "polar:3")),
         (2, trace + ("--grid", "points:bad")),
         (2, trace + ("--grid", "points:[[1]]")),
+        (2, trace + ("--grid", "polar:3x-1")),
+        (2, trace + ("--grid", "points:[[0.1,0.2,0.3]]")),
+        (2, trace + ("--grid", "points:{}")),
+        (2, trace + ("--kappa", "steps:[[0,[1,0,5]]]")),
         (2, trace + ("--kappa", "const:abc")),
         (2, trace + ("--kappa", "steps:oops")),
         (2, trace + ("--kappa", "steps:[[0]]")),
@@ -400,17 +404,31 @@ def test_numeric_error_exit_three():
 
 def test_an_overflowing_subject_is_a_numeric_error():
     # a_2 = 1e160 overflows the subject's log, square-root or reciprocal
-    # series: a numeric error (exit 3), not a crash (exit 1)
-    for suite in ("milin", "robertson", "area", "lebedev-milin"):
+    # series: a numeric error (exit 3), not a crash (exit 1); at n = 1 the
+    # milin and lebedev-milin series stay finite and their sums overflow, so
+    # the report rejects the case, and with a_2 = 1e100 the lebedev-milin
+    # exponential overflows
+    finite = "numeric error: coefficients must be finite\n"
+    for suite, n, subject, stderr in (
+        *((suite, "3", "coeffs:[0,1,1e160]", finite)
+          for suite in ("milin", "robertson", "area", "lebedev-milin")),
+        ("milin", "1", "coeffs:[0,1,1e160]",
+         "numeric error: case M_1(coeffs:[0,1,1e160]) is not finite: lhs = inf, rhs = 1e-09\n"),
+        ("robertson", "1", "coeffs:[0,1,1e160]", finite),
+        ("area", "1", "coeffs:[0,1,1e160]", finite),
+        ("lebedev-milin", "1", "coeffs:[0,1,1e160]",
+         "numeric error: case lebedev-milin_1(coeffs:[0,1,1e160]) is not finite: "
+         "lhs = inf, rhs = inf\n"),
+        ("lebedev-milin", "1", "coeffs:[0,1,1e100]",
+         "numeric error: case lebedev-milin_1(coeffs:[0,1,1e100]) is not finite: "
+         "lhs = 2.5e+199, rhs = inf\n"),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no NumPy warning comes before the error
             proc = run_cli(
-                "verify", "--suite", suite, "--n", "3", "--function", "coeffs:[0,1,1e160]",
-                "--out", os.devnull,
+                "verify", "--suite", suite, "--n", n, "--function", subject, "--out", os.devnull,
             )
-        assert (proc.returncode, proc.stderr) == (
-            3, "numeric error: coefficients must be finite\n"
-        ), suite
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr), (suite, n)
     # an angle so large that m theta overflows: the series is not finite,
     # with no NumPy warning before the error, under each command
     for argv in (
@@ -1025,7 +1043,6 @@ _EVERY_COMMAND = (
 )
 
 # the functions none of those commands runs, each with the reason it stays
-_A_K_ROW = "chain interface: _a_k_row calls it on KoebeChain"
 _NEVER_RUN = {
     "_kernels.compose": "the benchmark harness wraps it by name",
     "_kernels._drhs": "rk4_loewner's with_deriv branch, kept for the harness's 5-argument call",
@@ -1033,7 +1050,6 @@ _NEVER_RUN = {
     "loewner._transition_series_cached": "the benchmark harness reads its cache_info()",
     "series.PowerSeries.__repr__": "a series printed while debugging",
     "univalent.random_class_s": "a per-layer benchmark metric reads it by name",
-    "loewner.NumericChain.log_coeffs": _A_K_ROW,
 }
 
 

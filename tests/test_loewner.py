@@ -317,7 +317,7 @@ def test_chain_log_coeffs_match_function_route():
 def test_numeric_chain_matches_koebe():
     drv = lw.DrivingFunction.constant(-1.0)
     ch = lw.NumericChain(drv, h=2e-3)
-    ck = lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True)
+    ck = lw.chain_log_coeffs(ch, 1.0, 3)
     assert np.max(np.abs(ck - 2.0 / np.arange(1, 4))) < 1e-4
     pv, z1 = ch.p_on_circle(1.0, 0.6, 64)
     assert np.max(np.abs(pv - (1 - z1) / (1 + z1))) < 1e-3
@@ -363,7 +363,7 @@ def test_chain_normalization_drift_guard():
             return PowerSeries(c)
 
     with pytest.raises(BranchTrackingFailure):
-        lw.chain_log_coeffs(Bad(), 0.5, 4, cross_check=False)
+        lw.chain_log_coeffs(Bad(), 0.5, 4)
 
 
 def test_nan_driving_value_rejected():
@@ -410,41 +410,41 @@ def _separate_circle(chain, t, r, Q):
     return np.exp(s) * y / (1.0 + chain.kappa.values[-1] * y) ** 2, z1
 
 
+# jumps between step edges, so the chain and a separate solve sample the same values
+_STEPPED = lw.DrivingFunction.sampled(
+    [0.0, 0.3001, 0.7003, 1.1005], [1j, -1.0, complex(math.cos(2), math.sin(2)), 1.0]
+)
+
+
 @pytest.mark.parametrize(
-    "drv",
-    [
-        lw.DrivingFunction.constant(complex(math.cos(0.7), math.sin(0.7))),
-        # jumps between step edges, so both routes sample the same values
-        lw.DrivingFunction.sampled(
-            [0.0, 0.3001, 0.7003, 1.1005], [1j, -1.0, complex(math.cos(2), math.sin(2)), 1.0]
-        ),
-    ],
+    "drv", [lw.DrivingFunction.constant(complex(math.cos(0.7), math.sin(0.7))), _STEPPED]
 )
 def test_batched_circles_match_separate_solves_bitwise(drv):
+    # each circle, read again or from a fresh time, is its own separate solve
     ch = lw.NumericChain(drv, h=2e-3)
     specs = [
         (0.9, 0.5, 16), (1.5, 0.4, 8), (0.1, 0.3, 8), (0.5, 0.7, 32), (0.1, 0.6, 8),
         (0.9, 0.5, 16), (1.2, 0.5, 16),
     ]
-    got = ch._circles(specs)
-    for (t, r, Q), (vals, z1) in zip(specs, got):
+    for t, r, Q in specs:
+        vals, z1 = ch._circle(t, r, Q)
         want_vals, want_z1 = _separate_circle(ch, t, r, Q)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(z1, want_z1)
 
 
 def test_batched_p_on_circle_matches_scalar_calls_bitwise():
-    drv = lw.DrivingFunction.constant(-1.0)
-    ts, rs = np.meshgrid((0.5, 1.5), (0.35, 0.7), indexing="ij")
-    p, z = lw.NumericChain(drv, h=2e-3).p_on_circle(ts, rs, 32)
-    assert p.shape == z.shape == (2, 2, 32)
-    for i in range(2):
-        for j in range(2):
-            ch = lw.NumericChain(drv, h=2e-3)
-            pij, zij = ch.p_on_circle(ts[i, j], rs[i, j], 32)
-            assert pij.shape == (32,)
-            assert np.array_equal(p[i, j], pij)
-            assert np.array_equal(z[i, j], zij)
+    ts, rs = np.meshgrid((0.0, 0.5, 1.5), (0.35, 0.7), indexing="ij")
+    for drv in (lw.DrivingFunction.constant(-1.0), _STEPPED):
+        p, z = lw.NumericChain(drv, h=2e-3).p_on_circle(ts, rs, 32)
+        assert p.shape == z.shape == (3, 2, 32)
+        for i in range(3):
+            for j in range(2):
+                ch = lw.NumericChain(drv, h=2e-3)
+                pij, zij = ch.p_on_circle(ts[i, j], rs[i, j], 32)
+                assert pij.shape == (32,)
+                assert np.array_equal(p[i, j], pij)
+                assert np.array_equal(z[i, j], zij)
 
 
 def test_strided_solve_row_equals_shorter_solve():
@@ -457,14 +457,15 @@ def test_strided_solve_row_equals_shorter_solve():
     assert np.array_equal(long.states[4], short.states[-1])
 
 
-def test_numeric_log_coeffs_fetch_both_circles_in_one_solve(monkeypatch):
+def test_numeric_log_coeffs_solve_each_circle_once(monkeypatch):
+    # the order-4 fit circle of 64 points, then the 256-point quadrature circle
     drv = lw.DrivingFunction.constant(-1.0)
     ch = lw.NumericChain(drv, h=2e-3)
     calls = []
     flow = ch._flow_from
     monkeypatch.setattr(ch, "_flow_from", lambda z0, t0: calls.append(len(z0)) or flow(z0, t0))
-    lw.chain_log_coeffs(ch, 1.0, 3, cross_check=True)
-    assert calls == [64 + 256]
+    lw.chain_log_coeffs(ch, 1.0, 3)
+    assert calls == [64, 256]
 
 
 def test_numeric_chain_after_last_break_is_closed_form():
