@@ -3,7 +3,8 @@
 There is one backend, written in NumPy.  Callers reach the kernels through
 this module's attributes, so a profiler can wrap them here.
 
-Series products and division work on coefficient arrays.  RK4 is the
+Series products work on coefficient rows; division takes one row or a
+stack of them through the same matrix product per step.  RK4 is the
 textbook method, one NumPy expression per stage over every trajectory of a
 solve.  It is the oracle of ``loewner.loewner_solve``, which moves each
 constant piece of the driving by its closed-form flow: the suites and tests
@@ -31,20 +32,16 @@ def cauchy_div(a, b):
     """Long division of a by b, b[..., 0] != 0 guaranteed by the caller.
 
     a and b are coefficient rows, or stacks of them of one shape; every row
-    is divided in the same pass.  A stack takes one matrix product per step
-    with contiguous operands, which NumPy hands to the BLAS dot that np.dot
-    calls, so a row of a stack equals the 1-D quotient of that row bit for
-    bit.  One row calls np.dot itself, at half the cost per step.
+    is divided in the same pass.  Each step is one matrix product with
+    contiguous operands, which NumPy hands to the BLAS dot that np.dot
+    calls, so a row of a stack equals the quotient of that row alone bit
+    for bit.
     """
     n = a.shape[-1]
     q = np.empty(a.shape, dtype=complex)
     back = np.ascontiguousarray(b[..., :0:-1])  # back[..., n - 1 - j] = b[..., j]
     b0 = b[..., 0]
     q[..., 0] = a[..., 0] / b0
-    if q.ndim == 1:
-        for i in range(1, n):
-            q[i] = (a[i] - np.dot(q[:i], back[n - 1 - i :])) / b0
-        return q
     rows, cols = q[..., None, :], back[..., None]  # 1 x n and (n - 1) x 1 matrices
     for i in range(1, n):
         q[..., i] = (a[..., i] - (rows[..., :i] @ cols[..., n - 1 - i :, :])[..., 0, 0]) / b0

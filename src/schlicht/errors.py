@@ -41,10 +41,6 @@ class QuadratureUnderresolved(SchlichtError):
 
 
 # loewner
-class BranchSelectionFailure(SchlichtError):
-    pass
-
-
 class TrajectoryEscaped(SchlichtError):
     pass
 

@@ -111,7 +111,7 @@ def pointwise_bounds_check(f, grid):
     z = np.asarray(list(grid), dtype=complex)
     fp = f.series.derivative()
     # one Horner pass per series over the whole grid
-    val, dval, ddval = (ps.evaluate_many(s, z) for s in (f.series, fp, fp.derivative()))
+    val, dval, ddval = (ps.evaluate(s, z) for s in (f.series, fp, fp.derivative()))
     r, aval, adval = _modulus(z), _modulus(val), _modulus(dval)
     f_nonzero, fp_nonzero = aval > 0, adval > 0
     # a 1 in place of each zero divisor keeps the skipped entries quiet

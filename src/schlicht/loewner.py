@@ -31,7 +31,6 @@ from . import _kernels
 from . import series as ps
 from . import univalent as uv
 from .errors import (
-    BranchSelectionFailure,
     BranchTrackingFailure,
     ChainUnavailable,
     DerivativeUnderflow,
@@ -51,23 +50,17 @@ def koebe_map(z):
 def koebe_transition(z, t):
     """w_t(z) defined by z/(1-z)^2 = e^t w/(1-w)^2, the root inside the disk.
 
-    Written as w = 2u / (1 + 2u + sqrt(4u + 1)) with u = e^{-t} k(z); this
-    form has no cancellation as u -> 0 and picks the branch with w -> 0.
+    This is the flow under the constant driving -1, _flow_map(z, -1.0, t),
+    taken in complex arithmetic as loewner_solve takes it, so z and t may be
+    arrays that broadcast.  Each z must satisfy |z| < 1 and each t >= 0
+    (ParamOutOfRange otherwise; NaN fails both).
     """
-    if abs(z) >= 1:
-        raise ParamOutOfRange(f"|z| = {abs(z)} must be < 1")
-    if t < 0:
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.abs(z) < 1):
+        raise ParamOutOfRange(f"|z| = {np.abs(z)} must be < 1")
+    if not np.all(np.asarray(t) >= 0):
         raise ParamOutOfRange("t must be >= 0")
-    u = cmath.exp(-t) * koebe_map(z)
-    root = cmath.sqrt(4.0 * u + 1.0)
-    w = 2.0 * u / (1.0 + 2.0 * u + root)
-    if abs(w) >= 1.0:
-        w_alt = (2.0 * u + 1.0 + root) / (2.0 * u) if u != 0 else complex("inf")
-        if abs(w_alt) < 1.0:
-            w = w_alt
-        else:
-            raise BranchSelectionFailure(f"no root in the disk at z={z}, t={t}")
-    return w
+    return _flow_map(z, -1.0, t)
 
 
 def koebe_transition_series(t, order):
@@ -169,11 +162,12 @@ class Evolution:
 def _flow_map(w, k, tau):
     """The state w after time tau of the flow under the constant driving k.
 
-    With x = -k w the flow conserves e^t x/(1 - x)^2, so this is
-    koebe_transition on x, vectorized and without its branch test: for x in
-    the disk, 4u + 1 never lies on (-inf, 0], so the principal square root
-    gives the root inside the disk.  tau is a scalar or an array that
-    broadcasts against w.
+    With x = -k w the flow conserves e^t x/(1 - x)^2, so x moves to the
+    root X inside the disk of x/(1 - x)^2 = e^tau X/(1 - X)^2, written as
+    X = 2u / (1 + 2u + sqrt(4u + 1)) with u = e^{-tau} x/(1 - x)^2.  This
+    form has no cancellation as u -> 0, and for x in the disk 4u + 1 never
+    lies on (-inf, 0], so the principal square root gives the root inside
+    the disk.  tau is a scalar or an array that broadcasts against w.
     """
     x = -k * w
     u = np.exp(-tau) * x / (1.0 - x) ** 2
@@ -271,7 +265,8 @@ class KoebeChain:
     The chain e^t f of the starlike f = z/(1 - wz)^2: Koebe's (constant
     driving -1) at w = 1, the identity's at w = 0.  In closed form,
     p = f/(z f') = (1 - wz)/(1 + wz), c_k = 2 w^k/k and f_s = f_t o phi
-    with phi(z) = W_{t-s}(wz)/w, W the koebe_transition flow.  The Taylor
+    with phi(z) = W_{t-s}(wz)/w, W = koebe_transition, the closed-form flow
+    _flow_map under the constant driving -1; z may be an array.  The Taylor
     coefficients of p and the c_k come as arrays, w^m from
     univalent.polar_powers as univalent.from_quotient takes it.
     """

@@ -11,7 +11,8 @@ overflows raises NonFiniteCoefficients, a numeric error, and the recurrences
 that can overflow (log, sqrt) run with NumPy's overflow and invalid-value
 warnings off, so that error is all a caller sees.  One near-singular
 threshold, 1e-12, guards the anchored constant terms of log and sqrt.
-Division works on coefficient arrays (``_kernels.cauchy_div``).
+Division works on coefficient arrays (``_kernels.cauchy_div``), and
+``evaluate`` is the one Horner entry, for a point or an array of points.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import numbers
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    BranchPointAtOrigin,
-    NonFiniteCoefficients,
-    OrderMismatch,
-    RadiusExceeded,
-)
+from .errors import BranchPointAtOrigin, NonFiniteCoefficients, OrderMismatch
 
 _EPS_UNIT = 1e-12  # near-singular threshold for constant and leading terms
 
@@ -117,17 +113,9 @@ def sqrt(a):
     return PowerSeries(b)
 
 
-def evaluate(a, z, r_max=None):
-    """Horner evaluation of the truncated polynomial.
+def evaluate(a, z):
+    """Horner evaluation of the truncated polynomial at z, a point or an array.
 
-    With ``r_max`` set (unit-disk semantics) arguments outside |z| <= r_max
-    raise RadiusExceeded.
+    There is no radius guard: ClassSFunction.eval keeps the unit-disk one.
     """
-    if r_max is not None and abs(z) > r_max:
-        raise RadiusExceeded(f"|z| = {abs(z):.4f} > r_max = {r_max}")
-    return complex(np.polyval(a.coeffs[::-1], z))
-
-
-def evaluate_many(a, zs):
-    """Vectorized Horner evaluation (no radius guard)."""
-    return np.polyval(a.coeffs[::-1], np.asarray(zs, dtype=complex))
+    return np.polyval(a.coeffs[::-1], np.asarray(z, dtype=complex))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from . import series as ps
-from .errors import NonFiniteCoefficients, ParamOutOfRange
+from .errors import NonFiniteCoefficients, ParamOutOfRange, RadiusExceeded
 from .series import PowerSeries
 
 _NORM_TOL = 1e-10
@@ -47,7 +47,10 @@ class ClassSFunction:
         return self.series.coeffs
 
     def eval(self, z):
-        return ps.evaluate(self.series, z, r_max=_EVAL_RADIUS)
+        """f(z) by Horner; |z| > _EVAL_RADIUS raises RadiusExceeded."""
+        if abs(z) > _EVAL_RADIUS:
+            raise RadiusExceeded(f"|z| = {abs(z):.4f} > r_max = {_EVAL_RADIUS}")
+        return ps.evaluate(self.series, z)
 
 
 # -- Koebe's function and its transforms in closed form ---------------------

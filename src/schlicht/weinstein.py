@@ -15,7 +15,7 @@ last two are oracles for the first, compared by oracle_triangle:
   satisfies U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a
   cosine transform in phi of the closed form U_n(cos delta) =
   sin((n + 1) delta)/sin(delta) extracts every entry.  The decomposition
-  reads its column L[1..n][n] from the same grid, one transform for all of
+  reads its column L[1..n][n] from the same grid, transformed in blocks of
   its nodes, to within 3.2e-14 of the exact values at n = 300.
 * Legendre route  -- lambda_legendre_route: expanding U_n = sum_{i+j=n}
   P_i P_j through the equal-angle addition theorem writes every entry as a
@@ -169,7 +169,14 @@ def lambda_fourier(t, N, max_k=None):
 def _lambda_column(times, n):
     """L[1..n][n] at each of the times, one row each: lambda_fourier's grid for N = n."""
     Q = 1 << (4 * n + 1).bit_length()
-    return np.fft.rfft(_u_on_grid(times, n, Q), axis=1)[:, 1 : n + 1].real / Q
+    # blocks of at most 2^18 grid values (4 MiB, and a few temporaries of
+    # that size) keep the memory bounded as n grows; a row's transform is
+    # the same in any block, and the small n of the gate take one block
+    rows = max(1, (1 << 18) // Q)
+    return np.concatenate([
+        np.fft.rfft(_u_on_grid(times[i : i + rows], n, Q), axis=1)[:, 1 : n + 1].real / Q
+        for i in range(0, len(times), rows)
+    ])
 
 
 def lambda_legendre_route(t, N, max_k=None):
@@ -347,7 +354,7 @@ def milin_decomposition_check(chain, n):
     The left side reads the chain's own f_0 (series_at at t = 0), so the
     two sides cannot describe different functions.
     g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with the column L[1..n][n] of
-    every node from one cosine transform and A_k at r = 1 from
+    every node from the cosine transform and A_k at r = 1 from
     a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
     n//2 + 2 nodes, exact for the closed-form chains.
     """

@@ -43,6 +43,24 @@ def test_transition_satisfies_defining_relation():
             assert abs(w) < 1
 
 
+def test_transition_over_arrays_is_the_per_point_flow():
+    z = np.array([0.0, 0.3, -0.6 + 0.2j, 0.5j, 0.999, -0.999j])
+    t = np.array([0.0, 1e-12, 0.1, 1.0, 3.0, 40.0])[:, None]
+    w = lw.koebe_transition(z, t)
+    assert w.shape == (6, 6)
+    per_point = np.array([[lw.koebe_transition(zj, ti) for zj in z.tolist()] for ti in t[:, 0].tolist()])
+    assert np.array_equal(w.view(np.uint64), per_point.view(np.uint64))
+    assert np.array_equal(w.view(np.uint64), lw._flow_map(z, -1.0, t).view(np.uint64))
+
+
+def test_transition_guards():
+    nan = float("nan")
+    for z, t in ((1.0, 0.5), (0.6 + 0.8j, 0.5), ([0.5, -1.5j], 0.5), (0.5, -1e-300),
+                 (0.5, [1.0, -1.0]), (complex(nan), 0.5), (0.5, nan), ([0.1, nan], 0.5)):
+        with pytest.raises(ParamOutOfRange):
+            lw.koebe_transition(z, t)
+
+
 def test_transition_series_identity_at_zero():
     w = lw.koebe_transition_series(0.0, 16)
     assert np.array_equal(w.coeffs, identity(16).coeffs)

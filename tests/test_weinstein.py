@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,24 @@ def test_decomposition_column_against_de_branges_closed_form():
         bound = 1e-13 * max(1.0, max(abs(float(v)) for v in exact))
         err = max(abs(Fraction(float(v)) - e) for v, e in zip(col, exact))
         assert err <= bound, (t, float(err))
+
+
+def test_decomposition_column_is_bounded_in_memory_and_equals_one_transform():
+    # n = 1000 has 502 nodes on a 4096-point grid: one (502, 4096) transform
+    # traces 98 MiB, the blocks of at most 2^18 grid values about 16 MiB
+    n = 1000
+    s, _ = ws.gauss_legendre_s(n // 2 + 2)
+    times = -np.log(s)
+    tracemalloc.start()
+    try:
+        lam = ws._lambda_column(times, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    Q = 1 << (4 * n + 1).bit_length()
+    one = np.fft.rfft(ws._u_on_grid(times, n, Q), axis=1)[:, 1 : n + 1].real / Q
+    assert np.array_equal(lam.view(np.uint64), one.view(np.uint64))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
