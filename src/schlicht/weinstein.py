@@ -343,9 +343,27 @@ class DecompositionResult:
 
 
 def gauss_legendre_s(m):
-    """Gauss-Legendre nodes and weights for Int_0^1 ds, s descending."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return (1.0 - x) / 2.0, w / 2.0
+    """Gauss-Legendre nodes and weights for Int_0^1 ds, s descending.
+
+    The nodes are refined in the angle, x = cos(theta), s = sin^2(theta/2):
+    from theta = arccos of leggauss' nodes, three Newton steps on P_m(cos
+    theta), with dP_m/dtheta = -m (P_{m-1} - cos(theta) P_m)/sin(theta) and
+    P_m, P_{m-1} from Bonnet's recurrence.  The weight of a node is
+    1/(dP_m/dtheta)^2 there.  So s keeps a relative accuracy near roundoff
+    at the nodes near 0, where dt = ds/s magnifies an absolute error.
+    """
+
+    def p_and_slope(theta):
+        *_, older, row = lg._seminormalized_rows(m, np.cos(theta), 0)
+        p = row[:, 0]
+        return p, -m * (older[:, 0] - np.cos(theta) * p) / np.sin(theta)
+
+    theta = np.arccos(np.polynomial.legendre.leggauss(m)[0])
+    for _ in range(3):
+        p, slope = p_and_slope(theta)
+        theta = theta - p / slope
+    _, slope = p_and_slope(theta)
+    return np.sin(theta / 2) ** 2, 1.0 / slope**2
 
 
 def milin_decomposition_check(chain, n):

@@ -19,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schlicht import cli, suites
+from schlicht import univalent as uv
 from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
 from schlicht.report import BoundReport
+from schlicht.series import PowerSeries
 
 
 def run_cli(*args):
@@ -163,6 +165,33 @@ def test_verify_report_written_even_on_failure(tmp_path):
     assert proc.returncode == 1  # a_2 = 3 is not univalent: the check honestly fails
     data = json.loads(out.read_text())
     assert data["pass"] is False
+
+
+@pytest.fixture
+def raised_a2(monkeypatch):
+    """Every from_quotient map with a_2 raised by 1e-6, a fault in the chain."""
+    exact = uv.from_quotient
+
+    def raised(*args):
+        c = exact(*args).coeffs.copy()
+        c[2:3] += 1e-6  # an order-1 map has no a_2
+        return uv.ClassSFunction(PowerSeries(c))
+
+    monkeypatch.setattr(uv, "from_quotient", raised)
+
+
+def test_a_chain_fault_fails_the_log_coefficient_case(raised_a2):
+    report = suites.run_suite("loewner")[0]
+    assert "koebe-chain-log-coeffs" in {case.id for case in report.failures}
+
+
+def test_a_chain_fault_exits_one_with_the_report(tmp_path, raised_a2):
+    out = tmp_path / "loewner.json"
+    proc = run_cli("verify", "--suite", "loewner", "--out", str(out))
+    assert proc.returncode == 1
+    data = json.loads(out.read_text())
+    assert data["pass"] is False
+    assert len(data["suites"][0]["cases"]) == 37
 
 
 def test_decompose_exact_at_n_20(tmp_path):

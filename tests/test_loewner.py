@@ -290,7 +290,7 @@ def test_koebe_chain_closed_forms_agree(rho, theta):
     # p = (df/dt)/(z df/dz) = f/(z f') from the series, against the closed form
     zdf = np.polyval((coeffs * np.arange(41))[::-1], z)
     assert abs(ch.eval_at(z, t) / zdf - ch.p_values(np.array([z]), t)[0]) <= 1e-12
-    # c_k(t) of log(f_t/(e^t z)), by the series route and by quadrature
+    # c_k(t) of log(f_t/(e^t z)) from the series, against the closed form
     ck = lw.chain_log_coeffs(ch, t, 8)
     assert np.max(np.abs(ck - ch.log_coeffs(t, 8))) <= 1e-12
     # f_s = f_t o phi(., s, t)
@@ -476,14 +476,14 @@ def test_strided_solve_row_equals_shorter_solve():
 
 
 def test_numeric_log_coeffs_solve_each_circle_once(monkeypatch):
-    # the order-4 fit circle of 64 points, then the 256-point quadrature circle
+    # the order-4 fit circle of 64 points, and no other
     drv = lw.DrivingFunction.constant(-1.0)
     ch = lw.NumericChain(drv, h=2e-3)
     calls = []
     flow = ch._flow_from
     monkeypatch.setattr(ch, "_flow_from", lambda z0, t0: calls.append(len(z0)) or flow(z0, t0))
     lw.chain_log_coeffs(ch, 1.0, 3)
-    assert calls == [64, 256]
+    assert calls == [64]
 
 
 def test_numeric_chain_after_last_break_is_closed_form():

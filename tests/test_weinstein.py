@@ -191,7 +191,7 @@ def test_a_k_ladder_monotone_and_limit():
 
 def test_a_k_nonnegative_pointwise():
     kc = lw.KoebeChain()
-    vals, z1 = kc.boundary_values(0.5, 0.95, 256)
+    z1 = 0.95 * np.exp(2j * np.pi * np.arange(256) / 256)
     p = kc.p_values(z1)
     assert p.real.min() > 0  # integrand = Re p times a square, so >= 0
 
@@ -260,6 +260,17 @@ def test_decomposition_node_doubling():
         lam = ws._lambda_column(times, n)
         g = [row @ ws.a_k_pairing(chain, t, n) for row, t in zip(lam, times)]
         assert abs(res.rhs_extrapolated - (w / s) @ g) <= 1e-13
+
+
+def test_gauss_legendre_s_integrates_the_first_kernel_row_at_n_1000():
+    # Int_0^inf L[1][n] dt = n, the identity chain's weight (n - k + 1)/k at
+    # k = 1; on the decomposition's nodes the rule holds it to roundoff,
+    # which takes nodes s near 0 accurate to a relative roundoff, as dt =
+    # ds/s reads them
+    n = 1000
+    s, w = ws.gauss_legendre_s(n // 2 + 2)
+    lam = ws._lambda_column(-np.log(s), n)
+    assert abs((w / s) @ lam[:, 0] - n) <= 1e-12 * n
 
 
 def test_gauss_legendre_s_integrates_monomials():
