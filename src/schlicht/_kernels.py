@@ -8,7 +8,8 @@ stack of them through the same matrix product per step.  RK4 is the
 textbook method, one NumPy expression per stage over every trajectory of a
 solve.  It is the oracle of ``loewner.loewner_solve``, which moves each
 constant piece of the driving by its closed-form flow: the suites and tests
-call RK4 to measure its fourth order and to hold the exact flow to it.
+call RK4 to measure its fourth order and to hold the exact flow to it.  Its
+guards raise the library's TrajectoryEscaped, a numeric error.
 
 No command or suite calls ``compose``, nor ``rk4_loewner``'s ``with_deriv``
 branch and ``_drhs``.  They stay only because the benchmark harness
@@ -18,6 +19,8 @@ harness reads its counts from the library instead.
 """
 
 import numpy as np
+
+from .errors import TrajectoryEscaped
 
 BACKEND = "numpy"
 
@@ -77,9 +80,9 @@ def rk4_loewner(z0, kappa, h, store_stride, with_deriv):
     Stores every store_stride-th state (nsteps must be a multiple).
     Returns (traj, dtraj) where traj has shape (nsteps//stride + 1, nz);
     dtraj carries d(state)/d(z0) when with_deriv, else None.
-    Status: after every step, raises ValueError("singular") where some
-    |1 - kappa y| < 1e-6, then ValueError("escaped") where some |y| >= 1;
-    callers translate to the library error types.  A NaN state fails both.
+    Status: after every step, raises TrajectoryEscaped("singular") where
+    some |1 - kappa y| < 1e-6, then TrajectoryEscaped("escaped") where some
+    |y| >= 1.  A NaN state fails both.
     """
     y = np.array(z0, dtype=complex)
     v = np.ones_like(y)
@@ -101,9 +104,9 @@ def rk4_loewner(z0, kappa, h, store_stride, with_deriv):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # both comparisons are written so that NaN fails them
         if not np.abs(1.0 - kap * y).min(initial=np.inf) >= 1e-6:
-            raise ValueError("singular")
+            raise TrajectoryEscaped("singular")
         if not np.abs(y).max(initial=0.0) < 1.0:
-            raise ValueError("escaped")
+            raise TrajectoryEscaped("escaped")
         if (s + 1) % store_stride == 0:
             ys.append(y)
             vs.append(v)

@@ -57,11 +57,6 @@ class ChainUnavailable(SchlichtError):
     pass
 
 
-# weinstein
-class ImaginaryResidue(SchlichtError):
-    pass
-
-
 # cli
 class UsageError(SchlichtError):
     """A bad argument: the CLI exits 2."""

@@ -17,8 +17,6 @@ Division works on coefficient arrays (``_kernels.cauchy_div``), and
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from . import _kernels
@@ -68,14 +66,8 @@ class PowerSeries:
             raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
 
     def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            self._check(other)
-            return PowerSeries(_kernels.cauchy_mul(self._c, other._c))
-        if isinstance(other, numbers.Number):
-            return PowerSeries(self._c * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        self._check(other)
+        return PowerSeries(_kernels.cauchy_mul(self._c, other._c))
 
 
 # -- module-level operations ---------------------------------------------

@@ -118,8 +118,6 @@ def disk_automorphism(cw, a):
     if abs(a) >= 1:
         raise ParamOutOfRange(f"need |a| < 1, got |a| = {abs(a)}")
     c, w = cw
-    if a == 0:
-        return c, w
     a = complex(a)
     b = a.conjugate()
     h0, h1, h2 = a + c * a * a, 1 + a * b + 2 * a * c, b + c
@@ -212,7 +210,7 @@ class SeededDraws:
     NumPy's Generator methods of the same names, so random_pair takes
     either.  `random(size)` gives the next size values as one array, so a
     suite can scale a whole block of draws at once: low + (high - low) * r
-    over that array is `uniform(low, high, size)` float for float.
+    over that array is size calls of `uniform(low, high)` float for float.
     """
 
     def __init__(self, seed):
@@ -226,11 +224,9 @@ class SeededDraws:
         """An integer in [low, high)."""
         return low + int((high - low) * self._random())
 
-    def uniform(self, low, high, size=None):
-        """A float in [low, high), or a list of size of them."""
-        if size is None:
-            return low + (high - low) * self._random()
-        return [low + (high - low) * self._random() for _ in range(size)]
+    def uniform(self, low, high):
+        """A float in [low, high)."""
+        return low + (high - low) * self._random()
 
 
 def random_pair(rng):

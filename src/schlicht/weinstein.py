@@ -15,8 +15,8 @@ last two are oracles for the first, compared by oracle_triangle:
   satisfies U_n(cos delta) = L[0][n] + 2 sum_k L[k][n] cos(k phi), so a
   cosine transform in phi of the closed form U_n(cos delta) =
   sin((n + 1) delta)/sin(delta) extracts every entry.  The decomposition
-  reads its column L[1..n][n] from the same grid, transformed in blocks of
-  its nodes, to within 3.2e-14 of the exact values at n = 300.
+  reads its column L[1..n][n] through the same transform (_cosine_means),
+  to within 3.2e-14 of the exact values at n = 300.
 * Legendre route  -- lambda_legendre_route: expanding U_n = sum_{i+j=n}
   P_i P_j through the equal-angle addition theorem writes every entry as a
   sum of squares times positive weights, which also certifies
@@ -52,22 +52,9 @@ from . import _kernels
 from . import functionals as fn
 from . import legendre as lg
 from . import series as ps
-from .errors import (
-    ChainUnavailable,
-    ImaginaryResidue,
-    ParamOutOfRange,
-    RadiusExceeded,
-)
+from .errors import ChainUnavailable, ParamOutOfRange, RadiusExceeded
 from .report import BoundReport
 from .series import PowerSeries
-
-
-def _real(vals):
-    """Real part of a quantity that is real by construction."""
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-12:
-        raise ImaginaryResidue(f"imaginary residue {resid:.2e} in a real quantity")
-    return vals.real.copy()
 
 
 def _table_shape(N, max_k):
@@ -121,7 +108,8 @@ def lambda_rows(t, N, max_k=None):
         if k:
             S = _kernels.cauchy_mul(S, w)
         rows[k] = S[1:]
-    return _real(rows)
+    # every operand is real, so the imaginary parts are exact zeros
+    return rows.real.copy()
 
 
 def _u_on_grid(t, m, Q):
@@ -149,34 +137,33 @@ def _u_on_grid(t, m, Q):
     return np.where(far & (m % 2 == 1), -u, u)
 
 
+def _cosine_means(t, m, Q, kmax):
+    """Means of U_m cos(k phi), k = 0..kmax, on the Q-point grid, a row per (t, m) broadcast."""
+    t, m = np.broadcast_arrays(t, m)
+    # blocks of at most 2^18 grid values bound the memory; a row is the same in any block
+    rows = max(1, (1 << 18) // Q)
+    return np.concatenate([
+        np.fft.rfft(_u_on_grid(t[i : i + rows], m[i : i + rows], Q), axis=1)[:, : kmax + 1].real
+        for i in range(0, len(t), rows)
+    ]) / Q
+
+
 def lambda_fourier(t, N, max_k=None):
     """The (k, n) table of lambda_rows by a cosine transform in phi.
 
-    U_0..U_N (the 1/(1-2xz+z^2) coefficient family) come in closed form on
-    the phi grid; entry (k, n) is the mean of U_n cos(k phi), the real part
-    of one FFT, exact on Q >= 2(N + kmax) + 2 points.  Rows beyond N
-    vanish, as in lambda_rows, and are not computed.
+    Entry (k, n) is the mean of U_n cos(k phi), with U_n (the 1/(1-2xz+z^2)
+    family) in closed form on the phi grid, exact on Q >= 2(N + kmax) + 2
+    points.  Rows beyond N vanish, as in lambda_rows, and are not computed.
     """
     max_k = _table_shape(N, max_k)
     kmax = min(max_k, N)
-    Q = 1 << (2 * (N + kmax) + 1).bit_length()
-    U = _u_on_grid(t, np.arange(N + 1), Q)
-    out = np.zeros((max_k + 1, N + 1))
-    out[: kmax + 1] = np.fft.rfft(U, axis=1)[:, : kmax + 1].real.T / Q
-    return out
+    means = _cosine_means(t, np.arange(N + 1), 1 << (2 * (N + kmax) + 1).bit_length(), kmax)
+    return np.pad(means.T, ((0, max_k - kmax), (0, 0)))
 
 
 def _lambda_column(times, n):
     """L[1..n][n] at each of the times, one row each: lambda_fourier's grid for N = n."""
-    Q = 1 << (4 * n + 1).bit_length()
-    # blocks of at most 2^18 grid values (4 MiB, and a few temporaries of
-    # that size) keep the memory bounded as n grows; a row's transform is
-    # the same in any block, and the small n of the gate take one block
-    rows = max(1, (1 << 18) // Q)
-    return np.concatenate([
-        np.fft.rfft(_u_on_grid(times[i : i + rows], n, Q), axis=1)[:, 1 : n + 1].real / Q
-        for i in range(0, len(times), rows)
-    ])
+    return _cosine_means(times, n, 1 << (4 * n + 1).bit_length(), n)[:, 1:]
 
 
 def lambda_legendre_route(t, N, max_k=None):

@@ -21,7 +21,6 @@ from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht import series as ps
 from schlicht import univalent as uv
-from schlicht import weinstein as ws
 from schlicht.errors import BranchPointAtOrigin, ParamOutOfRange, SchlichtError
 from schlicht.series import PowerSeries
 
@@ -35,6 +34,10 @@ class InnerNotVanishing(SchlichtError):
 
 
 class NotInvertibleAtOrigin(SchlichtError):
+    pass
+
+
+class ImaginaryResidue(SchlichtError):
     pass
 
 
@@ -151,10 +154,18 @@ def lambda_series(t, k, N):
         return np.zeros(N + 1)
     order = N + 1
     w = lw.koebe_transition_series(t, order)
-    num = math.exp(t) * _power(w, k + 1)
+    num = PowerSeries(math.exp(t) * _power(w, k + 1).coeffs)
     den = PowerSeries(one(order).coeffs - (w * w).coeffs)
     S = div(num, den)
-    return ws._real(S.coeffs[1:])
+    return _real(S.coeffs[1:])
+
+
+def _real(vals):
+    """Real part of a quantity that is real by construction, to 1e-12."""
+    resid = float(np.max(np.abs(vals.imag)))
+    if resid > 1e-12:
+        raise ImaginaryResidue(f"imaginary residue {resid:.2e} in a real quantity")
+    return vals.real.copy()
 
 
 def lambda_exact(s, n):

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schlicht import cli, suites
+from schlicht import _kernels, cli, suites
+from schlicht import legendre as lg
 from schlicht import univalent as uv
-from schlicht.errors import ImaginaryResidue, TrajectoryEscaped
+from schlicht.errors import NonFiniteCoefficients, TrajectoryEscaped
 from schlicht.report import BoundReport
 from schlicht.series import PowerSeries
 
@@ -192,6 +193,39 @@ def test_a_chain_fault_exits_one_with_the_report(tmp_path, raised_a2):
     data = json.loads(out.read_text())
     assert data["pass"] is False
     assert len(data["suites"][0]["cases"]) == 37
+
+
+@pytest.fixture
+def scaled_legendre(monkeypatch):
+    """Every row of the Legendre recurrence scaled by 1 + 1e-5, a fault in P_n."""
+    exact = lg._seminormalized_rows
+
+    def scaled(*args):
+        for row in exact(*args):
+            yield row * (1.0 + 1e-5)
+
+    monkeypatch.setattr(lg, "_seminormalized_rows", scaled)
+
+
+def test_a_legendre_fault_fails_the_schlafli_case(scaled_legendre):
+    report = suites.run_suite("legendre")[0]
+    assert "schlafli-vs-polynomial" in {case.id for case in report.failures}
+
+
+def test_a_legendre_fault_exits_one_with_the_report(tmp_path, scaled_legendre):
+    out = tmp_path / "gate.json"
+    proc = run_cli("verify", "--suite", "all", "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["pass"] is False
+    assert sum(len(s["cases"]) for s in data["suites"]) == 277
+
+
+def test_an_escaping_rk4_step_is_a_numeric_error(monkeypatch):
+    # every stage moves the state by 1e3 h: the first step leaves the disk
+    monkeypatch.setattr(_kernels, "_rhs", lambda y, kap: np.full_like(y, 1e3))
+    proc = run_cli("verify", "--suite", "loewner")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "numeric error: escaped\n")
 
 
 def test_decompose_exact_at_n_20(tmp_path):
@@ -926,7 +960,7 @@ def _fp_warning_as_error(seed=0):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         np.log(np.zeros(1))
-    raise ImaginaryResidue(f"planted: {caught[0].message}")
+    raise NonFiniteCoefficients(f"planted: {caught[0].message}")
 
 
 def _stub(name):
@@ -1057,18 +1091,37 @@ def test_gate_cases_and_bounds_are_the_recorded_ones():
     assert got == want
 
 
-# -- every function in src/ runs under some command -----------------------------
+# -- every statement in src/ runs under some command ----------------------------
 
-# every command once: the gate, each single-case report, each table, a trace
-# (with --step, so that its parser runs) and both weinstein subcommands
+# every command once, and each input form its parsers read: the gate, each
+# single-case report on each kind of subject, each table, traces under a
+# constant and a stepped driving, both weinstein subcommands and a CSV report
+# to a file; then one argv for each handler of main, each with its exit code.
+# Files land in $SCHLICHT_OUT, which the test points at a fresh directory.
+_STEPS = "steps:[[0,[1,0]],[0.3001,[0,1]],[0.3002,[-1,0]],[5,[0.6,-0.8]]]"
 _EVERY_COMMAND = (
-    ("verify", "--suite", "all", "--seed", "1"),
-    *(("verify", "--suite", suite, "--n", "20") for suite in cli.FOCUS_SUITES),
-    *(("table", "--kind", kind) for kind in ("legendre", "lambda", "coefficients")),
-    ("loewner", "trace", "--step", "1e-2", "--T", "1", "--grid", "polar:2x2", "--out", "-"),
-    ("weinstein", "lambda", "--t", "0.5", "--k", "3", "--oracle", "all"),
-    ("weinstein", "decompose", "--function", "koebe", "--n", "20"),
-    ("weinstein", "decompose", "--function", "identity", "--n", "20"),
+    (("verify", "--suite", "all", "--seed", "1"), 0),
+    *((("verify", "--suite", suite, "--n", "20"), 0) for suite in cli.FOCUS_SUITES),
+    (("verify", "--suite", "milin", "--n", "20", "--function", "koebe-rot:2.5"), 0),
+    (("verify", "--suite", "milin", "--n", "20", "--function", "coeffs:[0,1,0.5]"), 0),
+    (("verify", "--suite", "robertson", "--format", "csv", "--out", "report.csv"), 0),
+    *((("table", "--kind", kind), 0) for kind in ("legendre", "lambda", "coefficients")),
+    (("table", "--kind", "coefficients", "--function", "coeffs:[[0,0],[1,0]]",
+      "--format", "json"), 0),
+    # --step makes its parser run
+    (("loewner", "trace", "--step", "1e-2", "--T", "1", "--grid", "polar:2x2", "--out", "-"), 0),
+    # two breaks on one step (both snap to 0.301) and one beyond --T
+    (("loewner", "trace", "--kappa", _STEPS, "--T", "1", "--step", "1e-3",
+      "--grid", "points:[[0.1,0.2],[-0.3,0]]", "--out", "-"), 0),
+    (("loewner", "trace", "--T", "0", "--grid", "polar:0x0", "--out", "-"), 0),
+    (("weinstein", "lambda", "--t", "0.5", "--k", "3", "--oracle", "all"), 0),
+    (("weinstein", "decompose", "--function", "koebe", "--n", "20"), 0),
+    (("weinstein", "decompose", "--function", "identity", "--n", "20"), 0),
+    (("verify", "--suite", "no-such-suite"), 2),
+    (("loewner", "trace", "--grid", "polar:2", "--out", "-"), 2),
+    (("loewner", "trace", "--kappa", "steps:[1]", "--out", "-"), 2),
+    (("table", "--kind", "legendre", "--out", "no-such-dir/table.csv"), 2),
+    (("weinstein", "decompose", "--function", "no-such-function"), 3),
 )
 
 # the functions none of those commands runs, each with the reason it stays
@@ -1081,38 +1134,88 @@ _NEVER_RUN = {
     "univalent.random_class_s": "a per-layer benchmark metric reads it by name",
 }
 
+# the if branches none of those commands takes, each named by its function
+# and its first line, with the reason it stays
+_NEVER_TAKEN = {
+    ("_kernels.rk4_loewner", "if with_deriv:"):
+        "the benchmark harness's 5-argument call; _drhs above",
+    ("univalent.from_quotient", "if c != 0:"):
+        "the c-term; only random_class_s above passes c != 0",
+    ("cli", 'if __name__ == "__main__":'):
+        "python -m schlicht.cli, which test_module_entry_point_in_a_process runs in a child",
+    ("loewner.NumericChain._flow_from", "if t0 < self.T0:"):
+        "the solve before the last driving break: the gate's one numeric chain has "
+        "constant driving, so T0 = 0",
+    ("series.PowerSeries.derivative", "if self.order == 0:"):
+        "the general formula would return an empty series",
+    ("loewner.KoebeChain.transition", "if self.rho == 0.0:"):
+        "the general formula would divide by w = 0",
+}
 
-def _defined_functions():
-    """{(file, first line of its code): name} for every function in src/schlicht."""
+
+def _statements():
+    """Every statement in src/schlicht that must run, by where it is.
+
+    Returns {(file, first line): (function, text of that line)} and the
+    statements in the body of each if, {(function, text of its first line):
+    set of (file, first line)}.  A raise, a docstring and a statement of a
+    module or class body are exempt; the bodies of a module's if are not.
+    """
     root = os.path.dirname(os.path.realpath(cli.__file__))
-    found = {}
+    found, branches = {}, {}
 
-    def walk(node, path, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                # a decorated function's code starts at its first decorator
-                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
-                found[(path, line)] = prefix + child.name
-                walk(child, path, f"{prefix}{child.name}.<locals>.")
-            elif isinstance(child, ast.ClassDef):
-                walk(child, path, f"{prefix}{child.name}.")
+    def walk(body, name, counted, enclosing):
+        for node in body:
+            key = (path, node.lineno)
+            # a constant expression, such as a docstring, compiles to no code
+            constant = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            if counted and not isinstance(node, ast.Raise) and not constant:
+                found[key] = (name, lines[node.lineno - 1].strip())
+                for owner in enclosing:
+                    owner.add(key)
+            if isinstance(node, ast.FunctionDef):
+                inner = f"{name}.<locals>." if counted else f"{name}."
+                walk(node.body, inner + node.name, True, enclosing)
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, f"{name}.{node.name}", False, enclosing)
+            elif isinstance(node, ast.If):
+                taken = branches.setdefault((name, lines[node.lineno - 1].strip()), set())
+                walk(node.body, name, True, enclosing + [taken])
+                walk(node.orelse, name, True, enclosing)
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    walk(getattr(node, field, []), name, counted, enclosing)
+                for handler in getattr(node, "handlers", []):
+                    walk(handler.body, name, counted, enclosing)
 
-    for name in sorted(os.listdir(root)):
-        if name.endswith(".py"):
-            path = os.path.join(root, name)
+    for filename in sorted(os.listdir(root)):
+        if filename.endswith(".py"):
+            path = os.path.join(root, filename)
             with open(path) as fh:
-                walk(ast.parse(fh.read()), path, name[:-3] + ".")
-    return found
+                text = fh.read()
+            lines = text.splitlines()
+            walk(ast.parse(text).body, filename[:-3], False, [])
+    return found, branches
 
 
-def test_every_function_in_src_runs_under_a_command():
-    # a function stays in src/ only when a command or a suite calls it;
-    # test-only references live in the tests
-    called = set()
+def test_every_function_in_src_runs_under_a_command(tmp_path, monkeypatch):
+    # a statement stays in src/ only when a command or a suite runs it, or
+    # it is a raise that guards an input or a numeric; test-only references
+    # live in the tests
+    src = os.path.dirname(os.path.realpath(cli.__file__))
+    in_src, ran = {}, set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        # line events only in src/
+        path = frame.f_code.co_filename
+        if path not in in_src:
+            in_src[path] = os.path.dirname(os.path.realpath(path)) == src
+        return lines if in_src[path] else None
 
     # a cached call that an earlier test made would not run again
     for module in list(sys.modules.values()):
@@ -1120,14 +1223,27 @@ def test_every_function_in_src_runs_under_a_command():
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+    monkeypatch.setenv("SCHLICHT_OUT", str(tmp_path))
     rcs = []
-    sys.setprofile(profile)
+    before = sys.gettrace()
+    sys.settrace(calls)
     try:
-        for argv in _EVERY_COMMAND:
+        for argv, _ in _EVERY_COMMAND:
             rcs.append(run_cli(*argv).returncode)
     finally:
-        sys.setprofile(None)
-    assert rcs == [0] * len(_EVERY_COMMAND)
-    called = {(os.path.realpath(path), line) for path, line in called}
-    never_run = {name for key, name in _defined_functions().items() if key not in called}
-    assert never_run == set(_NEVER_RUN)
+        sys.settrace(before)
+    assert rcs == [rc for _, rc in _EVERY_COMMAND]
+    assert (tmp_path / "report.csv").read_text().startswith("suite,id,lhs,rhs,pass\n")
+    ran = {(os.path.realpath(path), line) for path, line in ran}
+    found, branches = _statements()
+    assert set(_NEVER_TAKEN) <= set(branches)
+    expected = set().union(*(branches[key] for key in _NEVER_TAKEN))
+    expected |= {key for key, (name, _) in found.items() if name in _NEVER_RUN}
+    unrun = {key for key in found if key not in ran}
+
+    def described(keys):
+        return sorted(f"{found[k][0]}:{k[1]}: {found[k][1]}" for k in keys)
+
+    assert described(unrun - expected) == []
+    assert described(expected - unrun) == []
+    assert {found[k][0] for k in expected if found[k][0] in _NEVER_RUN} == set(_NEVER_RUN)

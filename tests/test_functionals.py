@@ -345,7 +345,8 @@ def _lebedev_milin_trials(seed):
     rng = uv.SeededDraws(seed)
     for _ in range(1000):
         n = rng.integers(1, 17)
-        alpha = np.array(rng.uniform(-2, 2, n)) + 1j * np.array(rng.uniform(-2, 2, n))
+        draws = [rng.uniform(-2, 2) for _ in range(2 * n)]
+        alpha = np.array(draws[:n]) + 1j * np.array(draws[n:])
         scale = np.abs(alpha)
         yield list(np.where(scale > 2.0, alpha * 2.0 / scale, alpha)), n
 

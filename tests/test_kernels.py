@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schlicht import _kernels
+from schlicht.errors import TrajectoryEscaped
 
 
 def _rhs(y, kap):
@@ -40,7 +41,7 @@ def _rk4_reference(z0, kappa, h, with_deriv):
 
 def test_backend_guards():
     assert _kernels.BACKEND == "numpy"
-    with pytest.raises(ValueError, match="escaped|singular"):
+    with pytest.raises(TrajectoryEscaped, match="escaped|singular"):
         _kernels.rk4_loewner(np.array([0.999999 + 0j]), np.full(50, 1.0 + 0j), 1e-2, 50, False)
 
 
@@ -91,7 +92,7 @@ def test_rk4_stride_keeps_every_stored_state():
 
 def test_nan_state_trips_a_guard():
     z0 = np.array([complex("nan"), 0.5 + 0j])
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="escaped|singular"):
+    with np.errstate(invalid="ignore"), pytest.raises(TrajectoryEscaped, match="escaped|singular"):
         _kernels.rk4_loewner(z0, np.full(10, -1.0 + 0j), 1e-2, 10, False)
 
 
@@ -109,9 +110,9 @@ def _guarded_reference(z0, kappa, h):
     for s, kap in enumerate(kappa):
         y = _rk4_reference(ys[-1], kappa[s:s + 1], h, False)[0][-1]
         if not np.abs(1.0 - kap * y).min(initial=np.inf) >= 1e-6:
-            return ValueError, "singular"
+            return TrajectoryEscaped, "singular"
         if not np.abs(y).max(initial=0.0) < 1.0:
-            return ValueError, "escaped"
+            return TrajectoryEscaped, "escaped"
         ys.append(y)
     return _bits(np.array(ys)).tobytes(), None
 

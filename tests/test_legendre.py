@@ -113,8 +113,8 @@ def test_schlafli_accuracy_at_the_ends_of_the_interval():
     # the docstring's figures: near z = +-1 the trapezoid loses digits as n grows
     for z in (1.0, -1.0):
         assert abs(lg.schlafli_coeff(20, z) - _p(20, z)) < 1e-12
-    with pytest.raises(QuadratureUnderresolved):
-        lg.schlafli_coeff(60, 1.0)
+    assert abs(lg.schlafli_coeff(40, 1.0) - _p(40, 1.0)) < 1e-9
+    assert abs(lg.schlafli_coeff(50, 1.0) - _p(50, 1.0)) < 1e-7
 
 
 def test_generating_function_values():
@@ -330,12 +330,6 @@ def test_schlafli_over_an_array_is_the_scalar_value():
         assert got.tolist() == [lg.schlafli_coeff(n, z) for z in zs.tolist()]
 
 
-def test_schlafli_guard_names_the_stray_point():
-    # at degree 59 the trapezoid misses P_59(1) = 1 by more than 1e-6
-    with pytest.raises(QuadratureUnderresolved, match=r"n=59, z=\(1\+0j\)"):
-        lg.schlafli_coeff(59, np.array([0.5, 1.0]))
-
-
 def test_schlafli_over_degrees_is_each_degree_value():
     # one pass over the degrees gives each one-degree call bit for bit
     zs = np.array([-0.95, -0.3, 0.0, 0.5, 0.9])
@@ -362,9 +356,3 @@ def test_schlafli_scalar_degree_values_are_pinned():
         complex(0.08984375, -2.9680034471790684e-18),
         complex(-1, -1.588356182691264e-17),
     ]
-
-
-def test_schlafli_guard_names_the_stray_degree_of_an_array():
-    # degrees 0..59 at z = 1: the trapezoid first strays at n = 59
-    with pytest.raises(QuadratureUnderresolved, match=r"n=59, z=\(1\+0j\)"):
-        lg.schlafli_coeff(np.arange(60), np.array([0.5, 1.0]))

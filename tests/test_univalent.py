@@ -275,8 +275,8 @@ def test_seeded_draws_for_seed_1_are_pinned():
     code = (
         "from schlicht.univalent import SeededDraws\n"
         "d = SeededDraws(1)\n"
-        "print(repr((d.integers(1, 17), d.uniform(-2, 2, 2), d.uniform(0.1, 0.95), "
-        "d.integers(0, 4))))"
+        "print(repr((d.integers(1, 17), [d.uniform(-2, 2) for _ in range(2)], "
+        "d.uniform(0.1, 0.95), d.integers(0, 4))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -303,7 +303,7 @@ def test_seeded_draws_random_scales_to_uniform():
         for size in (1, 2, 17):
             one, two = uv.SeededDraws(size), uv.SeededDraws(size)
             got = (low + (high - low) * one.random(size)).tolist()
-            assert got == two.uniform(low, high, size)
+            assert got == [two.uniform(low, high) for _ in range(size)]
             assert one.integers(0, 4) == two.integers(0, 4)
 
 

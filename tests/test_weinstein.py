@@ -11,7 +11,6 @@ from schlicht import legendre as lg
 from schlicht import loewner as lw
 from schlicht.errors import (
     ChainUnavailable,
-    ImaginaryResidue,
     NonFiniteCoefficients,
     ParamOutOfRange,
     RadiusExceeded,
@@ -88,8 +87,6 @@ def test_generating_identity_radius_guard():
 def test_guards_raise_taxonomy_errors():
     with pytest.raises(ParamOutOfRange, match="0..500"):
         ws.lambda_legendre_route(0.5, 501)
-    with pytest.raises(ImaginaryResidue):
-        ws._real(np.array([1.0 + 1e-9j]))
     with pytest.raises(ParamOutOfRange):
         ws.milin_decomposition_check(lw.KoebeChain(), n=0)
     for t in (-0.5, math.nan):
