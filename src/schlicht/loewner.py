@@ -270,9 +270,9 @@ class KoebeChain:
     driving -1) at w = 1, the identity's at w = 0.  In closed form,
     p = f/(z f') = (1 - wz)/(1 + wz), c_k = 2 w^k/k and f_s = f_t o phi
     with phi(z) = W_{t-s}(wz)/w, W = koebe_transition, the closed-form flow
-    _flow_map under the constant driving -1; z may be an array.  The Taylor
-    coefficients of p and the c_k come as arrays, w^m from
-    univalent.polar_powers as univalent.from_quotient takes it.
+    _flow_map under the constant driving -1; z may be an array.  p and the
+    c_k, and so the boundary integrals A_k, are constants of the chain and
+    take no t; they come as arrays, w^m from univalent.polar_powers.
     """
 
     def __init__(self, rho=1.0, theta=0.0):
@@ -287,19 +287,19 @@ class KoebeChain:
     def eval_at(self, z, t):
         return math.exp(t) * (z / (1.0 - self.w * z) ** 2)
 
-    def p_values(self, z, t=0.0):
+    def p_values(self, z):
         """p = (1 - wz)/(1 + wz) at z, for every t; 1 at z = 0 exactly."""
         wz = self.w * np.asarray(z, dtype=complex)
         return (1.0 - wz) / (1.0 + wz)
 
-    def herglotz_coeffs(self, t, order):
+    def herglotz_coeffs(self, order):
         """p_0..p_order of p = (1 - wz)/(1 + wz): p_0 = 1, p_m = 2(-rho)^m e^{im theta}."""
         p = uv.polar_powers(2.0, -self.rho, self.theta, np.arange(order + 1))
         p[0] = 1.0
         return p
 
-    def log_coeffs(self, t, N):
-        """c_1..c_N of log(f_t(z)/(e^t z)): c_k = 2 rho^k e^{ik theta}/k."""
+    def log_coeffs(self, N):
+        """c_1..c_N of log(f_t(z)/(e^t z)) for every t: c_k = 2 rho^k e^{ik theta}/k."""
         k = np.arange(1, N + 1)
         return uv.polar_powers(2.0, self.rho, self.theta, k) / k
 

@@ -306,8 +306,8 @@ def suite_weinstein():
     # boundary integrals for the koebe chain: decreasing in r along the
     # quadrature ladder, and 0 at r = 1 by the exact pairing
     kc = lw.KoebeChain()
-    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in (0.9, 0.99, 0.999)])
-    limit = ws.a_k_pairing(kc, 0.5, 6)
+    ladder = np.array([ws._a_k_row(kc, r, 2048, 6) for r in (0.9, 0.99, 0.999)])
+    limit = ws.a_k_pairing(kc, 6)
     for k in range(1, 7):
         rep.add(f"a{k}-monotone", float(np.max(np.diff(ladder[:, k - 1]))), 0.0)
         rep.add(f"a{k}-limit", abs(float(limit[k - 1])), 1e-12)

@@ -23,11 +23,11 @@ last two are oracles for the first, compared by oracle_triangle:
   nonnegativity term by term.
 
 On top of these sit the boundary integrals
-A_k(t) = lim_{r->1} (1/2pi) Int Re p |2 C0k - k c_k z^k|^2 dtheta
+A_k = lim_{r->1} (1/2pi) Int Re p |2 C0k - k c_k z^k|^2 dtheta
 (nonnegative because Re p > 0 multiplies a squared modulus) and the
 end-to-end check that sum_k (4/k - k |c_k(0)|^2)(n-k+1) equals the time
-integral of g_n(t) = sum_k L[k][n](t) A_k(t).  Both limits in that identity
-are taken exactly:
+integral of g_n(t) = sum_k L[k][n](t) A_k, with A_k a constant of the chain
+(paired once; it makes the Gauss rule below exact).  Both limits are exact:
 
 * r -> 1: the weight is |X|^2 with X a polynomial of degree k, so the mean
   of Re p |X|^2 pairs the Taylor coefficients p_0..p_k of the Herglotz
@@ -36,8 +36,7 @@ are taken exactly:
   That finite sum is a polynomial in r, and its value at r = 1 is the limit.
   The circle quadrature _a_k_row stays as its oracle at r < 1.
 * t -> infinity: L[k][n] is a polynomial in s = e^{-t} of degree <= n with
-  no constant term, and A_k does not depend on t for the closed-form
-  chains, so Int_0^inf g dt = Int_0^1 g(-ln s) ds/s integrates a polynomial
+  no constant term, so Int_0^inf g dt = Int_0^1 g(-ln s) ds/s integrates one
   of degree <= n - 1; Gauss-Legendre with n//2 + 2 nodes in s is exact.
 """
 
@@ -250,34 +249,34 @@ def milin_generating_identity(f, N, z_samples):
 
 # -- boundary integrals and the decomposition --------------------------------
 
-def _a_k_row(chain, t, r, Q, kmax):
+def _a_k_row(chain, r, Q, kmax):
     """A_k(r) for k = 1..kmax by Q-point circle quadrature at |z1| = r.
 
-    A_k(r) = (1/2pi) Int Re{p(z1,t)} |2 C0k - k c_k(t) z1^k|^2 dtheta with
-    C0k = 1 + sum_{l<=k} l c_l(t) z1^l; all k share one set of boundary
-    data.  Nonnegative up to quadrature noise since Re p > 0 and the weight
-    is a squared modulus.  This is the oracle for a_k_pairing; it needs
-    r < 1 and a chain with closed-form p_values and log_coeffs.
+    A_k(r) = (1/2pi) Int Re{p(z1)} |2 C0k - k c_k z1^k|^2 dtheta with
+    C0k = 1 + sum_{l<=k} l c_l z1^l; all k share one set of boundary data,
+    constant in t.  Nonnegative up to quadrature noise (Re p > 0 times a
+    squared modulus).  The oracle for a_k_pairing; it needs r < 1 and a
+    chain with closed-form p_values and log_coeffs.
     """
     z1 = r * np.exp(2j * np.pi * np.arange(Q) / Q)
-    rep = chain.p_values(z1, t).real
+    rep = chain.p_values(z1).real
     out = np.empty(kmax)
     C2 = np.full(Q, 2.0, dtype=complex)  # 2 * C0k, grown incrementally
-    for k, lc in enumerate(chain.log_coeffs(t, kmax), 1):
+    for k, lc in enumerate(chain.log_coeffs(kmax), 1):
         C2 += 2.0 * k * lc * z1**k
         X = C2 - k * lc * z1**k
         out[k - 1] = np.mean(rep * np.abs(X) ** 2)
     return out
 
 
-def a_k_pairing(chain, t, kmax, r=1.0):
+def a_k_pairing(chain, kmax, r=1.0):
     """A_k(r) for k = 1..kmax as finite sums; exact at every r <= 1.
 
     On |z| = r the mean of p |X|^2 keeps only the terms p_m r^m conj(a_m),
     with a_m the autocorrelation of X's coefficients scaled by r^j.  Let
     z_0 = 2 and z_j = 2 j c_j r^j: X = 2 C0k - k c_k z^k has z_0..z_{k-1},
     z_k/2.  With pr_m = conj(p_m) r^m (pr_0 real) and conv = pr * conj(z),
-    one convolution for every k,
+    one convolution for every k, and every t (p and c_j are chain constants),
     A_k(r) = Re[cumsum(z conv)_k - z_k conv_k/2] - pr_0 |z_k|^2/4.
     Needs a chain with closed-form Herglotz coefficients.
     """
@@ -287,11 +286,11 @@ def a_k_pairing(chain, t, kmax, r=1.0):
             "the exact boundary pairing needs one"
         )
     rm = r ** np.arange(kmax + 1)
-    pr = np.conj(chain.herglotz_coeffs(t, kmax)) * rm
+    pr = np.conj(chain.herglotz_coeffs(kmax)) * rm
     pr[0] = pr[0].real
     z = np.empty(kmax + 1, dtype=complex)
     z[0] = 2.0
-    z[1:] = 2.0 * np.arange(1, kmax + 1) * chain.log_coeffs(t, kmax) * rm[1:]
+    z[1:] = 2.0 * np.arange(1, kmax + 1) * chain.log_coeffs(kmax) * rm[1:]
     zc = z * np.convolve(pr, np.conj(z))[: kmax + 1]
     return (np.cumsum(zc) - zc / 2.0 - pr[0] * np.abs(z) ** 2 / 4.0).real[1:]
 
@@ -336,8 +335,10 @@ def gauss_legendre_s(m):
     from theta = arccos of leggauss' nodes, three Newton steps on P_m(cos
     theta), with dP_m/dtheta = -m (P_{m-1} - cos(theta) P_m)/sin(theta) and
     P_m, P_{m-1} from Bonnet's recurrence.  The weight of a node is
-    1/(dP_m/dtheta)^2 there.  So s keeps a relative accuracy near roundoff
-    at the nodes near 0, where dt = ds/s magnifies an absolute error.
+    1/(dP_m/dtheta)^2 there.  P_m is read at the rounded cos(theta), which
+    moves theta by about 1e-16/sin(theta), so the least nodes, where dt =
+    ds/s magnifies an error, are not at roundoff: at m = 1002 the least three
+    (s = 1.44e-6, 7.58e-6, 1.86e-5) are off by a relative 1.5e-11, 2.3e-12, 6.4e-13.
     """
 
     def p_and_slope(theta):
@@ -358,20 +359,19 @@ def milin_decomposition_check(chain, n):
 
     The left side reads the chain's own f_0 (series_at at t = 0), so the
     two sides cannot describe different functions.
-    g_n(t) = sum_{k=1}^n L[k][n](t) A_k(t) with the column L[1..n][n] of
-    every node from the cosine transform and A_k at r = 1 from
-    a_k_pairing, integrated in s = e^{-t} by Gauss-Legendre on (0, 1) with
-    n//2 + 2 nodes, exact for the closed-form chains.
+    g_n(t) = sum_k L[k][n](t) A_k, L[1..n][n] at each node from the cosine
+    transform, A_k (r = 1) a constant of the chain from one a_k_pairing: so
+    g_n is a polynomial in s = e^{-t}, exact under n//2 + 2 Gauss-Legendre nodes.
     """
     if n < 1:
         raise ParamOutOfRange(f"n must be >= 1, got {n}")
+    a = a_k_pairing(chain, n)
     nodes = n // 2 + 2
     lhs = fn.milin_weighted_form(chain.series_at(0.0, n + 1), n)
     s, w_s = gauss_legendre_s(nodes)
     times = -np.log(s)  # ascending
     weights = w_s / s  # ds/s = dt
-    lam = _lambda_column(times, n)
-    g = np.array([row @ a_k_pairing(chain, t, n) for row, t in zip(lam, times)])
+    g = np.array([row @ a for row in _lambda_column(times, n)])  # lam @ a rounds differently
     return DecompositionResult(
         n=n,
         lhs=lhs,

@@ -184,9 +184,9 @@ def test_criterion_09_decomposition():
     kc = lw.KoebeChain()
     ok = True
     radii = (0.9, 0.99, 0.999)
-    ladder = np.array([ws._a_k_row(kc, 0.5, r, 2048, 6) for r in radii])
-    pairing = np.array([ws.a_k_pairing(kc, 0.5, 6, r) for r in radii])
-    limit = ws.a_k_pairing(kc, 0.5, 6)
+    ladder = np.array([ws._a_k_row(kc, r, 2048, 6) for r in radii])
+    pairing = np.array([ws.a_k_pairing(kc, 6, r) for r in radii])
+    limit = ws.a_k_pairing(kc, 6)
     for k in range(1, 7):
         vals = ladder[:, k - 1]
         ok &= bool(np.all(np.diff(vals) < 0))  # decreasing along the r-ladder

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from schlicht import _kernels, cli, suites
 from schlicht import legendre as lg
 from schlicht import univalent as uv
+from schlicht import weinstein as ws
 from schlicht.errors import NonFiniteCoefficients, TrajectoryEscaped
 from schlicht.report import BoundReport
 from schlicht.series import PowerSeries
@@ -219,6 +220,30 @@ def test_a_legendre_fault_exits_one_with_the_report(tmp_path, scaled_legendre):
     data = json.loads(out.read_text())
     assert data["pass"] is False
     assert sum(len(s["cases"]) for s in data["suites"]) == 277
+
+
+_PAIRING_FAULTS = {
+    "scaled": (lambda a: a * (1.0 + 1e-9), "identity", "decomposition-identity-relative"),
+    "bumped": (lambda a: a + 1e-9, "koebe", "decomposition-koebe-rhs-limit"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PAIRING_FAULTS))
+def test_a_pairing_fault_fails_the_decomposition(tmp_path, monkeypatch, fault):
+    # the one A_k of the chain reaches both verdicts: the command's and the gate's
+    perturb, function, case = _PAIRING_FAULTS[fault]
+    exact = ws.a_k_pairing
+    monkeypatch.setattr(ws, "a_k_pairing", lambda *args: perturb(exact(*args)))
+    proc = run_cli("weinstein", "decompose", "--function", function, "--n", "20")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is False
+    out = tmp_path / "gate.json"
+    proc = run_cli("verify", "--suite", "all", "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    data = json.loads(out.read_text())
+    assert sum(len(s["cases"]) for s in data["suites"]) == 277
+    weinstein = next(s for s in data["suites"] if s["suite"] == "weinstein")
+    assert not next(c for c in weinstein["cases"] if c["id"] == case)["pass"]
 
 
 def test_an_escaping_rk4_step_is_a_numeric_error(monkeypatch):
